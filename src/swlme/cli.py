@@ -31,6 +31,7 @@ EXIT_RUNTIME = 2
 IDENTITY_TOL = 1e-12
 GRADIENT_TOL = 1e-6
 GRAVITIES = (1.0, 9.81)
+CSV_CHUNK_ROWS = 256
 
 
 def _fmt(value: float) -> str:
@@ -108,6 +109,17 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _write_rows(fh, block: np.ndarray) -> None:
+    """Write a 2D array as CSV rows of shortest round-trip floats (the _fmt form).
+
+    Rows are converted a chunk at a time, so no more than CSV_CHUNK_ROWS rows
+    of strings are held at once.
+    """
+    for start in range(0, len(block), CSV_CHUNK_ROWS):
+        fh.writelines(",".join(map(repr, row)) + "\n"
+                      for row in block[start:start + CSV_CHUNK_ROWS].tolist())
+
+
 def _write_outputs(scenario, traj, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     x = scenario.grid.centers
@@ -119,14 +131,10 @@ def _write_outputs(scenario, traj, path: str) -> None:
         fh.write(",".join(cols) + "\n")
         for t, U in zip(traj.times, traj.snapshots):
             W = to_primitive(U)
-            e = energy(W, b, g).e
-            for c in range(x.size):
-                fields = [_fmt(t), _fmt(x[c])] + [_fmt(v) for v in W[c]] + [_fmt(e[c])]
-                fh.write(",".join(fields) + "\n")
+            _write_rows(fh, np.column_stack([np.full(x.size, t), x, W, energy(W, b, g).e]))
     with open(os.path.join(path, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write("t,mass,momentum,total_energy\n")
-        for row in traj.steps:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, traj.steps)
 
 
 def cmd_run(args) -> int:

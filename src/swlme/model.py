@@ -123,9 +123,51 @@ def check_wet(h: np.ndarray, h_min: float = DEFAULT_H_MIN) -> None:
 
 
 def _moment_sum(u: np.ndarray) -> np.ndarray:
-    """T = sum_i u_i^2 / (2i+1) over the last axis (0.0 when there are no moments)."""
+    """T = sum_i u_i^2 / (2i+1) over the last axis (0.0 when there are no moments).
+
+    The squares are made C-contiguous whatever the layout of u, so the
+    matrix-vector product, and with it the rounding of T, is the same for a
+    transposed view as for a row-major array.
+    """
     n = u.shape[-1]
-    return (u * u) @ moment_weights(n) if n else np.zeros(u.shape[:-1])
+    return np.ascontiguousarray(u * u) @ moment_weights(n) if n else np.zeros(u.shape[:-1])
+
+
+def _moments_last(u: np.ndarray) -> np.ndarray:
+    """Contiguous (..., N) copy of moment rows of shape (N, ...), for the closure einsums."""
+    return np.ascontiguousarray(np.moveaxis(u, 0, -1))
+
+
+def _flux_rows(h, um, u, T, p: ModelParams, out: np.ndarray) -> None:
+    """Write the flux into out, variable axis first.
+
+    h, um and T = _moment_sum of the moments have shape S, the moments u
+    shape (N,) + S, and out shape (N+2,) + S.  No wetness check.
+    """
+    out[0] = h * um
+    out[1] = h * um**2 + h * T + 0.5 * p.g * h**2
+    out[2:] = 2.0 * h * um * u
+    if p.variant is Variant.SWME and p.N > 0:
+        ul = _moments_last(u)
+        out[2:] += h * np.moveaxis(np.einsum("ijk,...j,...k->...i", p.tensors.A, ul, ul), -1, 0)
+
+
+def _path_rows(um, u, du, p: ModelParams) -> np.ndarray:
+    """Moment rows u_m du_i - sum_jk B_ijk u_k du_j of the nonconservative term.
+
+    um has shape S; the moments u and their increments du have shape (N,) + S.
+    """
+    out = um * du
+    if p.variant is Variant.SWME and p.N > 0:
+        out -= np.moveaxis(
+            np.einsum("ijk,...k,...j->...i", p.tensors.B, _moments_last(u), _moments_last(du)),
+            -1, 0)
+    return out
+
+
+def _wave_speed(h, um, T, g: float):
+    """|u_m| + sqrt(g h + 3 T), T = _moment_sum of the moments.  No wetness check."""
+    return np.abs(um) + np.sqrt(g * h + 3.0 * T)
 
 
 def to_primitive(U: np.ndarray, h_min: float = DEFAULT_H_MIN) -> np.ndarray:
@@ -158,14 +200,13 @@ def flux(W: np.ndarray, p: ModelParams) -> np.ndarray:
                  h (2 u_m u_i + sum_jk A_ijk u_j u_k)].
     """
     W = np.asarray(W, dtype=float)
-    h, um, u = W[..., 0], W[..., 1], W[..., 2:]
-    check_wet(h, p.h_min)
+    check_wet(W[..., 0], p.h_min)
     F = np.empty_like(W)
-    F[..., 0] = h * um
-    F[..., 1] = h * um**2 + h * _moment_sum(u) + 0.5 * p.g * h**2
-    F[..., 2:] = 2.0 * h[..., None] * um[..., None] * u
-    if p.variant is Variant.SWME and p.N > 0:
-        F[..., 2:] += h[..., None] * np.einsum("ijk,...j,...k->...i", p.tensors.A, u, u)
+    rows = np.moveaxis(W, -1, 0)
+    # [i, ...] keeps a single state's fields 0-d arrays: numpy's scalar ** rounds
+    # differently from the array square
+    _flux_rows(rows[0, ...], rows[1, ...], rows[2:], _moment_sum(W[..., 2:]), p,
+               np.moveaxis(F, -1, 0))
     return F
 
 
@@ -175,13 +216,10 @@ def nonconservative_rhs(W: np.ndarray, dUdx: np.ndarray, p: ModelParams) -> np.n
     dUdx holds spatial-derivative samples of the conserved variables; only
     its moment components enter.  Mass and momentum components are zero.
     """
-    W = np.asarray(W, dtype=float)
-    dUdx = np.asarray(dUdx, dtype=float)
-    um, u = W[..., 1], W[..., 2:]
-    out = np.zeros(np.broadcast_shapes(W.shape, dUdx.shape))
-    out[..., 2:] = um[..., None] * dUdx[..., 2:]
-    if p.variant is Variant.SWME and p.N > 0:
-        out[..., 2:] -= np.einsum("ijk,...k,...j->...i", p.tensors.B, u, dUdx[..., 2:])
+    W, dUdx = np.broadcast_arrays(np.asarray(W, dtype=float), np.asarray(dUdx, dtype=float))
+    rows, drows = np.moveaxis(W, -1, 0), np.moveaxis(dUdx, -1, 0)
+    out = np.zeros(W.shape)
+    np.moveaxis(out, -1, 0)[2:] = _path_rows(rows[1, ...], rows[2:], drows[2:], p)
     return out
 
 
@@ -283,7 +321,7 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
     check_wet(h, p.h_min)
-    s = np.abs(um) + np.sqrt(p.g * h + 3.0 * _moment_sum(u))
+    s = _wave_speed(h, um, _moment_sum(u), p.g)
     if validate:
         radius = np.abs(np.linalg.eigvals(quasilinear_matrix(W, p))).max(axis=-1)
         # allowance for eigensolve roundoff; the bound is often attained exactly

@@ -8,7 +8,13 @@ the lake-at-rest state a discrete fixed point.  Time integration is the
 three-stage strong-stability-preserving Runge-Kutta scheme.
 
 State arrays are conserved variables of shape (cells, N+2); one ghost cell
-per side is appended by apply_boundary.
+per side is appended by apply_boundary.  Only semi_discrete_rhs works in
+another layout: it transposes the ghost-extended states to (N+2, cells+2),
+stacks both sides of every interface into one (N+2, 2, cells+1) array, and
+evaluates primitives, flux, wave speed and path term once over that stack
+with the model's component helpers, so each elementwise operation runs along
+a row of cells.  It validates the depths once per call and returns the usual
+(cells, N+2) layout.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from swlme.model import (
     ModelParams,
     Topography,
     Variant,
+    _flux_rows,
+    _moment_sum,
+    _path_rows,
+    _wave_speed,
     check_wet,
     energy,
     flux,
@@ -220,9 +230,12 @@ def _extend_bottom(b: np.ndarray, kind: str) -> np.ndarray:
 def cfl_dt(U: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
     """Time step cfl * dx / (largest wave-speed bound over the cells)."""
     W = to_primitive(U, params.h_min)
-    # the analytic bound is exact for the linearized closure; eigensolve
-    # fallback guards the full closure
-    speeds = max_wave_speed(W, params, validate=params.variant is Variant.SWME)
+    if params.variant is Variant.SWME:
+        # the analytic bound can fail for the full closure; an eigensolve guards it
+        speeds = max_wave_speed(W, params, validate=True)
+    else:
+        # the analytic bound is exact for the linearized closure; W is validated
+        speeds = _wave_speed(W[:, 0], W[:, 1], _moment_sum(W[:, 2:]), params.g)
     return cfl * grid.dx / float(np.max(speeds))
 
 
@@ -247,22 +260,46 @@ def pc_rusanov_update(U_L: np.ndarray, U_R: np.ndarray, params: ModelParams):
     return central - spread, central + spread
 
 
-def _hydrostatic_states(U_ext: np.ndarray, b_ext: np.ndarray, h_min: float):
-    """Interface states with depths reconstructed against max(b_L, b_R)."""
+def _interface_states(X: np.ndarray, b_ext: np.ndarray, h_min: float,
+                      boundary: str) -> np.ndarray:
+    """Hydrostatically reconstructed interface states, variable axis first.
+
+    X holds the ghost-extended conserved states as rows, shape
+    (N+2, cells+2).  Returns Us of shape (N+2, 2, cells+1): Us[:, 0] is the
+    left and Us[:, 1] the right state at each interface, with the depth
+    reconstructed against max(b_L, b_R) and each cell's velocities kept.
+    Validates every depth the update reads, naming the offending cell.
+    """
+    h = X[0]
+    hb = h + b_ext
     b_star = np.maximum(b_ext[:-1], b_ext[1:])
-    hs_L = (U_ext[:-1, 0] + b_ext[:-1]) - b_star
-    hs_R = (U_ext[1:, 0] + b_ext[1:]) - b_star
-    check_wet(hs_L, h_min)
-    check_wet(hs_R, h_min)
-    W_L = to_primitive(U_ext[:-1], h_min)
-    W_R = to_primitive(U_ext[1:], h_min)
-    Us_L = np.empty_like(W_L)
-    Us_L[:, 0] = hs_L
-    Us_L[:, 1:] = W_L[:, 1:] * hs_L[:, None]
-    Us_R = np.empty_like(W_R)
-    Us_R[:, 0] = hs_R
-    Us_R[:, 1:] = W_R[:, 1:] * hs_R[:, None]
-    return Us_L, Us_R
+    n = h.size - 1
+    Us = np.empty((X.shape[0], 2, n))
+    hs = Us[0]
+    np.subtract(hb[:-1], b_star, out=hs[0])
+    np.subtract(hb[1:], b_star, out=hs[1])
+    # hs <= h holds only up to the rounding of h + b, so the cell depths are checked too
+    low = np.empty_like(hs)
+    np.minimum(hs[0], h[:-1], out=low[0])
+    np.minimum(hs[1], h[1:], out=low[1])
+    try:
+        check_wet(low, h_min)
+    except DryStateError as err:
+        side, j = err.index
+        cell = j + side - 1  # ghost-extended index j + side, less the left ghost
+        cells = n - 1
+        cell = cell % cells if boundary == "periodic" else min(max(cell, 0), cells - 1)
+        raise DryStateError(f"dry or invalid state at an interface of cell {cell}: "
+                            f"h = {low[side, j]}", index=(cell,)) from None
+    v = X[1:] / h
+    np.multiply(v[:, :-1], hs[0], out=Us[1:, 0])
+    np.multiply(v[:, 1:], hs[1], out=Us[1:, 1])
+    return Us
+
+
+def _hydrostatic_correction(hs: np.ndarray, g: float) -> np.ndarray:
+    """Per-cell momentum correction g (hs_L^2 at the right face - hs_R^2 at the left) / 2."""
+    return 0.5 * g * (hs[0, 1:] ** 2 - hs[1, :-1] ** 2)
 
 
 def well_balanced_source(U: np.ndarray, topography: Topography, g: float,
@@ -275,12 +312,34 @@ def well_balanced_source(U: np.ndarray, topography: Topography, g: float,
     flux-difference units; the semi-discrete right-hand side divides by dx.
     Reduces to zero over a flat bottom.
     """
-    U_ext = apply_boundary(np.asarray(U, dtype=float), boundary)
-    b_ext = _extend_bottom(topography.b, boundary)
-    Us_L, Us_R = _hydrostatic_states(U_ext, b_ext, h_min)
-    src = np.zeros_like(np.asarray(U, dtype=float))
-    src[:, 1] = 0.5 * g * (Us_L[1:, 0] ** 2 - Us_R[:-1, 0] ** 2)
+    U = np.asarray(U, dtype=float)
+    Us = _interface_states(apply_boundary(U, boundary).T,
+                           _extend_bottom(topography.b, boundary), h_min, boundary)
+    src = np.zeros_like(U)
+    src[:, 1] = _hydrostatic_correction(Us[0], g)
     return src
+
+
+def _rusanov_flux(Us: np.ndarray, dUs: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Rusanov flux (N+2, cells+1) at the interface states Us, with dUs = Us_R - Us_L."""
+    hs = Us[0]
+    v = Us[1:] / hs
+    T = _moment_sum(np.moveaxis(v[1:], 0, -1))
+    speeds = _wave_speed(hs, v[0], T, p.g)
+    F = np.empty_like(Us)
+    _flux_rows(hs, v[0], v[1:], T, p, F)
+    return 0.5 * (F[:, 0] + F[:, 1]) - 0.5 * np.maximum(speeds[0], speeds[1]) * dUs
+
+
+def _path_term(Us: np.ndarray, dUs: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Path term (N+2, cells+1) of the straight-line path, at the mean interface state."""
+    Um = 0.5 * (Us[:, 0] + Us[:, 1])
+    vm = Um[1:] / Um[0]
+    # the zero mass and momentum rows are added to the update as well, which
+    # turns a -0.0 there into +0.0; dropping them would change the stored bits
+    P = np.zeros_like(dUs)
+    P[2:] = _path_rows(vm[0], vm[1:], dUs[2:], p)
+    return P
 
 
 def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -291,21 +350,18 @@ def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
     hydrostatic momentum correction.  Fresh output array, no aliasing.
     """
     p = scenario.params
-    U_ext = apply_boundary(U, scenario.boundary)
-    b_ext = _extend_bottom(scenario.topography.b, scenario.boundary)
-    Us_L, Us_R = _hydrostatic_states(U_ext, b_ext, p.h_min)
-    Ws_L = to_primitive(Us_L, p.h_min)
-    Ws_R = to_primitive(Us_R, p.h_min)
-
-    s = np.maximum(max_wave_speed(Ws_L, p), max_wave_speed(Ws_R, p))
-    dUs = Us_R - Us_L
-    F_star = 0.5 * (flux(Ws_L, p) + flux(Ws_R, p)) - 0.5 * s[:, None] * dUs
-    P = nonconservative_rhs(to_primitive(0.5 * (Us_L + Us_R), p.h_min), dUs, p)
-
-    dU = -(F_star[1:] - F_star[:-1])
-    dU[:, 1] += 0.5 * p.g * (Us_L[1:, 0] ** 2 - Us_R[:-1, 0] ** 2)
-    dU += 0.5 * (P[1:] + P[:-1])
-    return dU / scenario.grid.dx
+    Us = _interface_states(apply_boundary(U, scenario.boundary).T.copy(),
+                           _extend_bottom(scenario.topography.b, scenario.boundary),
+                           p.h_min, scenario.boundary)
+    dUs = Us[:, 1] - Us[:, 0]
+    F_star = _rusanov_flux(Us, dUs, p)
+    dU = -(F_star[:, 1:] - F_star[:, :-1])
+    dU[1] += _hydrostatic_correction(Us[0], p.g)
+    P = _path_term(Us, dUs, p)
+    dU += 0.5 * (P[:, 1:] + P[:, :-1])
+    out = np.empty(U.shape)
+    np.divide(dU, scenario.grid.dx, out=out.T)
+    return out
 
 
 def step(U: np.ndarray, dt: float, scenario: Scenario) -> np.ndarray:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from swlme.basis import Variant, compute_tensors
-from swlme.cli import main
+from swlme.cli import CSV_CHUNK_ROWS, _fmt, _write_outputs, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
+from swlme.model import energy, to_primitive
+from swlme.solver import run
 
 LAKE_CFG = """\
 # lake at rest over a bump
@@ -173,7 +175,59 @@ class TestCheckCommand:
         assert "seed 99" in capsys.readouterr().out
 
 
+SMOOTH_CFG = """\
+model.N = 2
+model.g = 9.81
+model.variant = swlme
+grid.cells = 300
+grid.xmin = -1.0
+grid.xmax = 1.0
+bc.kind = periodic
+ic.name = smooth_periodic
+ic.h0 = 1.0
+ic.h_amp = 0.2
+ic.um_amp = -0.3
+ic.u_amp = 0.1
+time.t_end = 0.05
+time.cfl = 0.9
+output.path = {path}
+output.every_steps = 3
+"""
+
+
+def reference_write_outputs(scenario, traj, path):
+    """The per-field CSV writer the CLI had before its row-wise one."""
+    path.mkdir()
+    x = scenario.grid.centers
+    b = scenario.topography.b
+    n = scenario.params.N
+    cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
+    with open(path / "snapshots.csv", "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for t, U in zip(traj.times, traj.snapshots):
+            W = to_primitive(U)
+            e = energy(W, b, scenario.params.g).e
+            for c in range(x.size):
+                fields = [_fmt(t), _fmt(x[c])] + [_fmt(v) for v in W[c]] + [_fmt(e[c])]
+                fh.write(",".join(fields) + "\n")
+    with open(path / "summary.csv", "w", encoding="utf-8") as fh:
+        fh.write("t,mass,momentum,total_energy\n")
+        for row in traj.steps:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 class TestRunCommand:
+    def test_writer_matches_per_field_reference(self, tmp_path):
+        scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "new")))
+        traj = run(scenario)
+        # more rows than one chunk of the row-wise writer, and signed values
+        assert scenario.grid.cells > CSV_CHUNK_ROWS and len(traj.snapshots) > 3
+        assert np.any(traj.snapshots[-1][:, 1:] < 0.0)
+        _write_outputs(scenario, traj, str(tmp_path / "new"))
+        reference_write_outputs(scenario, traj, tmp_path / "ref")
+        for name in ("snapshots.csv", "summary.csv"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
     def write(self, tmp_path, text):
         cfg = tmp_path / "case.cfg"
         cfg.write_text(text)

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from swlme.model import DryStateError, ModelParams, flux, nonconservative_rhs, to_primitive
+import swlme.model
+import swlme.solver
+from swlme.basis import Variant
+from swlme.model import (
+    DryStateError,
+    ModelParams,
+    flux,
+    max_wave_speed,
+    nonconservative_rhs,
+    to_primitive,
+)
 from swlme.solver import (
     Grid1D,
     Scenario,
@@ -213,6 +223,62 @@ class TestWellBalancing:
         assert np.abs(rhs).max() <= 1e-12
 
 
+def reference_rhs(U, sc):
+    """The right-hand side composed from the public (..., N+2) model functions.
+
+    This is the composition the solver used before its structure-of-arrays
+    kernel: boundary, hydrostatic states per side, primitives, flux, wave
+    speed and path term.  The kernel must reproduce it bit for bit.
+    """
+    p = sc.params
+    U_ext = apply_boundary(U, sc.boundary)
+    b = sc.topography.b
+    ghosts = (b[-1], b[0]) if sc.boundary == "periodic" else (b[0], b[-1])
+    b_ext = np.concatenate([[ghosts[0]], b, [ghosts[1]]])
+    b_star = np.maximum(b_ext[:-1], b_ext[1:])
+    hs_L = (U_ext[:-1, 0] + b_ext[:-1]) - b_star
+    hs_R = (U_ext[1:, 0] + b_ext[1:]) - b_star
+    W_L = to_primitive(U_ext[:-1])
+    W_R = to_primitive(U_ext[1:])
+    Us_L = np.empty_like(W_L)
+    Us_L[:, 0] = hs_L
+    Us_L[:, 1:] = W_L[:, 1:] * hs_L[:, None]
+    Us_R = np.empty_like(W_R)
+    Us_R[:, 0] = hs_R
+    Us_R[:, 1:] = W_R[:, 1:] * hs_R[:, None]
+    Ws_L = to_primitive(Us_L)
+    Ws_R = to_primitive(Us_R)
+    s = np.maximum(max_wave_speed(Ws_L, p), max_wave_speed(Ws_R, p))
+    dUs = Us_R - Us_L
+    F_star = 0.5 * (flux(Ws_L, p) + flux(Ws_R, p)) - 0.5 * s[:, None] * dUs
+    P = nonconservative_rhs(to_primitive(0.5 * (Us_L + Us_R)), dUs, p)
+    dU = -(F_star[1:] - F_star[:-1])
+    dU[:, 1] += 0.5 * p.g * (Us_L[1:, 0] ** 2 - Us_R[:-1, 0] ** 2)
+    dU += 0.5 * (P[1:] + P[:-1])
+    return dU / sc.grid.dx
+
+
+@pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_kernel_matches_reference_bitwise(variant, n):
+    rng = np.random.default_rng(100 * n + (variant is Variant.SWME))
+    p = ModelParams(g=9.81, N=n, variant=variant)
+    topographies = [("flat", {}), ("gaussian", {"height": 0.4, "width": 0.8}),
+                    ("slope", {"grade": 0.05})]
+    for bc in ("periodic", "outflow", "reflective"):
+        for topo, topo_params in topographies:
+            cells = int(rng.integers(2, 60))
+            sc = Scenario(params=p, grid=Grid1D(-2.0, 2.0, cells), ic_name="constant",
+                          topo_name=topo, topo_params=topo_params, boundary=bc)
+            U = np.empty((cells, n + 2))
+            U[:, 0] = rng.uniform(0.5, 2.0, cells)
+            U[:, 1:] = U[:, :1] * rng.uniform(-1.5, 1.5, (cells, n + 1))
+            got, ref = semi_discrete_rhs(U, sc), reference_rhs(U, sc)
+            assert np.array_equal(got, ref), (bc, topo)
+            assert got.tobytes() == ref.tobytes(), (bc, topo)  # signs of zero too
+            assert got.flags.c_contiguous and not np.shares_memory(got, U)
+
+
 class TestStep:
     def test_constant_state_unchanged(self):
         sc = scenario(n=1, cells=30, ic_params={"h": 2.0, "um": 0.3, "u": -0.1})
@@ -259,6 +325,73 @@ class TestStep:
         with pytest.raises(DryStateError, match="stage"):
             for _ in range(200):
                 U = step(U, 0.005, sc)
+
+    def test_dry_interface_over_bump_names_stage_and_cell(self):
+        # every cell is wet, but the water is too shallow to cover the bump's
+        # flanks, so reconstructed interface depths are negative
+        sc = scenario(n=1, cells=20, span=(-5.0, 5.0), ic_params={"h": 0.05},
+                      topo="gaussian", topo_params={"height": 0.3, "width": 1.0,
+                                                    "center": 0.7}, bc="outflow")
+        U = sc.initial_states()
+        h, b = U[:, 0], sc.topography.b
+        b_star = np.maximum(b[:-1], b[1:])
+        # cells whose side of some interface reconstructs dry
+        dry = set(np.flatnonzero(h[:-1] + b[:-1] - b_star <= 1e-10).tolist()) \
+            | set((np.flatnonzero(h[1:] + b[1:] - b_star <= 1e-10) + 1).tolist())
+        assert dry and np.all(h > 1e-10)
+        with pytest.raises(DryStateError, match=r"^stage 1: .*cell \d+") as info:
+            step(U, 1e-3, sc)
+        (cell,) = info.value.index  # a cell, not a (side, interface) pair
+        assert cell in dry
+        assert f"cell {cell}" in str(info.value)
+
+    @pytest.mark.parametrize("bc", ["periodic", "outflow", "reflective"])
+    @pytest.mark.parametrize("cell", [0, 7, 11])
+    def test_nan_depth_names_its_cell(self, bc, cell):
+        sc = scenario(n=2, cells=12, ic_params={"h": 1.0, "um": 0.2}, topo="slope", bc=bc)
+        U = sc.initial_states()
+        U[cell, 0] = np.nan
+        with pytest.raises(DryStateError, match="^stage 1:") as info:
+            step(U, 1e-3, sc)
+        assert info.value.index == (cell,)
+
+    def test_nan_depth_raises_in_the_stage_it_appears(self, monkeypatch):
+        sc = scenario(n=1, cells=16, ic_params={"h": 1.0, "um": 0.2})
+        U = sc.initial_states()
+        rhs = swlme.solver.semi_discrete_rhs
+        calls = []
+
+        def poisoned(V, scenario):
+            calls.append(None)
+            out = rhs(V, scenario)
+            if len(calls) == 2:
+                out[5, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(swlme.solver, "semi_discrete_rhs", poisoned)
+        with pytest.raises(DryStateError, match="^stage 2:") as info:
+            step(U, 1e-3, sc)
+        assert info.value.index == (5,)
+
+    def test_depth_checks_per_step(self, monkeypatch):
+        # cell depths and both sides of every interface are validated once
+        # per stage, plus once per step for the time step and the summary row
+        calls = []
+        check = swlme.model.check_wet
+
+        def counted(h, h_min=swlme.model.DEFAULT_H_MIN):
+            calls.append(None)
+            return check(h, h_min)
+
+        monkeypatch.setattr(swlme.model, "check_wet", counted)
+        monkeypatch.setattr(swlme.solver, "check_wet", counted)
+        sc = scenario(n=3, g=9.81, cells=60, span=(-5.0, 5.0), ic="dam_break",
+                      ic_params={"h_l": 2.0, "h_r": 1.0}, topo="gaussian",
+                      bc="reflective", t_end=0.5)
+        traj = run(sc)
+        steps = len(traj.steps) - 1
+        assert traj.failure is None and steps > 10
+        assert len(calls) == 8 * steps + 1  # + the summary row of the initial state
 
 
 class TestRun:
