@@ -74,13 +74,12 @@ def _get(cfg: dict, key: str, kind, default=None):
         raise ConfigError(f"missing required key '{key}'")
     raw = cfg[key]
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"key '{key}': expected {kind.__name__}, got '{raw}'") from None
-    return raw
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite number, got '{raw}'")
+    return value
 
 
 def build_scenario(cfg: dict) -> Scenario:

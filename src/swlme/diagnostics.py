@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swlme.model import energy, entropy_vars, moment_weights, to_primitive
+from swlme.model import _moment_sum, energy, entropy_vars, moment_weights, to_primitive
 from swlme.solver import Scenario, Trajectory, run
 
 _TINY = np.finfo(float).tiny
@@ -75,12 +75,6 @@ class FreeSample:
         )
 
 
-def _wsum(u: np.ndarray) -> np.ndarray:
-    """T = sum_i u_i^2/(2i+1), and 0.0 with no moments."""
-    n = u.shape[-1]
-    return (u * u) @ moment_weights(n) if n else np.zeros(u.shape[:-1])
-
-
 def _stack(*terms) -> np.ndarray:
     """Stack expanded terms on a fresh trailing axis (broadcasting them first)."""
     return np.stack(np.broadcast_arrays(*terms), axis=-1)
@@ -119,7 +113,7 @@ class _Expansions:
 
     def __init__(self, s: FreeSample, g: float):
         w = moment_weights(s.n_moments)
-        T = _wsum(s.u)
+        T = _moment_sum(s.u)
         dxT = 2.0 * ((s.u * s.dx_u) @ w) if s.n_moments else np.zeros(np.shape(s.dx_h))
         dtT = 2.0 * ((s.u * s.dt_u) @ w) if s.n_moments else np.zeros(np.shape(s.dt_h))
         h, um, b = s.h, s.um, s.b

@@ -72,8 +72,8 @@ class ModelParams:
     h_min: float = DEFAULT_H_MIN
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError(f"gravity must be positive, got {self.g}")
+        if not np.isfinite(self.g) or self.g <= 0:
+            raise ValueError(f"gravity must be positive and finite, got {self.g}")
         if self.N < 0:
             raise ValueError(f"moment order must be >= 0, got {self.N}")
         if self.tensors is None:
@@ -309,23 +309,69 @@ def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
     return flux_jacobian(W, p) - ncp_matrix(W, p)
 
 
+def _spectral_bound(Q: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Upper bound s trace((B^T B)^16)^(1/32) on the spectral radius of each Q.
+
+    Q has shape (M, n, n); c = sqrt(g h) and s > 0 have shape (M,).  B is
+    D Q D^-1 / s with D = diag(c, 1, ..., 1), a similarity that balances the
+    gravity entries.  The Gram matrix B^T B = X^T Q D^-1, with
+    X = D^2 Q D^-1 / s^2, is squared four times, reusing X as the second
+    buffer.  Overflow gives inf and a NaN entry gives NaN, so a state that
+    cannot be bounded this way compares as not certified.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = Q / (s * s)[:, None, None]
+        X[:, 0] *= (c * c)[:, None]
+        X[:, :, 0] /= c[:, None]
+        G = np.matmul(X.transpose(0, 2, 1), Q)
+        G[:, :, 0] /= c[:, None]
+        for _ in range(4):
+            np.matmul(G, G, out=X)
+            G, X = X, G
+        return s * np.einsum("...ii->...", G) ** (1.0 / 32.0)
+
+
 def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.ndarray | float:
     """Upper bound |u_m| + sqrt(g h + 3 T) on the characteristic speeds.
 
-    For the linearized closure the eigenvalues of the quasilinear matrix
-    are u_m (N-fold) and u_m +- sqrt(g h + 3 T), so the bound is sharp.
-    With validate=True the numeric spectral radius is computed as well;
-    should it ever exceed the bound (possible for the full closure), the
-    larger value is returned and a WaveSpeedBoundWarning recorded.
+    For the linearized closure the eigenvalues of the quasilinear matrix Q
+    are u_m (N-fold) and u_m +- sqrt(g h + 3 T), so this bound s is sharp.
+    For the full closure it can fail once N >= 2.  With validate=True every
+    state gets a speed at least its numeric spectral radius (up to a 1e-12
+    allowance for eigen-solve roundoff), while only the states that could
+    set the maximum are eigen-solved.
+
+    A certificate clears most states without an eigen-solve.  It holds for
+    complex eigenvalues too, where the full closure has lost hyperbolicity:
+
+    - the similarity B = D Q D^-1 / s, D = diag(sqrt(g h), 1, ..., 1),
+      leaves the spectrum unchanged;
+    - the spectral radius is at most the 2-norm, rho(B) <= ||B||_2;
+    - for the PSD matrix M = B^T B, lambda_max(M)^16 <= trace(M^16).
+
+    So cert = s trace(M^16)^(1/32) >= s ||B||_2 >= rho(Q).  A state with
+    cert (1 + 1e-10) <= max(s) cannot set the maximum and returns
+    max(s, cert).  The others are eigen-solved and keep the plain rule: if
+    the numeric radius exceeds s (1 + 1e-12) in any of them, they return
+    max(s, radius) and a WaveSpeedBoundWarning counts the exceeding states;
+    otherwise they return s.  So the maximum differs from that of a full
+    eigen-solve only when the radius exceeds the allowance in cleared states
+    alone, and then by less than the allowance.
     """
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
     check_wet(h, p.h_min)
     s = _wave_speed(h, um, _moment_sum(u), p.g)
     if validate:
-        radius = np.abs(np.linalg.eigvals(quasilinear_matrix(W, p))).max(axis=-1)
+        Q = quasilinear_matrix(W, p).reshape(-1, W.shape[-1], W.shape[-1])
+        s = s.reshape(-1)
+        bound = _spectral_bound(Q, np.sqrt(p.g * h).reshape(-1), s)
+        # the negated test keeps a NaN certificate or speed eigen-solved
+        cand = ~(bound * (1.0 + 1e-10) <= np.max(s, initial=0.0))
+        s_cand = s[cand]
+        radius = np.abs(np.linalg.eigvals(Q[cand])).max(axis=-1)
         # allowance for eigensolve roundoff; the bound is often attained exactly
-        exceeded = radius > s * (1.0 + 1e-12)
+        exceeded = radius > s_cand * (1.0 + 1e-12)
         if np.any(exceeded):
             warnings.warn(
                 f"analytic wave-speed bound exceeded at {int(np.count_nonzero(exceeded))} "
@@ -333,5 +379,8 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.
                 WaveSpeedBoundWarning,
                 stacklevel=2,
             )
-            s = np.maximum(s, radius)
+            s_cand = np.maximum(s_cand, radius)
+        s = np.maximum(s, bound)
+        s[cand] = s_cand
+        s = s.reshape(W.shape[:-1])
     return float(s) if W.ndim == 1 else s

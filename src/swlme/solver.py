@@ -55,6 +55,8 @@ class Grid1D:
     cells: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.cells < 2:
@@ -162,8 +164,8 @@ class Scenario:
             raise ValueError(f"unknown boundary kind '{self.boundary}' (known: {', '.join(BOUNDARY_KINDS)})")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if not np.isfinite(self.t_end) or self.t_end < 0.0:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.output_every_steps < 0 or self.output_snapshots < 0:
             raise ValueError("output cadences must be >= 0")
 
@@ -229,12 +231,17 @@ def _extend_bottom(b: np.ndarray, kind: str) -> np.ndarray:
 
 def cfl_dt(U: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
     """Time step cfl * dx / (largest wave-speed bound over the cells)."""
-    W = to_primitive(U, params.h_min)
+    return _cfl_dt(to_primitive(U, params.h_min), grid, params, cfl)
+
+
+def _cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
+    """cfl_dt from validated primitive states W."""
     if params.variant is Variant.SWME:
-        # the analytic bound can fail for the full closure; an eigensolve guards it
+        # the analytic bound can fail for the full closure; it is validated
+        # against the spectrum where it could set the maximum
         speeds = max_wave_speed(W, params, validate=True)
     else:
-        # the analytic bound is exact for the linearized closure; W is validated
+        # the analytic bound is exact for the linearized closure
         speeds = _wave_speed(W[:, 0], W[:, 1], _moment_sum(W[:, 2:]), params.g)
     return cfl * grid.dx / float(np.max(speeds))
 
@@ -379,9 +386,9 @@ def step(U: np.ndarray, dt: float, scenario: Scenario) -> np.ndarray:
     return U / 3.0 + (2.0 / 3.0) * stage(U2, 3)
 
 
-def _summary_row(t: float, U: np.ndarray, b: np.ndarray, g: float, dx: float,
-                 h_min: float) -> list:
-    W = to_primitive(U, h_min)
+def _summary_row(t: float, U: np.ndarray, W: np.ndarray, b: np.ndarray, g: float,
+                 dx: float) -> list:
+    """Row (t, mass, momentum, total energy) of conserved states U, primitive W."""
     e = energy(W, b, g).e
     return [t, float(U[:, 0].sum() * dx), float(U[:, 1].sum() * dx), float(e.sum() * dx)]
 
@@ -408,14 +415,17 @@ def run(scenario: Scenario) -> Trajectory:
     t = 0.0
     times = [0.0]
     snapshots = [U.copy()]
-    rows = [_summary_row(t, U, b, p.g, grid.dx, p.h_min)]
+    # each state is converted and validated once, for its summary row and the next time step
+    W = to_primitive(U, p.h_min)
+    rows = [_summary_row(t, U, W, b, p.g, grid.dx)]
     failure = None
     n_steps = 0
 
     while t < scenario.t_end:
         next_target = min(x for x in targets if x > t)
         try:
-            dt = cfl_dt(U, grid, p, scenario.cfl)
+            dt = _cfl_dt(W, grid, p, scenario.cfl)
+            del W  # the step reads only U; holding W would raise its peak memory
             landed = t + dt >= next_target
             if landed:
                 dt = next_target - t
@@ -427,7 +437,8 @@ def run(scenario: Scenario) -> Trajectory:
             break
         t = next_target if landed else t + dt
         n_steps += 1
-        rows.append(_summary_row(t, U, b, p.g, grid.dx, p.h_min))
+        W = to_primitive(U, p.h_min)
+        rows.append(_summary_row(t, U, W, b, p.g, grid.dx))
         want_snap = landed or (
             scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
         )

@@ -104,6 +104,15 @@ class TestBuildScenario:
         with pytest.raises(ConfigError, match="cfl"):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["model.g", "grid.xmin", "grid.xmax", "time.t_end",
+                                     "time.cfl", "ic.surface"])
+    def test_non_finite_number_named(self, tmp_path, key, value):
+        cfg = self.valid(tmp_path)
+        cfg[key] = value
+        with pytest.raises(ConfigError, match=f"'{key}'.*finite"):
+            build_scenario(cfg)
+
     def test_drowned_surface(self, tmp_path):
         cfg = self.valid(tmp_path)
         cfg["ic.surface"] = "0.1"  # below the bump crest

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from swlme.basis import Variant
 from swlme.model import (
     DryStateError,
     ModelParams,
+    WaveSpeedBoundWarning,
     boussinesq_beta,
     energy,
     entropy_vars,
@@ -323,6 +327,69 @@ class TestWaveSpeed:
             max_wave_speed(np.array([0.0, 0.0]), params(0))
 
 
+def full_eigen_wave_speed(W, p):
+    """max_wave_speed(W, p, validate=True) as it was before pruning: every state eigen-solved."""
+    W = np.asarray(W, dtype=float)
+    s = max_wave_speed(W, p)
+    radius = np.abs(np.linalg.eigvals(quasilinear_matrix(W, p))).max(axis=-1)
+    exceeded = radius > s * (1.0 + 1e-12)
+    if np.any(exceeded):
+        warnings.warn(f"analytic wave-speed bound exceeded at {int(np.count_nonzero(exceeded))} "
+                      "state(s); using the numeric spectral radius", WaveSpeedBoundWarning)
+        s = np.maximum(s, radius)
+    return float(s) if W.ndim == 1 else s
+
+
+class TestValidatedWaveSpeed:
+    def test_certified_bound_and_maximum_on_random_states(self):
+        # moments as large as the mean velocity make the full closure lose
+        # hyperbolicity in a good share of the states (complex eigenvalues)
+        rng = np.random.default_rng(20)
+        complex_states = 0
+        for n in (2, 3, 5, 8):
+            p = params(n, g=9.81, variant=Variant.SWME)
+            for _ in range(25):
+                W = random_primitive(rng, 200, n, h_range=(0.1, 3.0), vel_range=(-2.0, 2.0))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+                    s = max_wave_speed(W, p, validate=True)
+                    reference = full_eigen_wave_speed(W, p)
+                lam = np.linalg.eigvals(quasilinear_matrix(W, p))
+                complex_states += np.count_nonzero(np.any(lam.imag != 0.0, axis=-1))
+                assert np.all(s >= np.abs(lam).max(axis=-1) * (1.0 - 1e-12))
+                assert np.max(s).tobytes() == np.max(reference).tobytes()
+        assert complex_states > 5000
+
+    def test_warning_counts_eigen_solved_states(self):
+        p = params(2, variant=Variant.SWME)
+        W = np.array([1.0, 0.5, 0.5, 0.5])
+        radius = np.abs(np.linalg.eigvals(quasilinear_matrix(W, p))).max()
+        assert radius > max_wave_speed(W, p) * (1.0 + 1e-3)
+        with pytest.warns(WaveSpeedBoundWarning) as caught:
+            s = max_wave_speed(np.stack([W, W, W]), p, validate=True)
+        assert [int(re.search(r"exceeded at (\d+) state", str(w.message)).group(1))
+                for w in caught] == [3]
+        np.testing.assert_array_equal(s, radius)
+
+    def test_single_state_returns_float(self):
+        p = params(3, variant=Variant.SWME)
+        W = np.array([1.0, 0.3, 0.1, 0.0, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            s = max_wave_speed(W, p, validate=True)
+            assert type(s) is float
+            assert s == max_wave_speed(W[None], p, validate=True)[0]
+
+    def test_shape_follows_leading_axes(self):
+        p = params(3, variant=Variant.SWME)
+        W = random_primitive(np.random.default_rng(21), 12, 3, vel_range=(-0.5, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            flat = max_wave_speed(W, p, validate=True)
+            np.testing.assert_array_equal(max_wave_speed(W.reshape(3, 4, 5), p, validate=True),
+                                          flat.reshape(3, 4))
+
+
 class TestMomentNullity:
     def test_zero_moments_stay_structurally_zero(self):
         p = params(3)
@@ -336,6 +403,9 @@ class TestMomentNullity:
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(g=0.0, N=1)
+    for g in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="gravity"):
+            ModelParams(g=g, N=1)
     with pytest.raises(ValueError):
         ModelParams(g=9.81, N=-1)
     from swlme.basis import compute_tensors

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from swlme.basis import Variant
 from swlme.model import (
     DryStateError,
     ModelParams,
+    WaveSpeedBoundWarning,
     flux,
     max_wave_speed,
     nonconservative_rhs,
@@ -25,6 +28,17 @@ from swlme.solver import (
     step,
     well_balanced_source,
 )
+from test_model import full_eigen_wave_speed
+
+
+def swme_smooth_scenario(cells, t_end=0.0, **kw):
+    """Smooth periodic flow under the full closure, N = 3, with moments."""
+    return Scenario(
+        params=ModelParams(g=9.81, N=3, variant=Variant.SWME),
+        grid=Grid1D(0.0, 1.0, cells), ic_name="smooth_periodic",
+        ic_params={"h0": 1.0, "h_amp": 0.1, "um_amp": 0.2, "u_amp": 0.1},
+        boundary="periodic", t_end=t_end, **kw,
+    )
 
 
 def scenario(n=0, g=10.0, cells=50, span=(0.0, 1.0), ic="constant", ic_params=None,
@@ -49,6 +63,9 @@ class TestGrid:
             Grid1D(0.0, 0.0, 10)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 1)
+        for bounds in ((np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                Grid1D(*bounds, 10)
 
 
 class TestInitialCondition:
@@ -151,6 +168,36 @@ class TestCflDt:
             with_moments = base.copy()
             with_moments[:, 2:] = h[:, None] * rng.uniform(0.1, 1.0, (20, 2))
             assert cfl_dt(with_moments, grid, p, 0.9) < cfl_dt(base, grid, p, 0.9)
+
+    def test_full_closure_eigen_solves_few_states(self, monkeypatch):
+        # regression guard on the pruning: counts states, not seconds
+        sc = swme_smooth_scenario(cells=800)
+        solved = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            solved.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            dt = cfl_dt(sc.initial_states(), sc.grid, sc.params, 0.9)
+        assert dt > 0.0 and len(solved) == 1
+        assert sum(solved) < 0.1 * sc.grid.cells
+
+    def test_full_closure_run_matches_full_eigen_solve(self, monkeypatch):
+        sc = swme_smooth_scenario(cells=100, t_end=0.05, output_snapshots=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            pruned = run(sc)
+            monkeypatch.setattr(swlme.solver, "max_wave_speed",
+                                lambda W, p, validate=False: full_eigen_wave_speed(W, p))
+            reference = run(sc)
+        assert pruned.failure is None and len(pruned.steps) > 10
+        assert pruned.times == reference.times
+        assert np.array_equal(pruned.steps, reference.steps)
+        assert all(np.array_equal(a, b) for a, b in zip(pruned.snapshots, reference.snapshots))
 
 
 class TestRusanovFluctuations:
@@ -375,7 +422,8 @@ class TestStep:
 
     def test_depth_checks_per_step(self, monkeypatch):
         # cell depths and both sides of every interface are validated once
-        # per stage, plus once per step for the time step and the summary row
+        # per stage, plus once per step for the new state, which serves both
+        # its summary row and the next time step
         calls = []
         check = swlme.model.check_wet
 
@@ -391,7 +439,7 @@ class TestStep:
         traj = run(sc)
         steps = len(traj.steps) - 1
         assert traj.failure is None and steps > 10
-        assert len(calls) == 8 * steps + 1  # + the summary row of the initial state
+        assert len(calls) == 7 * steps + 1  # + the initial state
 
 
 class TestRun:
@@ -463,6 +511,12 @@ def test_scenario_validation():
         scenario(cfl=0.0)
     with pytest.raises(ValueError):
         scenario(t_end=-1.0)
+    # constructed only: a run with t_end = inf would never end
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            scenario(t_end=bad)
+        with pytest.raises(ValueError, match="cfl"):
+            scenario(cfl=bad)
 
 
 def test_with_cells_resamples_topography():
