@@ -79,14 +79,43 @@ def _check_gradients(orders, samples, seed):
     return rows
 
 
+def _parse_orders(text: str) -> list:
+    """Moment orders of a comma-separated --N list; ValueError names the flag."""
+    try:
+        orders = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ValueError(f"--N must be comma-separated integers, got {text!r}") from None
+    if not orders:
+        raise ValueError(f"--N names no moment order, got {text!r}")
+    if min(orders) < 0:
+        raise ValueError(f"--N orders must be >= 0, got {text!r}")
+    return orders
+
+
+def _parse_seed(seed) -> int:
+    """The --seed value, else SWLME_SEED, else 0; ValueError names the source."""
+    source = "--seed"
+    if seed is None:
+        source, text = "SWLME_SEED", os.environ.get("SWLME_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"SWLME_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be >= 0, got {seed}")
+    return seed
+
+
 def cmd_check(args) -> int:
-    orders = [int(tok) for tok in args.N.split(",") if tok.strip() != ""]
+    try:
+        orders = _parse_orders(args.N)
+        seed = _parse_seed(args.seed)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAIL
     if args.samples < 0:
         print("error: --samples must be >= 0", file=sys.stderr)
         return EXIT_FAIL
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SWLME_SEED", "0"))
     if args.samples == 0:
         print("warning: --samples 0, nothing checked (vacuous pass)")
         return EXIT_OK
@@ -205,10 +234,11 @@ def main(argv=None) -> int:
     p_coeffs.set_defaults(fn=cmd_coeffs)
 
     p_check = sub.add_parser("check", help="run the energy identity and gradient suites")
-    p_check.add_argument("--N", default="0,1,2,3,5", help="comma-separated moment orders")
+    p_check.add_argument("--N", default="0,1,2,3,5",
+                         help="comma-separated moment orders (at least one, each >= 0)")
     p_check.add_argument("--samples", type=int, default=100000)
     p_check.add_argument("--seed", type=int, default=None,
-                         help="RNG seed (default: SWLME_SEED env var or 0)")
+                         help="RNG seed >= 0 (default: SWLME_SEED env var or 0)")
     p_check.add_argument("--corrupt-energy-flux", type=float, default=1.0,
                          help=argparse.SUPPRESS)  # negative-control test hook
     p_check.set_defaults(fn=cmd_check)

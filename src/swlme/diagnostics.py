@@ -8,6 +8,9 @@ derivatives.  FreeSample therefore carries independent "slots" for each
 time/space derivative; no compatibility between values and slots is
 assumed, and the identities must hold for arbitrary slot values.  Defects
 are normalized by the sum of the absolute values of the combined terms.
+The two identity checks evaluate a batch in blocks of _BLOCK samples and
+return the largest per-block defect, so the memory they need beyond the
+sample itself does not grow with the batch size.
 
 Also here: the finite-difference check that the entropy variables are the
 energy gradient, the exact wet-bed dam-break reference solution, and
@@ -16,7 +19,9 @@ energy/convergence reports for solver trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +29,8 @@ from swlme.model import _moment_sum, energy, entropy_vars, moment_weights, to_pr
 from swlme.solver import Scenario, Trajectory, run
 
 _TINY = np.finfo(float).tiny
+_BLOCK = 4096  # samples per block of the identity checks
+_MOMENT_FIELDS = ("u", "dt_u", "dx_u")
 
 
 @dataclass
@@ -48,9 +55,8 @@ class FreeSample:
     dx_b: np.ndarray
 
     def __post_init__(self):
-        for name in ("h", "um", "u", "b", "dt_h", "dx_h", "dt_um", "dx_um",
-                     "dt_u", "dx_u", "dx_b"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
         if np.any(self.h <= 0.0):
             raise ValueError("FreeSample requires h > 0")
 
@@ -101,97 +107,194 @@ def _defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 def _flatten_moments(terms: np.ndarray) -> np.ndarray:
     """Merge the moment axis of a per-moment equation into its term axis."""
-    return terms.reshape(terms.shape[:-2] + (-1,))
+    return terms.reshape(terms.shape[:-2] + (terms.shape[-2] * terms.shape[-1],))
 
 
 class _Expansions:
     """Product-rule term stacks of every displayed equation, on one sample.
 
     Scalar equations have stacks of shape batch + (terms,); the per-moment
-    equations carry batch + (N, terms).
+    equations carry batch + (N, terms).  Each stack is built lazily, on its
+    first read, and then kept, so a caller pays only for the equations it
+    compares.
     """
 
     def __init__(self, s: FreeSample, g: float):
-        w = moment_weights(s.n_moments)
-        T = _moment_sum(s.u)
-        dxT = 2.0 * ((s.u * s.dx_u) @ w) if s.n_moments else np.zeros(np.shape(s.dx_h))
-        dtT = 2.0 * ((s.u * s.dt_u) @ w) if s.n_moments else np.zeros(np.shape(s.dt_h))
-        h, um, b = s.h, s.um, s.b
+        self.s, self.g = s, g
 
-        self.continuity = _stack(s.dt_h, s.dx_h * um, h * s.dx_um)
-        self.momentum = _stack(
+    @cached_property
+    def T(self) -> np.ndarray:
+        return _moment_sum(self.s.u)
+
+    @cached_property
+    def dxT(self) -> np.ndarray:
+        s = self.s
+        return 2.0 * ((s.u * s.dx_u) @ moment_weights(s.n_moments)) if s.n_moments \
+            else np.zeros(np.shape(s.dx_h))
+
+    @cached_property
+    def dtT(self) -> np.ndarray:
+        s = self.s
+        return 2.0 * ((s.u * s.dt_u) @ moment_weights(s.n_moments)) if s.n_moments \
+            else np.zeros(np.shape(s.dt_h))
+
+    @property
+    def _moment_cols(self) -> tuple:
+        """h, u_m, dt_h, dx_h and dx_um as columns that broadcast over the moments."""
+        s = self.s
+        return (s.h[..., None], s.um[..., None], s.dt_h[..., None], s.dx_h[..., None],
+                s.dx_um[..., None])
+
+    @cached_property
+    def continuity(self) -> np.ndarray:
+        s = self.s
+        return _stack(s.dt_h, s.dx_h * s.um, s.h * s.dx_um)
+
+    @cached_property
+    def momentum(self) -> np.ndarray:
+        s, g, h, um = self.s, self.g, self.s.h, self.s.um
+        return _stack(
             s.dt_h * um, h * s.dt_um,
             s.dx_h * um**2, 2.0 * h * um * s.dx_um,
-            s.dx_h * T, h * dxT,
+            s.dx_h * self.T, h * self.dxT,
             g * h * s.dx_h, g * h * s.dx_b,
         )
-        # same balance with the pressure gradient grouped as g h dx(h + b)
-        self.momentum_split = _stack(
+
+    @cached_property
+    def momentum_split(self) -> np.ndarray:
+        """The momentum balance with the pressure gradient grouped as g h dx(h + b)."""
+        s, g, h, um = self.s, self.g, self.s.h, self.s.um
+        return _stack(
             s.dt_h * um, h * s.dt_um,
             s.dx_h * um**2, 2.0 * h * um * s.dx_um,
-            s.dx_h * T, h * dxT,
+            s.dx_h * self.T, h * self.dxT,
             g * h * (s.dx_h + s.dx_b),
         )
-        self.momentum_advective = _stack(
-            h * s.dt_um, h * um * s.dx_um, g * h * (s.dx_h + s.dx_b), s.dx_h * T, h * dxT,
+
+    @cached_property
+    def momentum_advective(self) -> np.ndarray:
+        s, g, h, um = self.s, self.g, self.s.h, self.s.um
+        return _stack(
+            h * s.dt_um, h * um * s.dx_um, g * h * (s.dx_h + s.dx_b),
+            s.dx_h * self.T, h * self.dxT,
         )
-        self.momentum_skew = _stack(
+
+    @cached_property
+    def momentum_skew(self) -> np.ndarray:
+        s, g, h, um = self.s, self.g, self.s.h, self.s.um
+        return _stack(
             0.5 * s.dt_h * um, 0.5 * h * s.dt_um, 0.5 * h * s.dt_um,
             0.5 * s.dx_h * um**2, h * um * s.dx_um, 0.5 * h * um * s.dx_um,
-            g * h * (s.dx_h + s.dx_b), s.dx_h * T, h * dxT,
+            g * h * (s.dx_h + s.dx_b), s.dx_h * self.T, h * self.dxT,
         )
-        self.kinetic = _stack(
+
+    @cached_property
+    def kinetic(self) -> np.ndarray:
+        s, g, h, um = self.s, self.g, self.s.h, self.s.um
+        return _stack(
             0.5 * s.dt_h * um**2, h * um * s.dt_um,
             0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
-            g * h * um * (s.dx_h + s.dx_b), um * s.dx_h * T, um * h * dxT,
+            g * h * um * (s.dx_h + s.dx_b), um * s.dx_h * self.T, um * h * self.dxT,
         )
-        self.potential = _stack(
+
+    @cached_property
+    def potential(self) -> np.ndarray:
+        s, g, h, um, b = self.s, self.g, self.s.h, self.s.um, self.s.b
+        return _stack(
             g * h * s.dt_h, g * b * s.dt_h,
             g * (h + b) * s.dx_h * um, g * (h + b) * h * s.dx_um,
         )
-        self.total_kinetic = _stack(
-            0.5 * s.dt_h * um**2, h * um * s.dt_um, 0.5 * s.dt_h * T, 0.5 * h * dtT,
+
+    @cached_property
+    def total_kinetic(self) -> np.ndarray:
+        s, g, h, um, T = self.s, self.g, self.s.h, self.s.um, self.T
+        return _stack(
+            0.5 * s.dt_h * um**2, h * um * s.dt_um, 0.5 * s.dt_h * T, 0.5 * h * self.dtT,
             0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
             g * h * um * (s.dx_h + s.dx_b),
-            1.5 * s.dx_h * um * T, 1.5 * h * s.dx_um * T, 1.5 * h * um * dxT,
+            1.5 * s.dx_h * um * T, 1.5 * h * s.dx_um * T, 1.5 * h * um * self.dxT,
         )
-        # dt(e) terms first, then dx(f) terms (split kept for the corruption hook)
-        self.energy_time = _stack(
-            0.5 * s.dt_h * um**2, h * um * s.dt_um, 0.5 * s.dt_h * T, 0.5 * h * dtT,
+
+    # the energy balance: dt(e) terms, then dx(f) terms (split kept for the corruption hook)
+    @cached_property
+    def energy_time(self) -> np.ndarray:
+        s, g, h, um, b = self.s, self.g, self.s.h, self.s.um, self.s.b
+        return _stack(
+            0.5 * s.dt_h * um**2, h * um * s.dt_um, 0.5 * s.dt_h * self.T, 0.5 * h * self.dtT,
             g * h * s.dt_h, g * b * s.dt_h,
         )
-        self.energy_flux = _stack(
+
+    @cached_property
+    def energy_flux(self) -> np.ndarray:
+        s, g, h, um, b, T = self.s, self.g, self.s.h, self.s.um, self.s.b, self.T
+        return _stack(
             0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
-            1.5 * s.dx_h * um * T, 1.5 * h * s.dx_um * T, 1.5 * h * um * dxT,
+            1.5 * s.dx_h * um * T, 1.5 * h * s.dx_um * T, 1.5 * h * um * self.dxT,
             g * s.dx_h * um * (h + b), g * h * s.dx_um * (h + b),
             g * h * um * s.dx_h, g * h * um * s.dx_b,
         )
 
-        uu, h_, um_ = s.u, h[..., None], um[..., None]
-        dth_, dxh_ = s.dt_h[..., None], s.dx_h[..., None]
-        dxum_ = s.dx_um[..., None]
-        self.moment = _stack(
-            dth_ * uu, h_ * s.dt_u,
-            2.0 * dxh_ * um_ * uu, 2.0 * h_ * dxum_ * uu, 2.0 * h_ * um_ * s.dx_u,
-            -um_ * dxh_ * uu, -um_ * h_ * s.dx_u,
+    @cached_property
+    def moment(self) -> np.ndarray:
+        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
+        return _stack(
+            dth_ * uu, h_ * self.s.dt_u,
+            2.0 * dxh_ * um_ * uu, 2.0 * h_ * dxum_ * uu, 2.0 * h_ * um_ * self.s.dx_u,
+            -um_ * dxh_ * uu, -um_ * h_ * self.s.dx_u,
         )
-        self.moment_split = _stack(
-            dth_ * uu, h_ * s.dt_u,
-            dxh_ * um_ * uu, h_ * dxum_ * uu, h_ * um_ * s.dx_u,
+
+    @cached_property
+    def moment_split(self) -> np.ndarray:
+        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
+        return _stack(
+            dth_ * uu, h_ * self.s.dt_u,
+            dxh_ * um_ * uu, h_ * dxum_ * uu, h_ * um_ * self.s.dx_u,
             h_ * uu * dxum_,
         )
-        self.moment_advective = _stack(h_ * s.dt_u, h_ * um_ * s.dx_u, h_ * uu * dxum_)
-        self.moment_skew = _stack(
-            0.5 * dth_ * uu, 0.5 * h_ * s.dt_u, 0.5 * h_ * s.dt_u,
+
+    @cached_property
+    def moment_advective(self) -> np.ndarray:
+        uu, (h_, um_, _, _, dxum_) = self.s.u, self._moment_cols
+        return _stack(h_ * self.s.dt_u, h_ * um_ * self.s.dx_u, h_ * uu * dxum_)
+
+    @cached_property
+    def moment_skew(self) -> np.ndarray:
+        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
+        return _stack(
+            0.5 * dth_ * uu, 0.5 * h_ * self.s.dt_u, 0.5 * h_ * self.s.dt_u,
             0.5 * dxh_ * um_ * uu, 0.5 * h_ * dxum_ * uu,
-            0.5 * h_ * um_ * s.dx_u, 0.5 * h_ * um_ * s.dx_u,
+            0.5 * h_ * um_ * self.s.dx_u, 0.5 * h_ * um_ * self.s.dx_u,
             h_ * uu * dxum_,
         )
-        self.moment_kinetic = w[..., None] * _stack(
-            0.5 * dth_ * uu**2, h_ * uu * s.dt_u,
-            0.5 * dxh_ * um_ * uu**2, 0.5 * h_ * dxum_ * uu**2, h_ * um_ * uu * s.dx_u,
+
+    @cached_property
+    def moment_kinetic(self) -> np.ndarray:
+        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
+        return moment_weights(self.s.n_moments)[..., None] * _stack(
+            0.5 * dth_ * uu**2, h_ * uu * self.s.dt_u,
+            0.5 * dxh_ * um_ * uu**2, 0.5 * h_ * dxum_ * uu**2, h_ * um_ * uu * self.s.dx_u,
             h_ * uu**2 * dxum_,
         )
+
+
+def _blocks(s: FreeSample):
+    """Consecutive FreeSample slices of at most _BLOCK samples.
+
+    Every field is broadcast to the common batch shape and flattened, so
+    scalar fields and batches of any rank give 1-D blocks.  An empty batch
+    yields one empty block, on which every defect is 0.0.
+    """
+    n = s.n_moments
+    arrays = {f.name: getattr(s, f.name) for f in fields(s)}
+    batch = np.broadcast_shapes(*(a.shape[:-1] if name in _MOMENT_FIELDS else a.shape
+                                  for name, a in arrays.items()))
+    size = math.prod(batch)
+    flat = {}
+    for name, a in arrays.items():
+        tail = (n,) if name in _MOMENT_FIELDS else ()
+        flat[name] = np.broadcast_to(a, batch + tail).reshape((size,) + tail)
+    for start in range(0, max(size, 1), _BLOCK):
+        yield FreeSample(**{name: a[start:start + _BLOCK] for name, a in flat.items()})
 
 
 def residual_C_M_ui(s: FreeSample, g: float) -> np.ndarray:
@@ -222,13 +325,7 @@ def energy_residual(s: FreeSample, g: float, flux_scale: float = 1.0) -> np.ndar
     return ex.energy_time.sum(axis=-1) + flux_scale * ex.energy_flux.sum(axis=-1)
 
 
-def check_total_energy_identity(s: FreeSample, g: float, flux_scale: float = 1.0) -> float:
-    """Max relative defect of the entropy-variable combination over the batch.
-
-    Contracting the balance residuals with the entropy variables must
-    reproduce the energy residual: q1 R_C + q2 R_M + sum_i q_ui R_ui = R_E
-    for arbitrary slot values.
-    """
+def _energy_identity_defect(s: FreeSample, g: float, flux_scale: float) -> float:
     ex = _Expansions(s, g)
     W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
     q = entropy_vars(W, s.b, g)
@@ -238,17 +335,17 @@ def check_total_energy_identity(s: FreeSample, g: float, flux_scale: float = 1.0
     return _defect(lhs, rhs)
 
 
-def check_skew_forms(s: FreeSample, g: float) -> dict:
-    """Max relative defect of every intermediate step of the energy derivation.
+def check_total_energy_identity(s: FreeSample, g: float, flux_scale: float = 1.0) -> float:
+    """Max relative defect of the entropy-variable combination over the batch.
 
-    Each named identity compares an independently expanded form of one
-    displayed equation against the stated combination of earlier ones:
-    the potential-energy equation is g(h+b) times continuity; the
-    advective momentum/moment forms subtract velocity times continuity;
-    their skew-symmetric averages halve the two forms; kinetic energies
-    multiply the skew forms by the velocity; and the total energy is the
-    total kinetic plus potential energy.
+    Contracting the balance residuals with the entropy variables must
+    reproduce the energy residual: q1 R_C + q2 R_M + sum_i q_ui R_ui = R_E
+    for arbitrary slot values.  Evaluated block by block (_blocks).
     """
+    return float(np.max([_energy_identity_defect(blk, g, flux_scale) for blk in _blocks(s)]))
+
+
+def _skew_form_defects(s: FreeSample, g: float) -> dict:
     ex = _Expansions(s, g)
     w = moment_weights(s.n_moments)
 
@@ -284,6 +381,21 @@ def check_skew_forms(s: FreeSample, g: float) -> dict:
         _plus(ex.energy_time, ex.energy_flux), _plus(ex.total_kinetic, ex.potential)
     )
     return out
+
+
+def check_skew_forms(s: FreeSample, g: float) -> dict:
+    """Max relative defect of every intermediate step of the energy derivation.
+
+    Each named identity compares an independently expanded form of one
+    displayed equation against the stated combination of earlier ones:
+    the potential-energy equation is g(h+b) times continuity; the
+    advective momentum/moment forms subtract velocity times continuity;
+    their skew-symmetric averages halve the two forms; kinetic energies
+    multiply the skew forms by the velocity; and the total energy is the
+    total kinetic plus potential energy.  Evaluated block by block (_blocks).
+    """
+    per_block = [_skew_form_defects(blk, g) for blk in _blocks(s)]
+    return {name: float(np.max([d[name] for d in per_block])) for name in per_block[0]}
 
 
 def gradient_check_entropy(W: np.ndarray, b, g: float, rel_step: float = 1e-6) -> float:

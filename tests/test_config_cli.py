@@ -183,6 +183,36 @@ class TestCheckCommand:
         main(["check", "--N", "0", "--samples", "100"])
         assert "seed 99" in capsys.readouterr().out
 
+    @staticmethod
+    def rejected(capsys, monkeypatch, argv, flag):
+        """check exits 1 naming `flag` on stderr, before any identity is evaluated."""
+        def no_work(*args):
+            raise AssertionError("check did work on rejected arguments")
+        monkeypatch.setattr("swlme.cli._check_identities", no_work)
+        monkeypatch.setattr("swlme.cli._check_gradients", no_work)
+        assert main(["check", "--samples", "100", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
+
+    def test_rejects_empty_order_list(self, capsys, monkeypatch):
+        # otherwise "all checks passed (0 checks, ...)": a vacuous pass
+        self.rejected(capsys, monkeypatch, ["--N", ","], "--N")
+
+    def test_rejects_non_integer_order(self, capsys, monkeypatch):
+        self.rejected(capsys, monkeypatch, ["--N", "a"], "--N")
+
+    def test_rejects_negative_order(self, capsys, monkeypatch):
+        self.rejected(capsys, monkeypatch, ["--N", "1,-1"], "--N")
+
+    def test_rejects_negative_seed(self, capsys, monkeypatch):
+        self.rejected(capsys, monkeypatch, ["--seed", "-3"], "--seed")
+
+    @pytest.mark.parametrize("value", ["-3", "seven"])
+    def test_rejects_bad_environment_seed(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SWLME_SEED", value)
+        self.rejected(capsys, monkeypatch, [], "SWLME_SEED")
+
 
 SMOOTH_CFG = """\
 model.N = 2

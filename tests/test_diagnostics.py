@@ -1,8 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from swlme.diagnostics import (
+    _BLOCK,
     FreeSample,
+    _blocks,
+    _by,
+    _defect,
+    _Expansions,
+    _flatten_moments,
+    _plus,
     check_skew_forms,
     check_total_energy_identity,
     convergence_study,
@@ -13,7 +22,7 @@ from swlme.diagnostics import (
     stoker_dam_break,
     stoker_intermediate,
 )
-from swlme.model import ModelParams
+from swlme.model import ModelParams, entropy_vars, moment_weights
 from swlme.solver import Grid1D, Scenario, run
 
 
@@ -126,6 +135,126 @@ class TestSkewForms:
         rng = np.random.default_rng(26)
         s = FreeSample.random(rng, 5000, 1)
         assert check_skew_forms(s, 9.81)["momentum_rewrite"] <= 1e-15
+
+
+def reference_total_energy_identity(s, g, flux_scale=1.0):
+    """check_total_energy_identity as it was before blocking: the whole batch at once."""
+    ex = _Expansions(s, g)
+    W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
+    q = entropy_vars(W, s.b, g)
+    lhs = _plus(_by(q.q1, ex.continuity), _by(q.q2, ex.momentum),
+                _flatten_moments(q.q_u[..., None] * ex.moment))
+    rhs = _plus(ex.energy_time, flux_scale * ex.energy_flux)
+    return _defect(lhs, rhs)
+
+
+def reference_skew_forms(s, g):
+    """check_skew_forms as it was before blocking: the whole batch at once."""
+    ex = _Expansions(s, g)
+    w = moment_weights(s.n_moments)
+
+    out = {
+        "potential_energy": _defect(ex.potential, _by(g * (s.h + s.b), ex.continuity)),
+        "momentum_rewrite": _defect(ex.momentum_split, ex.momentum),
+        "momentum_advective": _defect(
+            ex.momentum_advective, _plus(ex.momentum_split, _by(-s.um, ex.continuity))
+        ),
+        "momentum_skew_average": _defect(
+            ex.momentum_skew, _plus(0.5 * ex.momentum_advective, 0.5 * ex.momentum_split)
+        ),
+        "kinetic_energy": _defect(ex.kinetic, _by(s.um, ex.momentum_skew)),
+    }
+    if s.n_moments:
+        cont_m = ex.continuity[..., None, :]  # broadcast over the moment axis
+        out["moment_rewrite"] = _defect(ex.moment_split, ex.moment)
+        out["moment_advective"] = _defect(
+            ex.moment_advective, _plus(ex.moment_split, -s.u[..., None] * cont_m)
+        )
+        out["moment_skew_average"] = _defect(
+            ex.moment_skew, _plus(0.5 * ex.moment_advective, 0.5 * ex.moment_split)
+        )
+        out["moment_kinetic_energy"] = _defect(
+            ex.moment_kinetic, (w * s.u)[..., None] * ex.moment_skew
+        )
+        out["total_kinetic_energy"] = _defect(
+            ex.total_kinetic, _plus(ex.kinetic, _flatten_moments(ex.moment_kinetic))
+        )
+    else:
+        out["total_kinetic_energy"] = _defect(ex.total_kinetic, ex.kinetic)
+    out["total_energy_sum"] = _defect(
+        _plus(ex.energy_time, ex.energy_flux), _plus(ex.total_kinetic, ex.potential)
+    )
+    return out
+
+
+def assert_blocked_equals_reference(s):
+    for g in (1.0, 9.81):
+        assert check_total_energy_identity(s, g) == reference_total_energy_identity(s, g)
+        assert check_skew_forms(s, g) == reference_skew_forms(s, g)
+
+
+class TestBlockedChecks:
+    """The blocked checks return the unblocked maxima bit for bit."""
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_batch_sizes(self, size, n):
+        s = FreeSample.random(np.random.default_rng(40 + n), size, n)
+        assert_blocked_equals_reference(s)
+
+    def test_empty_batch(self):
+        s = FreeSample.random(np.random.default_rng(41), 0, 2)
+        assert check_total_energy_identity(s, 9.81) == 0.0
+        forms = check_skew_forms(s, 9.81)
+        assert forms == reference_skew_forms(s, 9.81) and set(forms.values()) == {0.0}
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_scalar_slots_mixed_with_arrays(self, n):
+        rng = np.random.default_rng(42)
+        size = _BLOCK + 5
+        s = FreeSample(
+            h=rng.uniform(0.1, 3.0, size), um=rng.uniform(-2.0, 2.0, size),
+            u=rng.uniform(-2.0, 2.0, (size, n)), b=0.3,
+            dt_h=-0.7, dx_h=rng.uniform(-2.0, 2.0, size), dt_um=1.1,
+            dx_um=rng.uniform(-2.0, 2.0, size), dt_u=rng.uniform(-2.0, 2.0, n),
+            dx_u=rng.uniform(-2.0, 2.0, (size, n)), dx_b=-0.4,
+        )
+        assert_blocked_equals_reference(s)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_two_dimensional_batch(self, n):
+        flat = FreeSample.random(np.random.default_rng(43), 3 * 2000, n)
+        s = FreeSample(**{name: value.reshape((3, 2000) + value.shape[1:])
+                          for name, value in vars(flat).items()})
+        assert_blocked_equals_reference(s)
+
+    def test_block_layout(self):
+        s = FreeSample.random(np.random.default_rng(44), 2 * _BLOCK + 17, 2)
+        blocks = list(_blocks(s))
+        assert [blk.h.shape for blk in blocks] == [(_BLOCK,), (_BLOCK,), (17,)]
+        assert [blk.dx_u.shape for blk in blocks] == [(_BLOCK, 2), (_BLOCK, 2), (17, 2)]
+        np.testing.assert_array_equal(np.concatenate([blk.u for blk in blocks]), s.u)
+        assert [blk.h.shape for blk in _blocks(zero_sample(1, size=0))] == [(0,)]
+
+    def test_corruption_detected_across_blocks(self):
+        s = FreeSample.random(np.random.default_rng(45), 3 * _BLOCK + 1, 2)
+        corrupted = check_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
+        assert corrupted > 1e-9
+        assert corrupted == reference_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
+
+
+def test_check_memory_stays_bounded():
+    # the default check size at its largest order; unblocked, each check peaks near 270 MB
+    s = FreeSample.random(np.random.default_rng(46), 100_000, 5)
+    tracemalloc.start()
+    try:
+        for check in (check_total_energy_identity, check_skew_forms):
+            tracemalloc.reset_peak()
+            check(s, 9.81)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak <= 32 * 2**20, f"{check.__name__} peaked at {peak / 2**20:.1f} MiB"
+    finally:
+        tracemalloc.stop()
 
 
 class TestGradientCheck:
