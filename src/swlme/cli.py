@@ -1,7 +1,7 @@
 """Command-line front end: closure tables, identity checks, runs, convergence.
 
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
-runtime failures (for example a dry state mid-run).
+runtime failures (for example a dry state or a time-step underflow mid-run).
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ def _parse_orders(text: str) -> list:
         raise ValueError(f"--N names no moment order, got {text!r}")
     if min(orders) < 0:
         raise ValueError(f"--N orders must be >= 0, got {text!r}")
+    if len(set(orders)) != len(orders):
+        raise ValueError(f"--N repeats a moment order, got {text!r}")
     return orders
 
 
@@ -201,7 +203,12 @@ def cmd_converge(args) -> int:
     except (OSError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL
-    meshes = [int(tok) for tok in args.meshes.split(",") if tok.strip() != ""]
+    try:
+        meshes = [int(tok) for tok in args.meshes.split(",") if tok.strip() != ""]
+    except ValueError:
+        print(f"error: --meshes must be comma-separated integers, got {args.meshes!r}",
+              file=sys.stderr)
+        return EXIT_FAIL
     if len(set(meshes)) != len(meshes):
         print("error: repeated mesh in --meshes; self-reference comparison would be "
               "degenerate (zero error)", file=sys.stderr)
@@ -235,7 +242,7 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="run the energy identity and gradient suites")
     p_check.add_argument("--N", default="0,1,2,3,5",
-                         help="comma-separated moment orders (at least one, each >= 0)")
+                         help="comma-separated distinct moment orders (at least one, each >= 0)")
     p_check.add_argument("--samples", type=int, default=100000)
     p_check.add_argument("--seed", type=int, default=None,
                          help="RNG seed >= 0 (default: SWLME_SEED env var or 0)")

@@ -12,6 +12,14 @@ The two identity checks evaluate a batch in blocks of _BLOCK samples and
 return the largest per-block defect, so the memory they need beyond the
 sample itself does not grow with the batch size.
 
+Term stacks are term-major: the term axis comes first and the batch axes
+are contiguous behind it, so each term is one contiguous row.  Every sum
+over the term axis (_term_sum) adds whole rows in the order numpy's
+pairwise summation uses along a contiguous axis: the defects are bitwise
+those of stack.sum(axis=-1) on the trailing-axis layout, at a fraction of
+its cost, since numpy reduces a trailing axis with one inner-loop call per
+batch entry.
+
 Also here: the finite-difference check that the entropy variables are the
 energy gradient, the exact wet-bed dam-break reference solution, and
 energy/convergence reports for solver trajectories.
@@ -82,41 +90,74 @@ class FreeSample:
 
 
 def _stack(*terms) -> np.ndarray:
-    """Stack expanded terms on a fresh trailing axis (broadcasting them first)."""
-    return np.stack(np.broadcast_arrays(*terms), axis=-1)
-
-
-def _by(factor: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Multiply an equation's term stack by a field quantity."""
-    return np.asarray(factor)[..., None] * terms
+    """Stack expanded terms on a new leading term axis (broadcasting them first)."""
+    return np.stack(np.broadcast_arrays(*terms))
 
 
 def _plus(*stacks) -> np.ndarray:
     """Combine equations by concatenating their term stacks."""
-    shapes = [st.shape[:-1] for st in stacks]
-    common = np.broadcast_shapes(*shapes)
-    return np.concatenate([np.broadcast_to(st, common + st.shape[-1:]) for st in stacks], axis=-1)
+    return np.concatenate(stacks)
+
+
+def _term_sum(stack: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """Sum a term-major stack over its term axis in numpy's pairwise order.
+
+    np.add.reduce along a contiguous axis of n terms adds them in sequence
+    for n < 8; for n <= 128 in eight partial sums r0..r7 of every eighth
+    term, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and then the
+    n % 8 remaining terms in order; for larger n it splits at n//2 rounded
+    down to a multiple of 8 and recurses.  The same adds are done here one
+    whole row at a time, so the result is bitwise equal to the trailing-axis
+    sum without numpy's inner-loop call per batch entry.  Accumulators
+    start from +0.0 (numpy's identity), which turns only an all-zero -0.0
+    sum into +0.0, as the reduction does.  absolute=True sums |terms|,
+    taking each row's absolute value into one reused row buffer.
+    """
+    n = len(stack)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _term_sum(stack[:half], absolute) + _term_sum(stack[half:], absolute)
+    buf = np.empty(stack.shape[1:]) if absolute else None
+
+    def term(i: int) -> np.ndarray:
+        return np.abs(stack[i], out=buf) if absolute else stack[i]
+
+    full = n - n % 8 if n >= 8 else 0  # terms that go through the eight partial sums
+    if full:
+        r = np.abs(stack[:8]) if absolute else stack[:8] + 0.0
+        for i in range(8, full):
+            r[i % 8] += term(i)
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        total = r[0] + r[4]  # a fresh row, so r is freed on return
+    else:
+        total = np.zeros(stack.shape[1:])
+    for i in range(full, n):
+        total += term(i)
+    return total
 
 
 def _defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Max relative defect: |sum lhs - sum rhs| over the summed |terms|."""
-    num = np.abs(lhs.sum(axis=-1) - rhs.sum(axis=-1))
-    den = np.abs(lhs).sum(axis=-1) + np.abs(rhs).sum(axis=-1)
+    num = np.abs(_term_sum(lhs) - _term_sum(rhs))
+    den = _term_sum(lhs, absolute=True) + _term_sum(rhs, absolute=True)
     return float(np.max(num / np.maximum(den, _TINY))) if num.size else 0.0
 
 
 def _flatten_moments(terms: np.ndarray) -> np.ndarray:
-    """Merge the moment axis of a per-moment equation into its term axis."""
-    return terms.reshape(terms.shape[:-2] + (terms.shape[-2] * terms.shape[-1],))
+    """Merge the moment axis of a per-moment equation into its term axis, moment-major."""
+    n_terms = terms.shape[-1] * len(terms)
+    return np.moveaxis(terms, -1, 0).reshape((n_terms,) + terms.shape[1:-1])
 
 
 class _Expansions:
     """Product-rule term stacks of every displayed equation, on one sample.
 
-    Scalar equations have stacks of shape batch + (terms,); the per-moment
-    equations carry batch + (N, terms).  Each stack is built lazily, on its
-    first read, and then kept, so a caller pays only for the equations it
-    compares.
+    Stacks are term-major and C-contiguous: scalar equations have shape
+    (terms,) + batch and the per-moment equations (terms,) + batch + (N,),
+    so one term is one row that _term_sum adds with a single vector
+    operation.  Each stack is built lazily, on its first read, and then
+    kept, so a caller pays only for the equations it compares.
     """
 
     def __init__(self, s: FreeSample, g: float):
@@ -270,7 +311,7 @@ class _Expansions:
     @cached_property
     def moment_kinetic(self) -> np.ndarray:
         uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
-        return moment_weights(self.s.n_moments)[..., None] * _stack(
+        return moment_weights(self.s.n_moments) * _stack(
             0.5 * dth_ * uu**2, h_ * uu * self.s.dt_u,
             0.5 * dxh_ * um_ * uu**2, 0.5 * h_ * dxum_ * uu**2, h_ * um_ * uu * self.s.dx_u,
             h_ * uu**2 * dxum_,
@@ -307,9 +348,9 @@ def residual_C_M_ui(s: FreeSample, g: float) -> np.ndarray:
     ex = _Expansions(s, g)
     return np.concatenate(
         [
-            ex.continuity.sum(axis=-1)[..., None],
-            ex.momentum.sum(axis=-1)[..., None],
-            ex.moment.sum(axis=-1),
+            _term_sum(ex.continuity)[..., None],
+            _term_sum(ex.momentum)[..., None],
+            _term_sum(ex.moment),
         ],
         axis=-1,
     )
@@ -322,15 +363,14 @@ def energy_residual(s: FreeSample, g: float, flux_scale: float = 1.0) -> np.ndar
     corrupts the expansion (negative-control hook for the check command).
     """
     ex = _Expansions(s, g)
-    return ex.energy_time.sum(axis=-1) + flux_scale * ex.energy_flux.sum(axis=-1)
+    return _term_sum(ex.energy_time) + flux_scale * _term_sum(ex.energy_flux)
 
 
 def _energy_identity_defect(s: FreeSample, g: float, flux_scale: float) -> float:
     ex = _Expansions(s, g)
     W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
     q = entropy_vars(W, s.b, g)
-    lhs = _plus(_by(q.q1, ex.continuity), _by(q.q2, ex.momentum),
-                _flatten_moments(q.q_u[..., None] * ex.moment))
+    lhs = _plus(q.q1 * ex.continuity, q.q2 * ex.momentum, _flatten_moments(q.q_u * ex.moment))
     rhs = _plus(ex.energy_time, flux_scale * ex.energy_flux)
     return _defect(lhs, rhs)
 
@@ -350,27 +390,27 @@ def _skew_form_defects(s: FreeSample, g: float) -> dict:
     w = moment_weights(s.n_moments)
 
     out = {
-        "potential_energy": _defect(ex.potential, _by(g * (s.h + s.b), ex.continuity)),
+        "potential_energy": _defect(ex.potential, g * (s.h + s.b) * ex.continuity),
         "momentum_rewrite": _defect(ex.momentum_split, ex.momentum),
         "momentum_advective": _defect(
-            ex.momentum_advective, _plus(ex.momentum_split, _by(-s.um, ex.continuity))
+            ex.momentum_advective, _plus(ex.momentum_split, -s.um * ex.continuity)
         ),
         "momentum_skew_average": _defect(
             ex.momentum_skew, _plus(0.5 * ex.momentum_advective, 0.5 * ex.momentum_split)
         ),
-        "kinetic_energy": _defect(ex.kinetic, _by(s.um, ex.momentum_skew)),
+        "kinetic_energy": _defect(ex.kinetic, s.um * ex.momentum_skew),
     }
     if s.n_moments:
-        cont_m = ex.continuity[..., None, :]  # broadcast over the moment axis
+        cont_m = ex.continuity[..., None]  # broadcast over the moment axis
         out["moment_rewrite"] = _defect(ex.moment_split, ex.moment)
         out["moment_advective"] = _defect(
-            ex.moment_advective, _plus(ex.moment_split, -s.u[..., None] * cont_m)
+            ex.moment_advective, _plus(ex.moment_split, -s.u * cont_m)
         )
         out["moment_skew_average"] = _defect(
             ex.moment_skew, _plus(0.5 * ex.moment_advective, 0.5 * ex.moment_split)
         )
         out["moment_kinetic_energy"] = _defect(
-            ex.moment_kinetic, (w * s.u)[..., None] * ex.moment_skew
+            ex.moment_kinetic, w * s.u * ex.moment_skew
         )
         out["total_kinetic_energy"] = _defect(
             ex.total_kinetic, _plus(ex.kinetic, _flatten_moments(ex.moment_kinetic))

@@ -397,8 +397,8 @@ def run(scenario: Scenario) -> Trajectory:
     """Advance the scenario to t_end, recording summaries and snapshots.
 
     The step is capped so snapshot times and t_end are hit exactly.  On a
-    dry-state failure the partial trajectory is returned with its failure
-    field set.
+    dry state or a time step that underflows (dt <= 0 or t + dt == t) the
+    partial trajectory is returned with its failure field set.
     """
     p = scenario.params
     grid = scenario.grid
@@ -430,7 +430,8 @@ def run(scenario: Scenario) -> Trajectory:
             if landed:
                 dt = next_target - t
             if dt <= 0.0 or t + dt == t:
-                raise RuntimeError(f"time step underflow at t = {t}")
+                failure = f"time step underflow at t = {t}"
+                break
             U = step(U, dt, scenario)
         except DryStateError as err:
             failure = str(err)

@@ -205,6 +205,10 @@ class TestCheckCommand:
     def test_rejects_negative_order(self, capsys, monkeypatch):
         self.rejected(capsys, monkeypatch, ["--N", "1,-1"], "--N")
 
+    def test_rejects_repeated_order(self, capsys, monkeypatch):
+        # otherwise order 1 is evaluated and counted twice
+        self.rejected(capsys, monkeypatch, ["--N", "1,2,1"], "--N")
+
     def test_rejects_negative_seed(self, capsys, monkeypatch):
         self.rejected(capsys, monkeypatch, ["--seed", "-3"], "--seed")
 
@@ -328,6 +332,15 @@ class TestRunCommand:
         assert "partial output" in err
         assert (tmp_path / "o" / "summary.csv").exists()
 
+    def test_time_step_underflow_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("swlme.solver._cfl_dt", lambda *args: 0.0)
+        path = self.write(tmp_path, DAM_CFG.format(path=tmp_path / "o"))
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "time step underflow at t = 0.0" in err and "partial output" in err
+        assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
+        assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 100
+
 
 class TestConvergeCommand:
     def test_stoker_rows(self, tmp_path, capsys):
@@ -346,6 +359,20 @@ class TestConvergeCommand:
         cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
         assert main(["converge", str(cfg), "--meshes", "100,100"]) == 1
         assert "repeated mesh" in capsys.readouterr().err
+
+    def test_non_integer_mesh_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "dam.cfg"
+        cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
+        assert main(["converge", str(cfg), "--meshes", "20,a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --meshes ")
+
+    def test_time_step_underflow_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("swlme.solver._cfl_dt", lambda *args: 0.0)
+        cfg = tmp_path / "dam.cfg"
+        cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
+        assert main(["converge", str(cfg), "--meshes", "50,100"]) == 2
+        assert "time step underflow" in capsys.readouterr().err
 
     def test_non_dyadic_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "smooth.cfg"

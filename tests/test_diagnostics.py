@@ -3,15 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from swlme.cli import main
 from swlme.diagnostics import (
     _BLOCK,
     FreeSample,
     _blocks,
-    _by,
-    _defect,
     _Expansions,
-    _flatten_moments,
-    _plus,
+    _term_sum,
     check_skew_forms,
     check_total_energy_identity,
     convergence_study,
@@ -137,52 +135,87 @@ class TestSkewForms:
         assert check_skew_forms(s, 9.81)["momentum_rewrite"] <= 1e-15
 
 
+class TrailingExpansions:
+    """The term stacks of _Expansions in the trailing-axis layout: batch + (terms,).
+
+    Each stack is a C-contiguous copy, so np.sum over its last axis adds the
+    terms in the order the checks used before their stacks became term-major.
+    """
+
+    def __init__(self, s, g):
+        self._ex = _Expansions(s, g)
+
+    def __getattr__(self, name):
+        return np.ascontiguousarray(np.moveaxis(getattr(self._ex, name), 0, -1))
+
+
+# the trailing-axis combination helpers, kept as the reference for the term-major ones
+def trailing_by(factor, terms):
+    return np.asarray(factor)[..., None] * terms
+
+
+def trailing_plus(*stacks):
+    common = np.broadcast_shapes(*(st.shape[:-1] for st in stacks))
+    return np.concatenate([np.broadcast_to(st, common + st.shape[-1:]) for st in stacks], axis=-1)
+
+
+def trailing_defect(lhs, rhs):
+    num = np.abs(np.sum(lhs, axis=-1) - np.sum(rhs, axis=-1))
+    den = np.sum(np.abs(lhs), axis=-1) + np.sum(np.abs(rhs), axis=-1)
+    return float(np.max(num / np.maximum(den, np.finfo(float).tiny))) if num.size else 0.0
+
+
+def trailing_flatten_moments(terms):
+    return terms.reshape(terms.shape[:-2] + (terms.shape[-2] * terms.shape[-1],))
+
+
 def reference_total_energy_identity(s, g, flux_scale=1.0):
-    """check_total_energy_identity as it was before blocking: the whole batch at once."""
-    ex = _Expansions(s, g)
+    """check_total_energy_identity unblocked and summed on the trailing axis."""
+    ex = TrailingExpansions(s, g)
     W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
     q = entropy_vars(W, s.b, g)
-    lhs = _plus(_by(q.q1, ex.continuity), _by(q.q2, ex.momentum),
-                _flatten_moments(q.q_u[..., None] * ex.moment))
-    rhs = _plus(ex.energy_time, flux_scale * ex.energy_flux)
-    return _defect(lhs, rhs)
+    lhs = trailing_plus(trailing_by(q.q1, ex.continuity), trailing_by(q.q2, ex.momentum),
+                        trailing_flatten_moments(q.q_u[..., None] * ex.moment))
+    rhs = trailing_plus(ex.energy_time, flux_scale * ex.energy_flux)
+    return trailing_defect(lhs, rhs)
 
 
 def reference_skew_forms(s, g):
-    """check_skew_forms as it was before blocking: the whole batch at once."""
-    ex = _Expansions(s, g)
+    """check_skew_forms unblocked and summed on the trailing axis."""
+    ex = TrailingExpansions(s, g)
     w = moment_weights(s.n_moments)
+    by, plus, defect = trailing_by, trailing_plus, trailing_defect
 
     out = {
-        "potential_energy": _defect(ex.potential, _by(g * (s.h + s.b), ex.continuity)),
-        "momentum_rewrite": _defect(ex.momentum_split, ex.momentum),
-        "momentum_advective": _defect(
-            ex.momentum_advective, _plus(ex.momentum_split, _by(-s.um, ex.continuity))
+        "potential_energy": defect(ex.potential, by(g * (s.h + s.b), ex.continuity)),
+        "momentum_rewrite": defect(ex.momentum_split, ex.momentum),
+        "momentum_advective": defect(
+            ex.momentum_advective, plus(ex.momentum_split, by(-s.um, ex.continuity))
         ),
-        "momentum_skew_average": _defect(
-            ex.momentum_skew, _plus(0.5 * ex.momentum_advective, 0.5 * ex.momentum_split)
+        "momentum_skew_average": defect(
+            ex.momentum_skew, plus(0.5 * ex.momentum_advective, 0.5 * ex.momentum_split)
         ),
-        "kinetic_energy": _defect(ex.kinetic, _by(s.um, ex.momentum_skew)),
+        "kinetic_energy": defect(ex.kinetic, by(s.um, ex.momentum_skew)),
     }
     if s.n_moments:
         cont_m = ex.continuity[..., None, :]  # broadcast over the moment axis
-        out["moment_rewrite"] = _defect(ex.moment_split, ex.moment)
-        out["moment_advective"] = _defect(
-            ex.moment_advective, _plus(ex.moment_split, -s.u[..., None] * cont_m)
+        out["moment_rewrite"] = defect(ex.moment_split, ex.moment)
+        out["moment_advective"] = defect(
+            ex.moment_advective, plus(ex.moment_split, -s.u[..., None] * cont_m)
         )
-        out["moment_skew_average"] = _defect(
-            ex.moment_skew, _plus(0.5 * ex.moment_advective, 0.5 * ex.moment_split)
+        out["moment_skew_average"] = defect(
+            ex.moment_skew, plus(0.5 * ex.moment_advective, 0.5 * ex.moment_split)
         )
-        out["moment_kinetic_energy"] = _defect(
+        out["moment_kinetic_energy"] = defect(
             ex.moment_kinetic, (w * s.u)[..., None] * ex.moment_skew
         )
-        out["total_kinetic_energy"] = _defect(
-            ex.total_kinetic, _plus(ex.kinetic, _flatten_moments(ex.moment_kinetic))
+        out["total_kinetic_energy"] = defect(
+            ex.total_kinetic, plus(ex.kinetic, trailing_flatten_moments(ex.moment_kinetic))
         )
     else:
-        out["total_kinetic_energy"] = _defect(ex.total_kinetic, ex.kinetic)
-    out["total_energy_sum"] = _defect(
-        _plus(ex.energy_time, ex.energy_flux), _plus(ex.total_kinetic, ex.potential)
+        out["total_kinetic_energy"] = defect(ex.total_kinetic, ex.kinetic)
+    out["total_energy_sum"] = defect(
+        plus(ex.energy_time, ex.energy_flux), plus(ex.total_kinetic, ex.potential)
     )
     return out
 
@@ -241,6 +274,58 @@ class TestBlockedChecks:
         corrupted = check_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
         assert corrupted > 1e-9
         assert corrupted == reference_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
+
+
+class TestTermSum:
+    """_term_sum is np.add.reduce over a contiguous trailing axis, bit for bit."""
+
+    @pytest.mark.parametrize("tail", [(6,), (6, 3)])
+    def test_bitwise_against_add_reduce(self, tail):
+        rng = np.random.default_rng(47)
+        for n in range(1, 301):
+            shape = (n,) + tail
+            stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+            stack[rng.integers(n), 0] = np.nan
+            stack[rng.integers(n), 1] = -np.inf
+            stack[:, 2] = -0.0  # the reduction starts from +0.0, so this sums to +0.0
+            trailing = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+            for absolute in (False, True):
+                want = np.add.reduce(np.abs(trailing) if absolute else trailing, axis=-1)
+                got = _term_sum(stack, absolute)
+                assert got.shape == want.shape, (n, absolute)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, absolute)
+
+
+# the identities that read the dx_b slot; the others never see it
+READS_DX_B = {"momentum_rewrite", "momentum_advective", "momentum_skew_average",
+              "kinetic_energy", "total_kinetic_energy", "total_energy_sum"}
+
+
+class TestNanSlot:
+    def test_identities_reading_the_slot_return_nan(self):
+        s = FreeSample.random(np.random.default_rng(48), _BLOCK + 3, 2)
+        s.dx_b[_BLOCK + 1] = np.nan  # in the last block only
+        assert np.isnan(check_total_energy_identity(s, 9.81))
+        forms = check_skew_forms(s, 9.81)
+        assert {name for name, value in forms.items() if np.isnan(value)} == READS_DX_B
+        assert all(forms[name] <= 1e-12 for name in set(forms) - READS_DX_B)
+
+    def test_check_command_reports_fail(self, capsys, monkeypatch):
+        random = FreeSample.random
+
+        def with_nan_slot(*args, **kwargs):
+            s = random(*args, **kwargs)
+            s.dx_b[-1] = np.nan
+            return s
+
+        monkeypatch.setattr(FreeSample, "random", staticmethod(with_nan_slot))
+        assert main(["check", "--N", "1", "--samples", "50", "--seed", "3"]) == 1
+        out, err = capsys.readouterr()
+        failed = {" ".join(line.split()[2:-3]) for line in out.splitlines()
+                  if line.endswith("FAIL")}
+        assert failed == {"total energy identity"} | READS_DX_B
+        assert "FAIL: total energy identity (N=1, g=1.0): defect nan" in err
+        assert "all checks passed" not in out
 
 
 def test_check_memory_stays_bounded():

@@ -503,6 +503,13 @@ class TestRun:
         assert "stage" in traj.failure and "cell" in traj.failure
         assert len(traj.snapshots) >= 1 and len(traj.steps) >= 1
 
+    def test_time_step_underflow_returns_partial_trajectory(self, monkeypatch):
+        monkeypatch.setattr(swlme.solver, "_cfl_dt", lambda *args: 0.0)
+        sc = scenario(cells=10, ic_params={"h": 1.0}, t_end=1.0)
+        traj = run(sc)
+        assert traj.failure == "time step underflow at t = 0.0"
+        assert traj.times == [0.0] and traj.steps.shape == (1, 4)
+
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
