@@ -2,8 +2,9 @@
 
 The format is deliberately minimal: one assignment per line, `#` starts a
 comment, no quoting or nesting.  Unknown keys are rejected by name, so a
-typo cannot silently fall back to a default.  The full schema lives in
-docs/config.md.
+typo cannot silently fall back to a default.  The parameter keys each
+preset accepts come from the solver's preset table.  The full schema lives
+in docs/config.md.
 """
 
 from __future__ import annotations
@@ -12,31 +13,20 @@ import numpy as np
 
 from swlme.basis import Variant
 from swlme.model import ModelParams
-from swlme.solver import BOUNDARY_KINDS, Grid1D, Scenario
+from swlme.solver import _PRESETS, BOUNDARY_KINDS, Grid1D, Scenario
 
 
 class ConfigError(ValueError):
     """A configuration problem, with the offending key in the message."""
 
 
-# required keys and the per-preset parameter keys they unlock
+# required keys; ic.name and topo.name also unlock their preset's parameter keys
 REQUIRED_KEYS = (
     "model.N", "model.g", "model.variant",
     "grid.cells", "grid.xmin", "grid.xmax",
     "bc.kind", "ic.name", "time.t_end", "time.cfl", "output.path",
 )
 OPTIONAL_KEYS = ("topo.name", "output.every_steps", "output.snapshots")
-IC_PARAM_KEYS = {
-    "dam_break": ("ic.h_l", "ic.h_r", "ic.x0"),
-    "lake_at_rest": ("ic.surface",),
-    "smooth_periodic": ("ic.h0", "ic.h_amp", "ic.um_amp", "ic.u_amp"),
-    "constant": ("ic.h", "ic.um", "ic.u"),
-}
-TOPO_PARAM_KEYS = {
-    "flat": (),
-    "gaussian": ("topo.height", "topo.width", "topo.center"),
-    "slope": ("topo.grade",),
-}
 
 
 def parse_config(text: str) -> dict:
@@ -82,6 +72,14 @@ def _get(cfg: dict, key: str, kind, default=None):
     return value
 
 
+def _preset_keys(section: str, name: str) -> list:
+    """Config keys `section.parameter` of a preset; ConfigError on an unknown preset."""
+    if name not in _PRESETS[section]:
+        raise ConfigError(f"key '{section}.name': unknown preset '{name}' "
+                          f"(known: {', '.join(_PRESETS[section])})")
+    return [f"{section}.{param}" for param in _PRESETS[section][name]]
+
+
 def build_scenario(cfg: dict) -> Scenario:
     """Validate a parsed config and construct the scenario it describes."""
     for key in REQUIRED_KEYS:
@@ -89,18 +87,11 @@ def build_scenario(cfg: dict) -> Scenario:
             raise ConfigError(f"missing required key '{key}'")
 
     ic_name = cfg["ic.name"]
-    if ic_name not in IC_PARAM_KEYS:
-        raise ConfigError(
-            f"key 'ic.name': unknown preset '{ic_name}' (known: {', '.join(IC_PARAM_KEYS)})"
-        )
+    ic_keys = _preset_keys("ic", ic_name)
     topo_name = cfg.get("topo.name", "flat")
-    if topo_name not in TOPO_PARAM_KEYS:
-        raise ConfigError(
-            f"key 'topo.name': unknown preset '{topo_name}' (known: {', '.join(TOPO_PARAM_KEYS)})"
-        )
+    topo_keys = _preset_keys("topo", topo_name)
 
-    allowed = set(REQUIRED_KEYS) | set(OPTIONAL_KEYS)
-    allowed |= set(IC_PARAM_KEYS[ic_name]) | set(TOPO_PARAM_KEYS[topo_name])
+    allowed = set(REQUIRED_KEYS) | set(OPTIONAL_KEYS) | set(ic_keys) | set(topo_keys)
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}'")
@@ -117,9 +108,9 @@ def build_scenario(cfg: dict) -> Scenario:
         raise ConfigError(f"key 'bc.kind': unknown kind '{bc}' (known: {', '.join(BOUNDARY_KINDS)})")
 
     ic_params = {key.split(".", 1)[1]: _get(cfg, key, float)
-                 for key in IC_PARAM_KEYS[ic_name] if key in cfg}
+                 for key in ic_keys if key in cfg}
     topo_params = {key.split(".", 1)[1]: _get(cfg, key, float)
-                   for key in TOPO_PARAM_KEYS[topo_name] if key in cfg}
+                   for key in topo_keys if key in cfg}
 
     try:
         params = ModelParams(g=_get(cfg, "model.g", float), N=_get(cfg, "model.N", int),
@@ -137,11 +128,9 @@ def build_scenario(cfg: dict) -> Scenario:
             output_every_steps=_get(cfg, "output.every_steps", int, default=0),
             output_snapshots=_get(cfg, "output.snapshots", int, default=0),
         )
-        U0 = scenario.initial_states()
+        scenario.initial_states()  # raises on a non-positive depth
     except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    if np.any(U0[:, 0] <= 0.0):
-        raise ConfigError("initial condition produces non-positive depth")
     return scenario

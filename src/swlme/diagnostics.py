@@ -607,13 +607,11 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     errors = []
     if exact:
         rows_meshes = meshes
-        h_l = float(scenario.ic_params.get("h_l", 1.0))
-        h_r = float(scenario.ic_params.get("h_r", 0.5))
-        x0 = float(scenario.ic_params.get("x0", 0.0))
+        ic = scenario.ic_params  # every dam_break parameter, defaults filled in
         for m in rows_meshes:
             sc = scenario.with_cells(m)
-            h_ref = stoker_dam_break(h_l, h_r, scenario.params.g,
-                                     sc.grid.centers - x0, scenario.t_end)[:, 0]
+            h_ref = stoker_dam_break(ic["h_l"], ic["h_r"], scenario.params.g,
+                                     sc.grid.centers - ic["x0"], scenario.t_end)[:, 0]
             errors.append(float(np.abs(final_h(m) - h_ref).sum() * sc.grid.dx))
     else:
         if len(meshes) < 2:

@@ -1,4 +1,4 @@
-"""Moment-model states, fluxes, sources, and the energy/entropy pair.
+"""Moment-model states, fluxes, nonconservative terms, and the energy/entropy pair.
 
 States are plain numpy arrays whose last axis holds the variables:
 
@@ -90,16 +90,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Topography:
-    """Bottom elevation sampled at cell centers, with a slope sample per cell."""
+    """Bottom elevation b sampled at cell centers."""
 
     b: np.ndarray
-    dbdx: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "dbdx", np.asarray(self.dbdx, dtype=float))
-        if self.b.shape != self.dbdx.shape:
-            raise ValueError("b and dbdx must have the same shape")
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,13 +107,17 @@ def moment_weights(n: int) -> np.ndarray:
 
 
 def check_wet(h: np.ndarray, h_min: float = DEFAULT_H_MIN) -> None:
-    """Raise DryStateError if any depth is at or below the threshold."""
+    """Raise DryStateError if any depth is at or below the threshold or not finite.
+
+    The error's index holds the offending cell as a tuple of ints.
+    """
     h = np.asarray(h)
     if np.any(h <= h_min) or not np.all(np.isfinite(h)):
         flat = np.argmin(np.where(np.isfinite(h), h, -np.inf))
-        idx = np.unravel_index(flat, h.shape) if h.ndim else ()
+        idx = tuple(int(i) for i in np.unravel_index(flat, h.shape))
         raise DryStateError(
-            f"dry or invalid state: h = {h.flat[flat] if h.ndim else float(h)} at cell {idx}",
+            f"dry or invalid state: h = {h.flat[flat] if h.ndim else float(h)} "
+            f"at cell {idx[0] if h.ndim == 1 else idx}",
             index=idx,
         )
 
@@ -220,14 +220,6 @@ def nonconservative_rhs(W: np.ndarray, dUdx: np.ndarray, p: ModelParams) -> np.n
     rows, drows = np.moveaxis(W, -1, 0), np.moveaxis(dUdx, -1, 0)
     out = np.zeros(W.shape)
     np.moveaxis(out, -1, 0)[2:] = _path_rows(rows[1, ...], rows[2:], drows[2:], p)
-    return out
-
-
-def topo_source(W: np.ndarray, dbdx, g: float) -> np.ndarray:
-    """Momentum source -g h db/dx; all other components zero."""
-    W = np.asarray(W, dtype=float)
-    out = np.zeros_like(W)
-    out[..., 1] = -g * W[..., 0] * np.asarray(dbdx)
     return out
 
 
@@ -356,7 +348,8 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.
     max(s, radius) and a WaveSpeedBoundWarning counts the exceeding states;
     otherwise they return s.  So the maximum differs from that of a full
     eigen-solve only when the radius exceeds the allowance in cleared states
-    alone, and then by less than the allowance.
+    alone, and then by less than the allowance.  A state whose Q is not
+    finite (an overflowed velocity, say) raises DryStateError naming it.
     """
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
@@ -364,6 +357,12 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.
     s = _wave_speed(h, um, _moment_sum(u), p.g)
     if validate:
         Q = quasilinear_matrix(W, p).reshape(-1, W.shape[-1], W.shape[-1])
+        finite = np.isfinite(Q).all(axis=(1, 2))
+        if not finite.all():
+            # an overflowed state cannot be eigen-solved; name it instead
+            idx = tuple(int(i) for i in np.unravel_index(np.argmin(finite), W.shape[:-1]))
+            raise DryStateError("invalid state: non-finite quasilinear matrix at cell "
+                                f"{idx[0] if len(idx) == 1 else idx}", index=idx)
         s = s.reshape(-1)
         bound = _spectral_bound(Q, np.sqrt(p.g * h).reshape(-1), s)
         # the negated test keeps a NaN certificate or speed eigen-solved

@@ -4,8 +4,15 @@ Space discretization: Rusanov (local Lax-Friedrichs) fluxes with the
 nonconservative moment terms handled by a straight-line path evaluated at
 the arithmetic-mean state, split half/half between the adjacent cells.
 Topography uses hydrostatic reconstruction at the interfaces, which keeps
-the lake-at-rest state a discrete fixed point.  Time integration is the
-three-stage strong-stability-preserving Runge-Kutta scheme.
+the lake-at-rest state a discrete fixed point; it needs only the bottom
+samples b.  Time integration is the three-stage strong-stability-preserving
+Runge-Kutta scheme.
+
+Initial conditions and bottoms are named presets.  _PRESETS is their one
+table: it maps each preset to its parameters and their defaults, and the
+samplers, the config validation and docs/config.md all follow it.  A
+Scenario is frozen and keeps read-only copies of its preset parameters,
+resolved against that table, so its cached bottom cannot go stale.
 
 State arrays are conserved variables of shape (cells, N+2); one ghost cell
 per side is appended by apply_boundary.  Only semi_discrete_rhs works in
@@ -20,7 +27,10 @@ a row of cells.  It validates the depths once per call and returns the usual
 from __future__ import annotations
 
 import dataclasses
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,15 +45,39 @@ from swlme.model import (
     _wave_speed,
     check_wet,
     energy,
-    flux,
     max_wave_speed,
-    nonconservative_rhs,
     to_primitive,
 )
 
 BOUNDARY_KINDS = ("periodic", "outflow", "reflective")
-IC_NAMES = ("dam_break", "lake_at_rest", "smooth_periodic", "constant")
-TOPO_NAMES = ("flat", "gaussian", "slope")
+
+# config section -> preset name -> parameter -> default
+_PRESETS = {
+    "ic": {
+        "dam_break": {"h_l": 1.0, "h_r": 0.5, "x0": 0.0},
+        "lake_at_rest": {"surface": 1.0},
+        "smooth_periodic": {"h0": 1.0, "h_amp": 0.1, "um_amp": 0.0, "u_amp": 0.0},
+        "constant": {"h": 1.0, "um": 0.0, "u": 0.0},
+    },
+    "topo": {
+        "flat": {},
+        "gaussian": {"height": 0.2, "width": 1.0, "center": 0.0},
+        "slope": {"grade": 0.01},
+    },
+}
+_PRESET_KIND = {"ic": "initial condition", "topo": "topography preset"}
+
+
+def _preset(section: str, name: str, params: Mapping) -> dict:
+    """Every parameter of a preset as a float: its value in params, else the table default.
+
+    Keys the preset does not have are ignored.  Raises on an unknown name.
+    """
+    defaults = _PRESETS[section].get(name)
+    if defaults is None:
+        raise ValueError(f"unknown {_PRESET_KIND[section]} '{name}' "
+                         f"(known: {', '.join(_PRESETS[section])})")
+    return {key: float(params.get(key, default)) for key, default in defaults.items()}
 
 
 @dataclass(frozen=True)
@@ -71,37 +105,21 @@ class Grid1D:
         return self.x_min + (np.arange(self.cells) + 0.5) * self.dx
 
 
-def make_topography(name: str, params: dict, grid: Grid1D, boundary: str = "outflow") -> Topography:
-    """Sample a bottom-elevation preset on the grid.
-
-    dbdx uses central differences of the samples, wrapping for periodic
-    boundaries and one-sided at the ends otherwise.
-    """
+def make_topography(name: str, params: Mapping, grid: Grid1D) -> Topography:
+    """Sample a bottom-elevation preset at the cell centers (read-only samples)."""
+    p = _preset("topo", name, params)
     x = grid.centers
     if name == "flat":
         b = np.zeros_like(x)
     elif name == "gaussian":
-        height = float(params.get("height", 0.2))
-        width = float(params.get("width", 1.0))
-        center = float(params.get("center", 0.0))
-        b = height * np.exp(-(((x - center) / width) ** 2))
-    elif name == "slope":
-        grade = float(params.get("grade", 0.01))
-        b = grade * (x - grid.x_min)
-    else:
-        raise ValueError(f"unknown topography preset '{name}' (known: {', '.join(TOPO_NAMES)})")
-
-    dbdx = np.empty_like(b)
-    if boundary == "periodic":
-        dbdx[:] = (np.roll(b, -1) - np.roll(b, 1)) / (2.0 * grid.dx)
-    else:
-        dbdx[1:-1] = (b[2:] - b[:-2]) / (2.0 * grid.dx)
-        dbdx[0] = (b[1] - b[0]) / grid.dx
-        dbdx[-1] = (b[-1] - b[-2]) / grid.dx
-    return Topography(b=b, dbdx=dbdx)
+        b = p["height"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2))
+    else:  # slope
+        b = p["grade"] * (x - grid.x_min)
+    b.setflags(write=False)
+    return Topography(b=b)
 
 
-def initial_condition(name: str, params: dict, grid: Grid1D, n_moments: int,
+def initial_condition(name: str, params: Mapping, grid: Grid1D, n_moments: int,
                       b: np.ndarray | None = None) -> np.ndarray:
     """Build the initial conserved states for a named preset.
 
@@ -109,50 +127,46 @@ def initial_condition(name: str, params: dict, grid: Grid1D, n_moments: int,
     (flat surface over the bottom b), smooth_periodic (sinusoidal depth and
     velocities), constant.  Raises on unknown names or non-positive depth.
     """
+    p = _preset("ic", name, params)
     x = grid.centers
     m = grid.cells
     U = np.zeros((m, n_moments + 2))
     if name == "dam_break":
-        h_l = float(params.get("h_l", 1.0))
-        h_r = float(params.get("h_r", 0.5))
-        x0 = float(params.get("x0", 0.0))
-        U[:, 0] = np.where(x < x0, h_l, h_r)
+        U[:, 0] = np.where(x < p["x0"], p["h_l"], p["h_r"])
     elif name == "lake_at_rest":
-        surface = float(params.get("surface", 1.0))
         bottom = np.zeros(m) if b is None else np.asarray(b, dtype=float)
-        U[:, 0] = surface - bottom
+        U[:, 0] = p["surface"] - bottom
     elif name == "smooth_periodic":
-        h0 = float(params.get("h0", 1.0))
-        h_amp = float(params.get("h_amp", 0.1))
-        um_amp = float(params.get("um_amp", 0.0))
-        u_amp = float(params.get("u_amp", 0.0))
         phase = np.sin(2.0 * np.pi * (x - grid.x_min) / (grid.x_max - grid.x_min))
-        h = h0 + h_amp * phase
+        h = p["h0"] + p["h_amp"] * phase
         U[:, 0] = h
-        U[:, 1] = h * (um_amp * phase)
-        U[:, 2:] = (h * (u_amp * phase))[:, None]
-    elif name == "constant":
-        h = float(params.get("h", 1.0))
+        U[:, 1] = h * (p["um_amp"] * phase)
+        U[:, 2:] = (h * (p["u_amp"] * phase))[:, None]
+    else:  # constant
+        h = p["h"]
         U[:, 0] = h
-        U[:, 1] = h * float(params.get("um", 0.0))
-        U[:, 2:] = h * float(params.get("u", 0.0))
-    else:
-        raise ValueError(f"unknown initial condition '{name}' (known: {', '.join(IC_NAMES)})")
+        U[:, 1] = h * p["um"]
+        U[:, 2:] = h * p["u"]
     if np.any(U[:, 0] <= 0.0):
         raise ValueError(f"initial condition '{name}' produces non-positive depth")
     return U
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Everything needed to run a simulation: model, grid, presets, and timing."""
+    """Everything needed to run a simulation: model, grid, presets, and timing.
+
+    ic_params and topo_params are stored as read-only copies holding every
+    parameter of the preset (given value or table default), so mutating the
+    mappings passed in changes neither the bottom nor the initial states.
+    """
 
     params: ModelParams
     grid: Grid1D
     ic_name: str
-    ic_params: dict = field(default_factory=dict)
+    ic_params: Mapping = field(default_factory=dict)
     topo_name: str = "flat"
-    topo_params: dict = field(default_factory=dict)
+    topo_params: Mapping = field(default_factory=dict)
     boundary: str = "periodic"
     t_end: float = 0.0
     cfl: float = 0.9
@@ -168,12 +182,14 @@ class Scenario:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.output_every_steps < 0 or self.output_snapshots < 0:
             raise ValueError("output cadences must be >= 0")
+        object.__setattr__(self, "ic_params",
+                           MappingProxyType(_preset("ic", self.ic_name, self.ic_params)))
+        object.__setattr__(self, "topo_params",
+                           MappingProxyType(_preset("topo", self.topo_name, self.topo_params)))
 
-    @property
+    @functools.cached_property
     def topography(self) -> Topography:
-        if not hasattr(self, "_topo"):
-            self._topo = make_topography(self.topo_name, self.topo_params, self.grid, self.boundary)
-        return self._topo
+        return make_topography(self.topo_name, self.topo_params, self.grid)
 
     def initial_states(self) -> np.ndarray:
         return initial_condition(self.ic_name, self.ic_params, self.grid,
@@ -246,27 +262,6 @@ def _cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> flo
     return cfl * grid.dx / float(np.max(speeds))
 
 
-def pc_rusanov_update(U_L: np.ndarray, U_R: np.ndarray, params: ModelParams):
-    """Left/right-going Rusanov fluctuations across one interface.
-
-    D-/D+ = (F(U_R) - F(U_L) - P)/2 -/+ s (U_R - U_L)/2 with s the larger
-    wave-speed bound of the two states and P the nonconservative term of a
-    straight-line path, evaluated at the arithmetic-mean state and applied
-    to the jump.  Their sum is F(U_R) - F(U_L) - P; both vanish on equal
-    states.  Broadcasts over leading axes.
-    """
-    U_L = np.asarray(U_L, dtype=float)
-    U_R = np.asarray(U_R, dtype=float)
-    W_L = to_primitive(U_L, params.h_min)
-    W_R = to_primitive(U_R, params.h_min)
-    s = np.maximum(max_wave_speed(W_L, params), max_wave_speed(W_R, params))
-    dU = U_R - U_L
-    P = nonconservative_rhs(to_primitive(0.5 * (U_L + U_R), params.h_min), dU, params)
-    central = 0.5 * (flux(W_R, params) - flux(W_L, params) - P)
-    spread = 0.5 * np.asarray(s)[..., None] * dU
-    return central - spread, central + spread
-
-
 def _interface_states(X: np.ndarray, b_ext: np.ndarray, h_min: float,
                       boundary: str) -> np.ndarray:
     """Hydrostatically reconstructed interface states, variable axis first.
@@ -307,24 +302,6 @@ def _interface_states(X: np.ndarray, b_ext: np.ndarray, h_min: float,
 def _hydrostatic_correction(hs: np.ndarray, g: float) -> np.ndarray:
     """Per-cell momentum correction g (hs_L^2 at the right face - hs_R^2 at the left) / 2."""
     return 0.5 * g * (hs[0, 1:] ** 2 - hs[1, :-1] ** 2)
-
-
-def well_balanced_source(U: np.ndarray, topography: Topography, g: float,
-                         boundary: str = "outflow", h_min: float = 1e-10) -> np.ndarray:
-    """Per-cell momentum correction of the hydrostatic reconstruction.
-
-    Together with interface fluxes evaluated at the reconstructed states,
-    this replaces the pair (g h^2/2 pressure flux, -g h db/dx source) and
-    makes the lake-at-rest state a fixed point of the full update.  Returns
-    flux-difference units; the semi-discrete right-hand side divides by dx.
-    Reduces to zero over a flat bottom.
-    """
-    U = np.asarray(U, dtype=float)
-    Us = _interface_states(apply_boundary(U, boundary).T,
-                           _extend_bottom(topography.b, boundary), h_min, boundary)
-    src = np.zeros_like(U)
-    src[:, 1] = _hydrostatic_correction(Us[0], g)
-    return src
 
 
 def _rusanov_flux(Us: np.ndarray, dUs: np.ndarray, p: ModelParams) -> np.ndarray:

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from swlme.basis import Variant, compute_tensors
 from swlme.cli import CSV_CHUNK_ROWS, _fmt, _write_outputs, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
 from swlme.model import energy, to_primitive
-from swlme.solver import run
+from swlme.solver import _PRESETS, run
 
 LAKE_CFG = """\
 # lake at rest over a bump
@@ -385,3 +388,35 @@ class TestConvergeCommand:
         )
         assert main(["converge", str(cfg), "--meshes", "30,45"]) == 1
         assert "dyadic" in capsys.readouterr().err
+
+
+def test_overflowed_swme_run_exits_2_with_partial_output(tmp_path, capsys):
+    # the full closure's eigen-solve cannot take the overflowed state; the run
+    # records it as a failure, as the linearized closure's run does
+    cfg = tmp_path / "swme.cfg"
+    cfg.write_text(
+        "model.N = 3\nmodel.g = 9.81\nmodel.variant = swme\n"
+        "grid.cells = 20\ngrid.xmin = 0.0\ngrid.xmax = 1.0\n"
+        "bc.kind = periodic\nic.name = smooth_periodic\nic.um_amp = 1e200\n"
+        f"time.t_end = 0.1\ntime.cfl = 0.9\noutput.path = {tmp_path/'o'}\n"
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite quasilinear matrix at cell 0" in err and "partial output" in err
+    assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
+    assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 20
+
+
+def test_docs_list_exactly_the_preset_table():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    documented = {"ic": {}, "topo": {}}
+    bullets = re.findall(r"^- `(\w+)\.name = (\w+)`(.*?)(?=^- |^#|\Z)", text, re.M | re.S)
+    for section, name, body in bullets:
+        params = re.findall(r"`(\w+)\.(\w+)` \(([^)]*)\)", body)
+        assert all(s == section for s, _, _ in params), name
+        documented[section][name] = {key: float(default) for _, key, default in params}
+
+    def rows(table):  # in table order, which the "known: ..." messages follow
+        return [(s, name, list(p.items())) for s in table for name, p in table[s].items()]
+    assert rows(documented) == rows(_PRESETS)

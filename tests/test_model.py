@@ -10,6 +10,7 @@ from swlme.model import (
     ModelParams,
     WaveSpeedBoundWarning,
     boussinesq_beta,
+    check_wet,
     energy,
     entropy_vars,
     flux,
@@ -20,7 +21,6 @@ from swlme.model import (
     quasilinear_matrix,
     to_conserved,
     to_primitive,
-    topo_source,
 )
 from swlme.basis import gauss_rule, phi_table
 
@@ -66,6 +66,16 @@ class TestConversions:
         except DryStateError as e:
             err = e
         assert err is not None and err.index == (1,)
+
+    def test_dry_cell_reported_as_plain_ints(self):
+        with pytest.raises(DryStateError) as info:
+            check_wet(np.array([1.0, 0.0, 1.0]))
+        assert info.value.index == (1,) and type(info.value.index[0]) is int
+        assert str(info.value) == "dry or invalid state: h = 0.0 at cell 1"
+        with pytest.raises(DryStateError) as info:
+            check_wet(np.array([[1.0, 1.0], [1.0, np.nan]]))
+        assert info.value.index == (1, 1) and all(type(i) is int for i in info.value.index)
+        assert str(info.value) == "dry or invalid state: h = nan at cell (1, 1)"
 
 
 class TestFlux:
@@ -128,17 +138,6 @@ class TestNonconservative:
             np.testing.assert_allclose(
                 ncp_matrix(W, p) @ dU, nonconservative_rhs(W, dU, p), atol=1e-14
             )
-
-
-class TestTopoSource:
-    def test_flat(self):
-        np.testing.assert_array_equal(topo_source(np.array([1.0, 2.0]), 0.0, 10.0), [0.0, 0.0])
-
-    def test_value_and_sign(self):
-        out = topo_source(np.array([2.0, 1.0, 0.5]), 0.1, 10.0)
-        np.testing.assert_allclose(out, [0.0, -2.0, 0.0])
-        # an uphill slope decelerates positive flow
-        assert out[1] < 0.0
 
 
 class TestEnergy:
@@ -325,6 +324,15 @@ class TestWaveSpeed:
     def test_dry_error(self):
         with pytest.raises(DryStateError):
             max_wave_speed(np.array([0.0, 0.0]), params(0))
+
+    def test_overflowed_state_is_named_not_eigen_solved(self):
+        # u_m^2 overflows in Q; np.linalg.eigvals would raise LinAlgError on it
+        W = random_primitive(np.random.default_rng(13), 10, 3)
+        W[4, 1] = 1e200
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DryStateError, match="non-finite quasilinear matrix at cell 4$") as info:
+                max_wave_speed(W, params(3, variant=Variant.SWME), validate=True)
+        assert info.value.index == (4,)
 
 
 def full_eigen_wave_speed(W, p):

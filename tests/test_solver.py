@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,15 +19,16 @@ from swlme.model import (
 from swlme.solver import (
     Grid1D,
     Scenario,
+    _extend_bottom,
+    _hydrostatic_correction,
+    _interface_states,
     apply_boundary,
     cfl_dt,
     initial_condition,
     make_topography,
-    pc_rusanov_update,
     run,
     semi_discrete_rhs,
     step,
-    well_balanced_source,
 )
 from test_model import full_eigen_wave_speed
 
@@ -106,14 +108,23 @@ class TestInitialCondition:
 class TestTopography:
     def test_flat(self):
         topo = make_topography("flat", {}, Grid1D(0.0, 1.0, 8))
-        assert np.all(topo.b == 0.0) and np.all(topo.dbdx == 0.0)
+        assert np.all(topo.b == 0.0)
+        assert not topo.b.flags.writeable
 
     def test_gaussian_slope_consistency(self):
+        # b follows the formulas and defaults of docs/config.md
         grid = Grid1D(-4.0, 4.0, 400)
-        topo = make_topography("gaussian", {"height": 0.3, "width": 1.5}, grid)
         x = grid.centers
-        exact = 0.3 * np.exp(-((x / 1.5) ** 2)) * (-2.0 * x / 1.5**2)
-        np.testing.assert_allclose(topo.dbdx[1:-1], exact[1:-1], atol=2e-4)
+        cases = [
+            ("gaussian", {"height": 0.3, "width": 1.5, "center": 0.4},
+             0.3 * np.exp(-(((x - 0.4) / 1.5) ** 2))),
+            ("gaussian", {}, 0.2 * np.exp(-(((x - 0.0) / 1.0) ** 2))),
+            ("gaussian", {"width": 2.0}, 0.2 * np.exp(-(((x - 0.0) / 2.0) ** 2))),
+            ("slope", {"grade": 0.05}, 0.05 * (x - grid.x_min)),
+            ("slope", {}, 0.01 * (x - grid.x_min)),
+        ]
+        for name, params, b in cases:
+            assert np.array_equal(make_topography(name, params, grid).b, b), (name, params)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown topography"):
@@ -200,54 +211,64 @@ class TestCflDt:
         assert all(np.array_equal(a, b) for a, b in zip(pruned.snapshots, reference.snapshots))
 
 
+def random_states(rng, cells, n, h=(0.2, 2.0), v=(-1.0, 1.0)):
+    """Conserved states with depths in h and every velocity in v."""
+    U = np.empty((cells, n + 2))
+    U[:, 0] = rng.uniform(*h, cells)
+    U[:, 1:] = U[:, :1] * rng.uniform(*v, (cells, n + 1))
+    return U
+
+
 class TestRusanovFluctuations:
+    """Properties of the Rusanov fluctuations, checked on semi_discrete_rhs."""
+
     def test_consistency(self):
-        p = ModelParams(g=10.0, N=1)
-        U = np.array([1.3, 0.4, -0.2])
-        Dm, Dp = pc_rusanov_update(U, U, p)
-        assert np.all(Dm == 0.0) and np.all(Dp == 0.0)
+        # equal states on both sides of every interface: no fluctuation at all
+        for variant in (Variant.SWLME, Variant.SWME):
+            sc = Scenario(params=ModelParams(g=10.0, N=3, variant=variant),
+                          grid=Grid1D(0.0, 1.0, 16), ic_name="constant",
+                          ic_params={"h": 1.3, "um": 0.4, "u": -0.2})
+            assert np.all(semi_discrete_rhs(sc.initial_states(), sc) == 0.0), variant
 
     def test_reduces_to_plain_rusanov(self):
-        # independent textbook shallow-water Rusanov splitting
+        # independent textbook shallow-water Rusanov scheme; dx = 1
         g = 9.81
-        p = ModelParams(g=g, N=0)
-        U_L = np.array([1.0, 0.3])
-        U_R = np.array([0.6, -0.2])
-
-        def swe_flux(U):
-            h, q = U
-            return np.array([q, q**2 / h + 0.5 * g * h**2])
-
-        def swe_speed(U):
-            h, q = U
-            return abs(q / h) + np.sqrt(g * h)
-
-        s = max(swe_speed(U_L), swe_speed(U_R))
-        Dm_ref = 0.5 * (swe_flux(U_R) - swe_flux(U_L)) - 0.5 * s * (U_R - U_L)
-        Dp_ref = 0.5 * (swe_flux(U_R) - swe_flux(U_L)) + 0.5 * s * (U_R - U_L)
-        Dm, Dp = pc_rusanov_update(U_L, U_R, p)
-        np.testing.assert_allclose(Dm, Dm_ref, atol=1e-14)
-        np.testing.assert_allclose(Dp, Dp_ref, atol=1e-14)
+        U = random_states(np.random.default_rng(12), 30, 0)
+        for bc, ext in (("periodic", np.vstack([U[-1:], U, U[:1]])),
+                        ("outflow", np.vstack([U[:1], U, U[-1:]]))):
+            h, q = ext[:, 0], ext[:, 1]
+            F = np.stack([q, q**2 / h + 0.5 * g * h**2], axis=1)
+            speed = np.abs(q / h) + np.sqrt(g * h)
+            s = np.maximum(speed[:-1], speed[1:])
+            F_star = 0.5 * (F[:-1] + F[1:]) - 0.5 * s[:, None] * (ext[1:] - ext[:-1])
+            sc = scenario(n=0, g=g, cells=30, span=(0.0, 30.0), bc=bc)
+            np.testing.assert_allclose(semi_discrete_rhs(U, sc), -(F_star[1:] - F_star[:-1]),
+                                       rtol=0.0, atol=1e-14, err_msg=bc)
 
     def test_sum_property(self):
+        # each interface hands its neighbours F(U_R) - F(U_L) - P in full: on a
+        # periodic flat domain the fluxes telescope and the cell updates sum to
+        # the path terms of all interfaces
         rng = np.random.default_rng(12)
-        p = ModelParams(g=9.81, N=2)
-        for _ in range(100):
-            U_L = np.concatenate([[rng.uniform(0.2, 2.0)], rng.uniform(-1.0, 1.0, 3)])
-            U_R = np.concatenate([[rng.uniform(0.2, 2.0)], rng.uniform(-1.0, 1.0, 3)])
-            Dm, Dp = pc_rusanov_update(U_L, U_R, p)
-            mean = to_primitive(0.5 * (U_L + U_R))
-            P = nonconservative_rhs(mean, U_R - U_L, p)
-            dF = flux(to_primitive(U_R), p) - flux(to_primitive(U_L), p)
-            np.testing.assert_allclose(Dm + Dp, dF - P, atol=1e-14)
+        for variant in (Variant.SWLME, Variant.SWME):
+            p = ModelParams(g=9.81, N=2, variant=variant)
+            sc = Scenario(params=p, grid=Grid1D(0.0, 25.0, 25), ic_name="constant")
+            for _ in range(20):
+                U = random_states(rng, 25, 2)
+                U_R = np.roll(U, -1, axis=0)
+                P = nonconservative_rhs(to_primitive(0.5 * (U + U_R)), U_R - U, p)
+                total = semi_discrete_rhs(U, sc).sum(axis=0) * sc.grid.dx
+                np.testing.assert_allclose(total, P.sum(axis=0), rtol=0.0, atol=1e-13)
 
 
 class TestWellBalancing:
     def test_flat_bottom_source_vanishes(self):
-        sc = scenario(n=1, cells=20, ic_params={"h": 1.0, "um": 0.5})
-        U = sc.initial_states()
-        src = well_balanced_source(U, sc.topography, sc.params.g, sc.boundary)
-        assert np.all(src == 0.0)
+        # the hydrostatic momentum correction is semi_discrete_rhs's only bottom term
+        U = random_states(np.random.default_rng(14), 20, 1)
+        for bc in ("periodic", "outflow", "reflective"):
+            Us = _interface_states(apply_boundary(U, bc).T.copy(),
+                                   _extend_bottom(np.zeros(20), bc), 1e-10, bc)
+            assert np.all(_hydrostatic_correction(Us[0], 9.81) == 0.0), bc
 
     def test_lake_at_rest_is_fixed_point(self):
         sc = scenario(n=1, g=9.812, cells=100, span=(-5.0, 5.0), ic="lake_at_rest",
@@ -510,6 +531,23 @@ class TestRun:
         assert traj.failure == "time step underflow at t = 0.0"
         assert traj.times == [0.0] and traj.steps.shape == (1, 4)
 
+    def test_dry_failure_names_cell_as_int(self):
+        sc = scenario(n=0, cells=40, ic="constant", ic_params={"um": 10.0},
+                      bc="reflective", t_end=1.0)
+        traj = run(sc)
+        assert traj.failure.startswith("stage ")
+        assert traj.failure.endswith("at cell 0")
+
+    def test_overflowed_swme_state_is_a_recorded_failure(self):
+        # u_m ~ 1e200 overflows the quasilinear matrix, which cannot be eigen-solved
+        sc = Scenario(params=ModelParams(g=9.81, N=3, variant=Variant.SWME),
+                      grid=Grid1D(0.0, 1.0, 20), ic_name="smooth_periodic",
+                      ic_params={"um_amp": 1e200}, t_end=0.1)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            traj = run(sc)
+        assert traj.failure == "invalid state: non-finite quasilinear matrix at cell 0"
+        assert traj.times == [0.0] and traj.steps.shape == (1, 4)
+
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
@@ -533,3 +571,31 @@ def test_with_cells_resamples_topography():
     assert fine.grid.cells == 100
     assert fine.topography.b.shape == (100,)
     assert sc.topography.b.shape == (50,)
+
+
+def test_scenario_is_frozen():
+    sc = scenario(cells=10)
+    for name, value in (("t_end", 1.0), ("topo_name", "slope"), ("topo_params", {}),
+                        ("grid", Grid1D(0.0, 1.0, 20))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sc, name, value)
+    with pytest.raises(TypeError):
+        sc.ic_params["h"] = 2.0
+
+
+def test_scenario_keeps_resolved_copies_of_its_params():
+    ic_params, topo_params = {"surface": 1.0}, {"height": 0.2}
+    sc = scenario(cells=50, span=(-5.0, 5.0), ic="lake_at_rest", ic_params=ic_params,
+                  topo="gaussian", topo_params=topo_params, bc="outflow")
+    assert sc.ic_params == {"surface": 1.0}
+    assert sc.topo_params == {"height": 0.2, "width": 1.0, "center": 0.0}
+    b = make_topography("gaussian", {"height": 0.2}, sc.grid).b
+    U0 = initial_condition("lake_at_rest", {"surface": 1.0}, sc.grid, 0, b)
+    # mutated before the bottom is first sampled, and again after
+    topo_params["height"] = 0.5
+    ic_params["surface"] = 2.0
+    assert np.array_equal(sc.topography.b, b)
+    topo_params["width"] = 3.0
+    assert np.array_equal(sc.topography.b, b)
+    assert np.array_equal(sc.initial_states(), U0)
+    assert not sc.topography.b.flags.writeable
