@@ -157,13 +157,12 @@ class ClosureTensors:
         self.B.setflags(write=False)
 
 
-def compute_tensors(order: int, variant: Variant, n_nodes: int | None = None) -> ClosureTensors:
+def compute_tensors(order: int, variant: Variant) -> ClosureTensors:
     """Build the closure tensors for the given moment order.
 
     The linearized variant has identically zero tensors.  The full variant
     integrates the polynomial products by Gauss quadrature that is exact
-    for their degree; n_nodes can override the default count (used to test
-    that the entries have plateaued).
+    for their degree (tensor_node_count).
     """
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
@@ -171,7 +170,7 @@ def compute_tensors(order: int, variant: Variant, n_nodes: int | None = None) ->
         zeros = np.zeros((order, order, order))
         return ClosureTensors(order=order, A=zeros, B=zeros.copy(), variant=variant)
 
-    rule = gauss_rule(n_nodes if n_nodes is not None else tensor_node_count(order))
+    rule = gauss_rule(tensor_node_count(order))
     z, w = rule.nodes, rule.weights
     # values, derivatives, and antiderivatives of phi_1..phi_N at the nodes
     vals = phi_table(order, z)[1:]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from swlme.basis import Variant
-from swlme.model import ModelParams
+from swlme.model import N_MAX, ModelParams
 from swlme.solver import _PRESETS, BOUNDARY_KINDS, Grid1D, Scenario
 
 
@@ -112,9 +112,12 @@ def build_scenario(cfg: dict) -> Scenario:
     topo_params = {key.split(".", 1)[1]: _get(cfg, key, float)
                    for key in topo_keys if key in cfg}
 
+    n = _get(cfg, "model.N", int)
+    if not 0 <= n <= N_MAX:
+        raise ConfigError(f"key 'model.N': expected an order in 0..{N_MAX}, got {n}")
+
     try:
-        params = ModelParams(g=_get(cfg, "model.g", float), N=_get(cfg, "model.N", int),
-                             variant=variant)
+        params = ModelParams(g=_get(cfg, "model.g", float), N=n, variant=variant)
         grid = Grid1D(x_min=_get(cfg, "grid.xmin", float),
                       x_max=_get(cfg, "grid.xmax", float),
                       cells=_get(cfg, "grid.cells", int))

@@ -28,18 +28,19 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from swlme.basis import ClosureTensors, Variant, compute_tensors
 
-DEFAULT_H_MIN = 1e-10
+H_MIN = 1e-10  # dry threshold: a depth at or below it is rejected
+N_MAX = 64  # largest moment order; the tensors take 2 N^3 floats
 
 
 class DryStateError(RuntimeError):
-    """Water depth at or below the dry threshold; the state is unusable."""
+    """A depth at or below the dry threshold, or a non-finite state; it is unusable."""
 
     def __init__(self, message: str, index=None):
         super().__init__(message)
@@ -63,25 +64,19 @@ class EntropyVars(NamedTuple):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Gravity, moment order, closure variant, and the matching tensors."""
+    """Gravity, moment order and closure variant; the tensors are computed from them."""
 
     g: float
     N: int
     variant: Variant = Variant.SWLME
-    tensors: ClosureTensors | None = None
-    h_min: float = DEFAULT_H_MIN
+    tensors: ClosureTensors = field(init=False, compare=False)  # a function of N and variant
 
     def __post_init__(self):
         if not np.isfinite(self.g) or self.g <= 0:
             raise ValueError(f"gravity must be positive and finite, got {self.g}")
-        if self.N < 0:
-            raise ValueError(f"moment order must be >= 0, got {self.N}")
-        if self.tensors is None:
-            object.__setattr__(self, "tensors", compute_tensors(self.N, self.variant))
-        if self.tensors.order != self.N:
-            raise ValueError(f"tensor order {self.tensors.order} != N = {self.N}")
-        if self.tensors.variant is not self.variant:
-            raise ValueError("tensor variant does not match model variant")
+        if not 0 <= self.N <= N_MAX:
+            raise ValueError(f"moment order must be in 0..{N_MAX}, got {self.N}")
+        object.__setattr__(self, "tensors", compute_tensors(self.N, self.variant))
 
     @property
     def n_vars(self) -> int:
@@ -106,13 +101,13 @@ def moment_weights(n: int) -> np.ndarray:
     return w
 
 
-def check_wet(h: np.ndarray, h_min: float = DEFAULT_H_MIN) -> None:
-    """Raise DryStateError if any depth is at or below the threshold or not finite.
+def check_wet(h: np.ndarray) -> None:
+    """Raise DryStateError if any depth is at or below H_MIN or not finite.
 
     The error's index holds the offending cell as a tuple of ints.
     """
     h = np.asarray(h)
-    if np.any(h <= h_min) or not np.all(np.isfinite(h)):
+    if np.any(h <= H_MIN) or not np.all(np.isfinite(h)):
         flat = np.argmin(np.where(np.isfinite(h), h, -np.inf))
         idx = tuple(int(i) for i in np.unravel_index(flat, h.shape))
         raise DryStateError(
@@ -170,22 +165,22 @@ def _wave_speed(h, um, T, g: float):
     return np.abs(um) + np.sqrt(g * h + 3.0 * T)
 
 
-def to_primitive(U: np.ndarray, h_min: float = DEFAULT_H_MIN) -> np.ndarray:
+def to_primitive(U: np.ndarray) -> np.ndarray:
     """Convert [h, q, r_i] to [h, u_m, u_i]; errors on dry states."""
     U = np.asarray(U, dtype=float)
     h = U[..., 0]
-    check_wet(h, h_min)
+    check_wet(h)
     W = np.empty_like(U)
     W[..., 0] = h
     W[..., 1:] = U[..., 1:] / h[..., None]
     return W
 
 
-def to_conserved(W: np.ndarray, h_min: float = DEFAULT_H_MIN) -> np.ndarray:
+def to_conserved(W: np.ndarray) -> np.ndarray:
     """Convert [h, u_m, u_i] to [h, q, r_i]; exact inverse of to_primitive."""
     W = np.asarray(W, dtype=float)
     h = W[..., 0]
-    check_wet(h, h_min)
+    check_wet(h)
     U = np.empty_like(W)
     U[..., 0] = h
     U[..., 1:] = W[..., 1:] * h[..., None]
@@ -200,7 +195,7 @@ def flux(W: np.ndarray, p: ModelParams) -> np.ndarray:
                  h (2 u_m u_i + sum_jk A_ijk u_j u_k)].
     """
     W = np.asarray(W, dtype=float)
-    check_wet(W[..., 0], p.h_min)
+    check_wet(W[..., 0])
     F = np.empty_like(W)
     rows = np.moveaxis(W, -1, 0)
     # [i, ...] keeps a single state's fields 0-d arrays: numpy's scalar ** rounds
@@ -260,45 +255,38 @@ def boussinesq_beta(W: np.ndarray) -> np.ndarray | float:
     return float(beta) if W.ndim == 1 else beta
 
 
-def flux_jacobian(W: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Jacobian of flux() with respect to the conserved variables."""
+def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Matrix Q with d/dt U + Q(U) d/dx U = sources, at primitive states.
+
+    Q is the Jacobian of flux() with respect to the conserved variables
+    minus the matrix G with nonconservative_rhs(W, dUdx) = G @ dUdx, built
+    in one buffer.  The moment block is (2 u_m + a_ii) - (u_m - b_ii) on
+    the diagonal and a_ij + b_ij off it, a = (A + A^T) u and b = B u: the
+    roundings of the Jacobian and G formed apart and subtracted.
+    """
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
-    check_wet(h, p.h_min)
+    check_wet(h)
     n = p.n_vars
-    J = np.zeros(W.shape[:-1] + (n, n))
-    wts = moment_weights(p.N)
-    J[..., 0, 1] = 1.0
-    J[..., 1, 0] = p.g * h - um**2 - _moment_sum(u)
-    J[..., 1, 1] = 2.0 * um
-    J[..., 1, 2:] = 2.0 * u * wts
-    J[..., 2:, 0] = -2.0 * um[..., None] * u
-    J[..., 2:, 1] = 2.0 * u
+    Q = np.zeros(W.shape[:-1] + (n, n))
+    Q[..., 0, 1] = 1.0
+    Q[..., 1, 0] = p.g * h - um**2 - _moment_sum(u)
+    Q[..., 1, 1] = 2.0 * um
+    Q[..., 1, 2:] = 2.0 * u * moment_weights(p.N)
+    Q[..., 2:, 0] = -2.0 * um[..., None] * u
+    Q[..., 2:, 1] = 2.0 * u
     idx = np.arange(2, n)
-    J[..., idx, idx] = 2.0 * um[..., None]
+    um_ = um[..., None]
     if p.variant is Variant.SWME and p.N > 0:
-        A = p.tensors.A
-        J[..., 2:, 0] -= np.einsum("ijk,...j,...k->...i", A, u, u)
-        J[..., 2:, 2:] += np.einsum("ijk,...k->...ij", A + A.transpose(0, 2, 1), u)
-    return J
-
-
-def ncp_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Coefficient matrix G with nonconservative_rhs = G @ dUdx."""
-    W = np.asarray(W, dtype=float)
-    um, u = W[..., 1], W[..., 2:]
-    n = p.n_vars
-    G = np.zeros(W.shape[:-1] + (n, n))
-    idx = np.arange(2, n)
-    G[..., idx, idx] = um[..., None]
-    if p.variant is Variant.SWME and p.N > 0:
-        G[..., 2:, 2:] -= np.einsum("ijk,...k->...ij", p.tensors.B, u)
-    return G
-
-
-def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Matrix Q with d/dt U + Q(U) d/dx U = sources (flux Jacobian minus NCP part)."""
-    return flux_jacobian(W, p) - ncp_matrix(W, p)
+        A, B = p.tensors.A, p.tensors.B
+        Q[..., 2:, 0] -= np.einsum("ijk,...j,...k->...i", A, u, u)
+        a = np.einsum("ijk,...k->...ij", A + A.transpose(0, 2, 1), u)
+        b = np.einsum("ijk,...k->...ij", B, u)
+        np.add(a, b, out=Q[..., 2:, 2:])
+        Q[..., idx, idx] = (2.0 * um_ + a.diagonal(0, -2, -1)) - (um_ - b.diagonal(0, -2, -1))
+    else:
+        Q[..., idx, idx] = 2.0 * um_ - um_
+    return Q
 
 
 def _spectral_bound(Q: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -353,7 +341,7 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.
     """
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
-    check_wet(h, p.h_min)
+    check_wet(h)
     s = _wave_speed(h, um, _moment_sum(u), p.g)
     if validate:
         Q = quasilinear_matrix(W, p).reshape(-1, W.shape[-1], W.shape[-1])

@@ -120,7 +120,7 @@ def make_topography(name: str, params: Mapping, grid: Grid1D) -> Topography:
 
 
 def initial_condition(name: str, params: Mapping, grid: Grid1D, n_moments: int,
-                      b: np.ndarray | None = None) -> np.ndarray:
+                      b: np.ndarray) -> np.ndarray:
     """Build the initial conserved states for a named preset.
 
     Presets: dam_break (h_l/h_r split at x0, at rest), lake_at_rest
@@ -134,8 +134,7 @@ def initial_condition(name: str, params: Mapping, grid: Grid1D, n_moments: int,
     if name == "dam_break":
         U[:, 0] = np.where(x < p["x0"], p["h_l"], p["h_r"])
     elif name == "lake_at_rest":
-        bottom = np.zeros(m) if b is None else np.asarray(b, dtype=float)
-        U[:, 0] = p["surface"] - bottom
+        U[:, 0] = p["surface"] - b
     elif name == "smooth_periodic":
         phase = np.sin(2.0 * np.pi * (x - grid.x_min) / (grid.x_max - grid.x_min))
         h = p["h0"] + p["h_amp"] * phase
@@ -207,7 +206,6 @@ class Trajectory:
     times: list          # snapshot times, strictly increasing
     snapshots: list      # conserved state arrays, one per time
     steps: np.ndarray    # rows (t, mass, momentum, total_energy), one per step plus t=0
-    dx: float
     failure: str | None = None
 
 
@@ -247,7 +245,7 @@ def _extend_bottom(b: np.ndarray, kind: str) -> np.ndarray:
 
 def cfl_dt(U: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
     """Time step cfl * dx / (largest wave-speed bound over the cells)."""
-    return _cfl_dt(to_primitive(U, params.h_min), grid, params, cfl)
+    return _cfl_dt(to_primitive(U), grid, params, cfl)
 
 
 def _cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
@@ -262,8 +260,7 @@ def _cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> flo
     return cfl * grid.dx / float(np.max(speeds))
 
 
-def _interface_states(X: np.ndarray, b_ext: np.ndarray, h_min: float,
-                      boundary: str) -> np.ndarray:
+def _interface_states(X: np.ndarray, b_ext: np.ndarray, boundary: str) -> np.ndarray:
     """Hydrostatically reconstructed interface states, variable axis first.
 
     X holds the ghost-extended conserved states as rows, shape
@@ -285,7 +282,7 @@ def _interface_states(X: np.ndarray, b_ext: np.ndarray, h_min: float,
     np.minimum(hs[0], h[:-1], out=low[0])
     np.minimum(hs[1], h[1:], out=low[1])
     try:
-        check_wet(low, h_min)
+        check_wet(low)
     except DryStateError as err:
         side, j = err.index
         cell = j + side - 1  # ghost-extended index j + side, less the left ghost
@@ -336,7 +333,7 @@ def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
     p = scenario.params
     Us = _interface_states(apply_boundary(U, scenario.boundary).T.copy(),
                            _extend_bottom(scenario.topography.b, scenario.boundary),
-                           p.h_min, scenario.boundary)
+                           scenario.boundary)
     dUs = Us[:, 1] - Us[:, 0]
     F_star = _rusanov_flux(Us, dUs, p)
     dU = -(F_star[:, 1:] - F_star[:, :-1])
@@ -348,12 +345,23 @@ def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
     return out
 
 
+def _check_finite(U: np.ndarray) -> None:
+    """Raise DryStateError naming the first cell whose momentum or a moment is not finite."""
+    bad = ~np.isfinite(U[:, 1:])
+    if bad.any():
+        cell, col = (int(i) for i in np.argwhere(bad)[0])
+        name = "momentum" if col == 0 else f"moment {col}"
+        raise DryStateError(f"non-finite state: {name} = {U[cell, col + 1]} at cell {cell}",
+                            index=(cell,))
+
+
 def step(U: np.ndarray, dt: float, scenario: Scenario) -> np.ndarray:
-    """One SSP-RK3 step; aborts with cell and stage on a dry state."""
+    """One SSP-RK3 step; aborts with cell and stage on a non-finite or dry state."""
     def stage(V: np.ndarray, k: int) -> np.ndarray:
         try:
             out = V + dt * semi_discrete_rhs(V, scenario)
-            check_wet(out[:, 0], scenario.params.h_min)
+            _check_finite(out)
+            check_wet(out[:, 0])
         except DryStateError as err:
             raise DryStateError(f"stage {k}: {err}", index=err.index) from err
         return out
@@ -393,7 +401,7 @@ def run(scenario: Scenario) -> Trajectory:
     times = [0.0]
     snapshots = [U.copy()]
     # each state is converted and validated once, for its summary row and the next time step
-    W = to_primitive(U, p.h_min)
+    W = to_primitive(U)
     rows = [_summary_row(t, U, W, b, p.g, grid.dx)]
     failure = None
     n_steps = 0
@@ -415,7 +423,7 @@ def run(scenario: Scenario) -> Trajectory:
             break
         t = next_target if landed else t + dt
         n_steps += 1
-        W = to_primitive(U, p.h_min)
+        W = to_primitive(U)
         rows.append(_summary_row(t, U, W, b, p.g, grid.dx))
         want_snap = landed or (
             scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
@@ -424,5 +432,4 @@ def run(scenario: Scenario) -> Trajectory:
             times.append(t)
             snapshots.append(U.copy())
 
-    return Trajectory(times=times, snapshots=snapshots, steps=np.array(rows),
-                      dx=grid.dx, failure=failure)
+    return Trajectory(times=times, snapshots=snapshots, steps=np.array(rows), failure=failure)

@@ -7,8 +7,9 @@ import pytest
 from swlme.basis import Variant, compute_tensors
 from swlme.cli import CSV_CHUNK_ROWS, _fmt, _write_outputs, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
-from swlme.model import energy, to_primitive
+from swlme.model import N_MAX, energy, to_primitive
 from swlme.solver import _PRESETS, run
+from test_diagnostics import scale_energy_flux
 
 LAKE_CFG = """\
 # lake at rest over a bump
@@ -116,6 +117,13 @@ class TestBuildScenario:
         with pytest.raises(ConfigError, match=f"'{key}'.*finite"):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("n", [-1, N_MAX + 1, 10**9])
+    def test_moment_order_out_of_range_named(self, tmp_path, n):
+        cfg = self.valid(tmp_path)
+        cfg["model.N"] = str(n)
+        with pytest.raises(ConfigError, match=f"'model.N'.*0..{N_MAX}, got {n}$"):
+            build_scenario(cfg)
+
     def test_drowned_surface(self, tmp_path):
         cfg = self.valid(tmp_path)
         cfg["ic.surface"] = "0.1"  # below the bump crest
@@ -144,6 +152,12 @@ class TestCoeffsCommand:
     def test_rejects_order_zero(self, capsys):
         assert main(["coeffs", "--N", "0"]) == 1
 
+    @pytest.mark.parametrize("n", [N_MAX + 1, 10**9])
+    def test_rejects_order_above_bound(self, capsys, n):
+        assert main(["coeffs", "--N", str(n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: --N must be in 1..{N_MAX}")
+
     def test_full_order_two_matches_tensors(self, capsys):
         assert main(["coeffs", "--N", "2", "--variant", "swme"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -168,9 +182,9 @@ class TestCheckCommand:
         assert main(["check", "--samples", "0"]) == 0
         assert "vacuous" in capsys.readouterr().out
 
-    def test_negative_control(self, capsys):
-        code = main(["check", "--N", "1", "--samples", "200", "--seed", "3",
-                     "--corrupt-energy-flux", "1.001"])
+    def test_negative_control(self, capsys, monkeypatch):
+        scale_energy_flux(monkeypatch, 1.001)
+        code = main(["check", "--N", "1", "--samples", "200", "--seed", "3"])
         captured = capsys.readouterr()
         assert code == 1
         assert "total energy identity" in captured.err
@@ -207,6 +221,10 @@ class TestCheckCommand:
 
     def test_rejects_negative_order(self, capsys, monkeypatch):
         self.rejected(capsys, monkeypatch, ["--N", "1,-1"], "--N")
+
+    @pytest.mark.parametrize("n", [N_MAX + 1, 10**9])
+    def test_rejects_order_above_bound(self, capsys, monkeypatch, n):
+        self.rejected(capsys, monkeypatch, ["--N", f"1,{n}"], "--N")
 
     def test_rejects_repeated_order(self, capsys, monkeypatch):
         # otherwise order 1 is evaluated and counted twice
@@ -406,6 +424,25 @@ def test_overflowed_swme_run_exits_2_with_partial_output(tmp_path, capsys):
     assert "non-finite quasilinear matrix at cell 0" in err and "partial output" in err
     assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
     assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 20
+
+
+def test_overflowed_swlme_run_reports_non_finite_state(tmp_path, capsys):
+    # h u_m^2 overflows in the stage-1 flux and the momentum turns NaN while
+    # every depth is 1 +- 0.1; the stage names it rather than a dry state
+    cfg = tmp_path / "swlme.cfg"
+    cfg.write_text(
+        "model.N = 3\nmodel.g = 9.81\nmodel.variant = swlme\n"
+        "grid.cells = 50\ngrid.xmin = 0.0\ngrid.xmax = 1.0\n"
+        "bc.kind = periodic\nic.name = smooth_periodic\nic.um_amp = 1e200\n"
+        f"time.t_end = 0.1\ntime.cfl = 0.9\noutput.path = {tmp_path/'o'}\n"
+    )
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "run failed (stage 1: non-finite state: momentum = nan at cell 0)" in err
+    assert "partial output" in err
+    assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
+    assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 50
 
 
 def test_docs_list_exactly_the_preset_table():

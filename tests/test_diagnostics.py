@@ -13,14 +13,11 @@ from swlme.diagnostics import (
     check_skew_forms,
     check_total_energy_identity,
     convergence_study,
-    energy_report,
-    energy_residual,
     gradient_check_entropy,
-    residual_C_M_ui,
     stoker_dam_break,
     stoker_intermediate,
 )
-from swlme.model import ModelParams, entropy_vars, moment_weights
+from swlme.model import ModelParams, energy, entropy_vars, moment_weights, to_primitive
 from swlme.solver import Grid1D, Scenario, run
 
 
@@ -29,6 +26,20 @@ def zero_sample(n, size=4, h=1.0):
     zu = np.zeros((size, n))
     return FreeSample(h=np.full(size, h), um=z, u=zu, b=z, dt_h=z, dx_h=z,
                       dt_um=z, dx_um=z, dt_u=zu, dx_u=zu, dx_b=z)
+
+
+def scale_energy_flux(monkeypatch, factor):
+    """Corrupt the energy flux terms of every _Expansions by factor (a negative control)."""
+    original = _Expansions.energy_flux.func
+    monkeypatch.setattr(_Expansions, "energy_flux", property(lambda ex: factor * original(ex)))
+
+
+def balance_residuals(s, g):
+    """Summed continuity, momentum and moment residuals of the slots, batch + (N+2,)."""
+    ex = _Expansions(s, g)
+    return np.concatenate([_term_sum(ex.continuity)[..., None],
+                           _term_sum(ex.momentum)[..., None],
+                           _term_sum(ex.moment)], axis=-1)
 
 
 def independent_residuals(s, g):
@@ -54,7 +65,7 @@ def independent_residuals(s, g):
 
 class TestResiduals:
     def test_zero_slots(self):
-        R = residual_C_M_ui(zero_sample(2), 9.81)
+        R = balance_residuals(zero_sample(2), 9.81)
         assert np.all(R == 0.0)
 
     def test_constructed_continuity_solution(self):
@@ -62,7 +73,7 @@ class TestResiduals:
         rng = np.random.default_rng(20)
         s = FreeSample.random(rng, 50, 1)
         s.dt_h = -(s.dx_h * s.um + s.h * s.dx_um)
-        R = residual_C_M_ui(s, 9.81)
+        R = balance_residuals(s, 9.81)
         assert np.abs(R[:, 0]).max() <= 1e-14
         assert np.abs(R[:, 1]).min() > 1e-6
         assert np.abs(R[:, 2]).min() > 1e-8
@@ -71,7 +82,7 @@ class TestResiduals:
     def test_against_independent_expansion(self, n):
         rng = np.random.default_rng(21)
         s = FreeSample.random(rng, 500, n)
-        R = residual_C_M_ui(s, 9.81)
+        R = balance_residuals(s, 9.81)
         r_c, r_m, r_u = independent_residuals(s, 9.81)
         np.testing.assert_allclose(R[:, 0], r_c, atol=1e-13)
         np.testing.assert_allclose(R[:, 1], r_m, atol=1e-13)
@@ -104,12 +115,15 @@ class TestTotalEnergyIdentity:
             + g * (s.dx_h * s.um + s.h * s.dx_um) * (s.h + s.b)
             + g * s.h * s.um * (s.dx_h + s.dx_b)
         )
-        np.testing.assert_allclose(energy_residual(s, g), dt_e + dx_f, atol=1e-12)
+        ex = _Expansions(s, g)
+        np.testing.assert_allclose(_term_sum(ex.energy_time) + _term_sum(ex.energy_flux),
+                                   dt_e + dx_f, atol=1e-12)
 
-    def test_corruption_is_detected(self):
+    def test_corruption_is_detected(self, monkeypatch):
         rng = np.random.default_rng(24)
         s = FreeSample.random(rng, 1000, 2)
-        assert check_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6) > 1e-9
+        scale_energy_flux(monkeypatch, 1.0 + 1e-6)
+        assert check_total_energy_identity(s, 9.81) > 1e-9
 
 
 class TestSkewForms:
@@ -269,11 +283,13 @@ class TestBlockedChecks:
         np.testing.assert_array_equal(np.concatenate([blk.u for blk in blocks]), s.u)
         assert [blk.h.shape for blk in _blocks(zero_sample(1, size=0))] == [(0,)]
 
-    def test_corruption_detected_across_blocks(self):
+    def test_corruption_detected_across_blocks(self, monkeypatch):
         s = FreeSample.random(np.random.default_rng(45), 3 * _BLOCK + 1, 2)
-        corrupted = check_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
+        want = reference_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
+        scale_energy_flux(monkeypatch, 1.0 + 1e-6)
+        corrupted = check_total_energy_identity(s, 9.81)
         assert corrupted > 1e-9
-        assert corrupted == reference_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
+        assert corrupted == want
 
 
 class TestTermSum:
@@ -416,21 +432,26 @@ class TestEnergyReport:
                       topo_name="gaussian", topo_params={"height": 0.2},
                       boundary="outflow", t_end=0.5, output_snapshots=5)
         traj = run(sc)
-        rep = energy_report(traj, sc.topography, sc.params.g)
-        E = rep.total_energy
+        E = traj.steps[:, 3]
         assert np.abs(E - E[0]).max() / E[0] <= 1e-12
-        assert rep.dissipation_rate.size == E.size - 1
+        # each snapshot's totals are the row run stored at its time
+        assert len(traj.times) == 6
+        dx = sc.grid.dx
+        for t, U in zip(traj.times, traj.snapshots):
+            (row,) = traj.steps[traj.steps[:, 0] == t]
+            e = energy(to_primitive(U), sc.topography.b, sc.params.g).e
+            assert row[1:].tolist() == [U[:, 0].sum() * dx, U[:, 1].sum() * dx, e.sum() * dx]
 
     def test_single_snapshot(self):
         sc = Scenario(params=ModelParams(g=10.0, N=0), grid=Grid1D(0.0, 1.0, 10),
                       ic_name="constant", ic_params={"h": 1.0}, boundary="periodic",
                       t_end=0.0)
         traj = run(sc)
-        rep = energy_report(traj, sc.topography, sc.params.g)
-        assert rep.times.size == 1 and rep.dissipation_rate.size == 0
+        assert traj.times == [0.0] and traj.steps.shape == (1, 4)
+        t, mass, _, total_energy = traj.steps[0]
         # e = g h^2 / 2 = 5 per unit length
-        assert rep.total_energy[0] == pytest.approx(5.0, rel=1e-14)
-        assert rep.mass[0] == pytest.approx(1.0, rel=1e-14)
+        assert total_energy == pytest.approx(5.0, rel=1e-14)
+        assert mass == pytest.approx(1.0, rel=1e-14)
 
 
 class TestConvergence:

@@ -6,17 +6,18 @@ import pytest
 
 from swlme.basis import Variant
 from swlme.model import (
+    N_MAX,
     DryStateError,
     ModelParams,
     WaveSpeedBoundWarning,
+    _moment_sum,
     boussinesq_beta,
     check_wet,
     energy,
     entropy_vars,
     flux,
-    flux_jacobian,
     max_wave_speed,
-    ncp_matrix,
+    moment_weights,
     nonconservative_rhs,
     quasilinear_matrix,
     to_conserved,
@@ -128,16 +129,6 @@ class TestNonconservative:
                     for k in range(2):
                         want[2 + i] -= B[i, j, k] * u[k] * dU[2 + j]
             np.testing.assert_allclose(got, want, atol=1e-14)
-
-    def test_matrix_agrees_with_direct_evaluation(self):
-        rng = np.random.default_rng(3)
-        for variant in (Variant.SWLME, Variant.SWME):
-            p = params(3, variant=variant)
-            W = random_primitive(rng, 1, 3)[0]
-            dU = rng.uniform(-1.0, 1.0, 5)
-            np.testing.assert_allclose(
-                ncp_matrix(W, p) @ dU, nonconservative_rhs(W, dU, p), atol=1e-14
-            )
 
 
 class TestEnergy:
@@ -262,7 +253,63 @@ class TestBoussinesq:
             boussinesq_beta(np.array([1.0, 0.0, 1.0]))
 
 
+# the flux Jacobian and the nonconservative coefficient matrix, built apart as
+# quasilinear_matrix did before it filled one buffer; Q must keep their bits
+def reference_flux_jacobian(W, p):
+    W = np.asarray(W, dtype=float)
+    h, um, u = W[..., 0], W[..., 1], W[..., 2:]
+    check_wet(h)
+    n = p.n_vars
+    J = np.zeros(W.shape[:-1] + (n, n))
+    wts = moment_weights(p.N)
+    J[..., 0, 1] = 1.0
+    J[..., 1, 0] = p.g * h - um**2 - _moment_sum(u)
+    J[..., 1, 1] = 2.0 * um
+    J[..., 1, 2:] = 2.0 * u * wts
+    J[..., 2:, 0] = -2.0 * um[..., None] * u
+    J[..., 2:, 1] = 2.0 * u
+    idx = np.arange(2, n)
+    J[..., idx, idx] = 2.0 * um[..., None]
+    if p.variant is Variant.SWME and p.N > 0:
+        A = p.tensors.A
+        J[..., 2:, 0] -= np.einsum("ijk,...j,...k->...i", A, u, u)
+        J[..., 2:, 2:] += np.einsum("ijk,...k->...ij", A + A.transpose(0, 2, 1), u)
+    return J
+
+
+def reference_ncp_matrix(W, p):
+    W = np.asarray(W, dtype=float)
+    um, u = W[..., 1], W[..., 2:]
+    n = p.n_vars
+    G = np.zeros(W.shape[:-1] + (n, n))
+    idx = np.arange(2, n)
+    G[..., idx, idx] = um[..., None]
+    if p.variant is Variant.SWME and p.N > 0:
+        G[..., 2:, 2:] -= np.einsum("ijk,...k->...ij", p.tensors.B, u)
+    return G
+
+
 class TestQuasilinear:
+    @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+    def test_bitwise_against_jacobian_minus_ncp_matrix(self, variant):
+        rng = np.random.default_rng(8)
+        for n in range(9):
+            p = params(n, g=9.81, variant=variant)
+            W = random_primitive(rng, 300, n)
+            # zero velocities of both signs, where the order of the roundings shows
+            zeros = rng.random((300, n + 1)) < 0.3
+            W[:, 1:][zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+            W[:2, 1:] = [[0.0], [-0.0]]
+            for states in (W, W[5], W[:12].reshape(3, 4, n + 2)):
+                want = reference_flux_jacobian(states, p) - reference_ncp_matrix(states, p)
+                got = quasilinear_matrix(states, p)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (n, states.shape)
+
+    def test_dry_state(self):
+        with pytest.raises(DryStateError):
+            quasilinear_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), params(1))
+
     def test_rest_state_eigenvalues(self):
         Q = quasilinear_matrix(np.array([1.0, 0.0]), params(0))
         lam = np.sort(np.linalg.eigvals(Q).real)
@@ -270,18 +317,21 @@ class TestQuasilinear:
 
     @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
     def test_jacobian_against_finite_differences(self, variant):
+        # column m of Q: the central difference of the flux along e_m, minus
+        # the nonconservative term that dU/dx = e_m produces
         rng = np.random.default_rng(9)
         p = params(2, g=9.81, variant=variant)
         W = random_primitive(rng, 100, 2, h_range=(0.2, 5.0))
         U = to_conserved(W)
-        J = flux_jacobian(W, p)
+        Q = quasilinear_matrix(W, p)
         for m in range(4):
             step = 1e-6 * np.maximum(1.0, np.abs(U[:, m]))
             Up, Um = U.copy(), U.copy()
             Up[:, m] += step
             Um[:, m] -= step
             fd = (flux(to_primitive(Up), p) - flux(to_primitive(Um), p)) / (2.0 * step[:, None])
-            dev = np.abs(fd - J[:, :, m]) / np.maximum(1.0, np.abs(J[:, :, m]))
+            want = fd - nonconservative_rhs(W, np.eye(4)[m], p)
+            dev = np.abs(want - Q[:, :, m]) / np.maximum(1.0, np.abs(Q[:, :, m]))
             assert dev.max() <= 1e-6
 
     def test_zero_moments_decouple(self):
@@ -416,10 +466,19 @@ def test_params_validation():
             ModelParams(g=g, N=1)
     with pytest.raises(ValueError):
         ModelParams(g=9.81, N=-1)
-    from swlme.basis import compute_tensors
+    # an order above N_MAX is rejected before its 2 N^3 tensor entries are allocated
+    for n in (N_MAX + 1, 10**9):
+        with pytest.raises(ValueError, match=f"0..{N_MAX}, got {n}"):
+            ModelParams(g=9.81, N=n)
+    p = ModelParams(g=9.81, N=N_MAX)
+    assert p.tensors.order == N_MAX and p.tensors.variant is Variant.SWLME
+    # the tensors always follow N and the variant: they are not an argument
+    with pytest.raises(TypeError):
+        ModelParams(g=9.81, N=2, tensors=p.tensors)
 
-    with pytest.raises(ValueError):
-        ModelParams(g=9.81, N=2, tensors=compute_tensors(1, Variant.SWLME))
-    with pytest.raises(ValueError):
-        ModelParams(g=9.81, N=2, variant=Variant.SWME,
-                    tensors=compute_tensors(2, Variant.SWLME))
+
+def test_params_compare_by_gravity_order_and_variant():
+    # the computed tensors take no part, so equal parameters compare and hash equal
+    a, b = params(3, variant=Variant.SWME), params(3, variant=Variant.SWME)
+    assert a == b and hash(a) == hash(b)
+    assert a != params(3) and a != params(2, variant=Variant.SWME)

@@ -267,7 +267,7 @@ class TestWellBalancing:
         U = random_states(np.random.default_rng(14), 20, 1)
         for bc in ("periodic", "outflow", "reflective"):
             Us = _interface_states(apply_boundary(U, bc).T.copy(),
-                                   _extend_bottom(np.zeros(20), bc), 1e-10, bc)
+                                   _extend_bottom(np.zeros(20), bc), bc)
             assert np.all(_hydrostatic_correction(Us[0], 9.81) == 0.0), bc
 
     def test_lake_at_rest_is_fixed_point(self):
@@ -441,6 +441,28 @@ class TestStep:
             step(U, 1e-3, sc)
         assert info.value.index == (5,)
 
+    @pytest.mark.parametrize("col, name", [(1, "momentum"), (3, "moment 2")])
+    def test_non_finite_state_names_stage_cell_and_component(self, monkeypatch, col, name):
+        # checked before the depths, so the NaN depth of cell 2 is not the one reported
+        sc = scenario(n=2, cells=16, ic_params={"h": 1.0, "um": 0.2})
+        U = sc.initial_states()
+        rhs = swlme.solver.semi_discrete_rhs
+        calls = []
+
+        def poisoned(V, scenario):
+            calls.append(None)
+            out = rhs(V, scenario)
+            if len(calls) == 2:
+                out[2, 0] = np.nan
+                out[5, col] = np.inf
+            return out
+
+        monkeypatch.setattr(swlme.solver, "semi_discrete_rhs", poisoned)
+        with pytest.raises(DryStateError) as info:
+            step(U, 1e-3, sc)
+        assert str(info.value) == f"stage 2: non-finite state: {name} = inf at cell 5"
+        assert info.value.index == (5,)
+
     def test_depth_checks_per_step(self, monkeypatch):
         # cell depths and both sides of every interface are validated once
         # per stage, plus once per step for the new state, which serves both
@@ -448,9 +470,9 @@ class TestStep:
         calls = []
         check = swlme.model.check_wet
 
-        def counted(h, h_min=swlme.model.DEFAULT_H_MIN):
+        def counted(h):
             calls.append(None)
-            return check(h, h_min)
+            return check(h)
 
         monkeypatch.setattr(swlme.model, "check_wet", counted)
         monkeypatch.setattr(swlme.solver, "check_wet", counted)
