@@ -17,12 +17,11 @@ from swlme.basis import Variant, compute_tensors
 from swlme.config import ConfigError, build_scenario, format_config, load_config
 from swlme.diagnostics import (
     FreeSample,
-    check_skew_forms,
     check_total_energy_identity,
     convergence_study,
     gradient_check_entropy,
 )
-from swlme.model import N_MAX, energy, to_primitive
+from swlme.model import N_MAX, _energy_density, to_primitive
 from swlme.solver import run
 
 EXIT_OK = 0
@@ -73,11 +72,9 @@ def _check_identities(orders, samples, seed):
     for n in orders:
         rng = np.random.default_rng(seed)
         sample = FreeSample.random(rng, samples, n)
-        for g in GRAVITIES:
-            value = check_total_energy_identity(sample, g)
-            rows.append((n, g, "total energy identity", value, IDENTITY_TOL))
-            for name, defect in check_skew_forms(sample, g).items():
-                rows.append((n, g, name, defect, IDENTITY_TOL))
+        for g, defects in check_total_energy_identity(sample, GRAVITIES).items():
+            rows += [(n, g, name, defect, IDENTITY_TOL) for name, defect in defects.items()]
+        del sample  # not held while the next order's sample is drawn
     return rows
 
 
@@ -155,29 +152,36 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _write_rows(fh, block: np.ndarray) -> None:
+def _write_rows(fh, block: np.ndarray, heads=None) -> None:
     """Write a 2D array as CSV rows of shortest round-trip floats (the _fmt form).
 
-    Rows are converted a chunk at a time, so no more than CSV_CHUNK_ROWS rows
-    of strings are held at once.
+    heads, if given, holds one preformatted text per row, written in front
+    of it.  Rows are converted a chunk at a time, so no more than
+    CSV_CHUNK_ROWS rows of strings are held at once.
     """
     for start in range(0, len(block), CSV_CHUNK_ROWS):
-        fh.writelines(",".join(map(repr, row)) + "\n"
-                      for row in block[start:start + CSV_CHUNK_ROWS].tolist())
+        rows = block[start:start + CSV_CHUNK_ROWS].tolist()
+        if heads is None:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        else:
+            fh.writelines(head + ",".join(map(repr, row)) + "\n"
+                          for head, row in zip(heads[start:start + CSV_CHUNK_ROWS], rows))
 
 
 def _write_outputs(scenario, traj, path: str) -> None:
     os.makedirs(path, exist_ok=True)
-    x = scenario.grid.centers
     b = scenario.topography.b
     g = scenario.params.g
     n = scenario.params.N
     cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
+    x_texts = [_fmt(x) + "," for x in scenario.grid.centers.tolist()]  # the same every snapshot
     with open(os.path.join(path, "snapshots.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for t, U in zip(traj.times, traj.snapshots):
             W = to_primitive(U)
-            _write_rows(fh, np.column_stack([np.full(x.size, t), x, W, energy(W, b, g).e]))
+            t_text = _fmt(t) + ","
+            _write_rows(fh, np.column_stack([W, _energy_density(W, b, g)]),
+                        [t_text + x_text for x_text in x_texts])
     with open(os.path.join(path, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write("t,mass,momentum,total_energy\n")
         _write_rows(fh, traj.steps)
@@ -194,8 +198,11 @@ def cmd_run(args) -> int:
         sys.stdout.write(format_config(cfg))
         return EXIT_OK
 
-    traj = run(scenario)
-    _write_outputs(scenario, traj, cfg["output.path"])
+    # an overflowing run ends in a recorded failure, reported below; numpy's
+    # floating-point warnings on the way there would only repeat it
+    with np.errstate(all="ignore"):
+        traj = run(scenario)
+        _write_outputs(scenario, traj, cfg["output.path"])
     final = traj.steps[-1]
     print(
         f"t={_fmt(final[0])} mass={_fmt(final[1])} momentum={_fmt(final[2])} "

@@ -8,9 +8,11 @@ derivatives.  FreeSample therefore carries independent "slots" for each
 time/space derivative; no compatibility between values and slots is
 assumed, and the identities must hold for arbitrary slot values.  Defects
 are normalized by the sum of the absolute values of the combined terms.
-The two identity checks evaluate a batch in blocks of _BLOCK samples and
-return the largest per-block defect, so the memory they need beyond the
-sample itself does not grow with the batch size.
+check_total_energy_identity walks a batch once, in blocks of _BLOCK
+samples, and returns the largest per-block defect of every identity at
+every gravity, so the memory it needs beyond the sample itself does not
+grow with the batch size.  A block builds its gravity-free stacks once;
+only the stacks that read g are built per gravity.
 
 Term stacks are term-major: the term axis comes first and the batch axes
 are contiguous behind it, so each term is one contiguous row.  Every sum
@@ -27,18 +29,20 @@ convergence study of solver runs.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from swlme.model import _moment_sum, energy, entropy_vars, moment_weights, to_primitive
+from swlme.model import _energy_density, _moment_sum, entropy_vars, moment_weights, to_primitive
 from swlme.solver import Scenario, run
 
 _TINY = np.finfo(float).tiny
 _BLOCK = 4096  # samples per block of the identity checks
 _MOMENT_FIELDS = ("u", "dt_u", "dx_u")
+_GRAVITY_FREE = ("T", "dxT", "dtT", "continuity")  # the scalar stacks that do not read g
 
 
 @dataclass
@@ -154,12 +158,27 @@ class _Expansions:
     Stacks are term-major and C-contiguous: scalar equations have shape
     (terms,) + batch and the per-moment equations (terms,) + batch + (N,),
     so one term is one row that _term_sum adds with a single vector
-    operation.  Each stack is built lazily, on its first read, and then
-    kept, so a caller pays only for the equations it compares.
+    operation.  Each scalar stack is built lazily, on its first read, and
+    then kept, so a caller pays only for the equations it compares.  The
+    per-moment stacks do not read g; they are built on every read, so a
+    caller frees one by dropping its reference.  An expansion built
+    without g serves the gravity-free stacks, and at_gravity(g) copies it
+    for one gravity.
     """
 
-    def __init__(self, s: FreeSample, g: float):
+    def __init__(self, s: FreeSample, g: float | None = None):
         self.s, self.g = s, g
+
+    def at_gravity(self, g: float) -> _Expansions:
+        """This expansion at gravity g; it shares the _GRAVITY_FREE stacks, built here first.
+
+        Only for an expansion built without g, whose kept stacks are then all gravity-free.
+        """
+        for name in _GRAVITY_FREE:
+            getattr(self, name)
+        out = copy.copy(self)
+        out.g = g
+        return out
 
     @cached_property
     def T(self) -> np.ndarray:
@@ -273,7 +292,7 @@ class _Expansions:
             g * h * um * s.dx_h, g * h * um * s.dx_b,
         )
 
-    @cached_property
+    @property
     def moment(self) -> np.ndarray:
         uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
         return _stack(
@@ -282,7 +301,7 @@ class _Expansions:
             -um_ * dxh_ * uu, -um_ * h_ * self.s.dx_u,
         )
 
-    @cached_property
+    @property
     def moment_split(self) -> np.ndarray:
         uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
         return _stack(
@@ -291,12 +310,12 @@ class _Expansions:
             h_ * uu * dxum_,
         )
 
-    @cached_property
+    @property
     def moment_advective(self) -> np.ndarray:
         uu, (h_, um_, _, _, dxum_) = self.s.u, self._moment_cols
         return _stack(h_ * self.s.dt_u, h_ * um_ * self.s.dx_u, h_ * uu * dxum_)
 
-    @cached_property
+    @property
     def moment_skew(self) -> np.ndarray:
         uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
         return _stack(
@@ -306,7 +325,7 @@ class _Expansions:
             h_ * uu * dxum_,
         )
 
-    @cached_property
+    @property
     def moment_kinetic(self) -> np.ndarray:
         uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
         return moment_weights(self.s.n_moments) * _stack(
@@ -336,76 +355,64 @@ def _blocks(s: FreeSample):
         yield FreeSample(**{name: a[start:start + _BLOCK] for name, a in flat.items()})
 
 
-def _energy_identity_defect(s: FreeSample, g: float) -> float:
-    ex = _Expansions(s, g)
+def _block_defects(s: FreeSample, gravities) -> dict:
+    """{g: {identity: defect}} of one block, its gravity-free stacks built once."""
+    ex = _Expansions(s)
     W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
-    q = entropy_vars(W, s.b, g)
-    lhs = _plus(q.q1 * ex.continuity, q.q2 * ex.momentum, _flatten_moments(q.q_u * ex.moment))
-    rhs = _plus(ex.energy_time, ex.energy_flux)
-    return _defect(lhs, rhs)
-
-
-def check_total_energy_identity(s: FreeSample, g: float) -> float:
-    """Max relative defect of the entropy-variable combination over the batch.
-
-    Contracting the balance residuals with the entropy variables must
-    reproduce the energy residual: q1 R_C + q2 R_M + sum_i q_ui R_ui = R_E
-    for arbitrary slot values.  Evaluated block by block (_blocks).
-    """
-    return float(np.max([_energy_identity_defect(blk, g) for blk in _blocks(s)]))
-
-
-def _skew_form_defects(s: FreeSample, g: float) -> dict:
-    ex = _Expansions(s, g)
-    w = moment_weights(s.n_moments)
-
-    out = {
-        "potential_energy": _defect(ex.potential, g * (s.h + s.b) * ex.continuity),
-        "momentum_rewrite": _defect(ex.momentum_split, ex.momentum),
-        "momentum_advective": _defect(
-            ex.momentum_advective, _plus(ex.momentum_split, -s.um * ex.continuity)
-        ),
-        "momentum_skew_average": _defect(
-            ex.momentum_skew, _plus(0.5 * ex.momentum_advective, 0.5 * ex.momentum_split)
-        ),
-        "kinetic_energy": _defect(ex.kinetic, s.um * ex.momentum_skew),
-    }
-    if s.n_moments:
-        cont_m = ex.continuity[..., None]  # broadcast over the moment axis
-        out["moment_rewrite"] = _defect(ex.moment_split, ex.moment)
-        out["moment_advective"] = _defect(
-            ex.moment_advective, _plus(ex.moment_split, -s.u * cont_m)
-        )
-        out["moment_skew_average"] = _defect(
-            ex.moment_skew, _plus(0.5 * ex.moment_advective, 0.5 * ex.moment_split)
-        )
-        out["moment_kinetic_energy"] = _defect(
-            ex.moment_kinetic, w * s.u * ex.moment_skew
-        )
-        out["total_kinetic_energy"] = _defect(
-            ex.total_kinetic, _plus(ex.kinetic, _flatten_moments(ex.moment_kinetic))
-        )
-    else:
-        out["total_kinetic_energy"] = _defect(ex.total_kinetic, ex.kinetic)
-    out["total_energy_sum"] = _defect(
-        _plus(ex.energy_time, ex.energy_flux), _plus(ex.total_kinetic, ex.potential)
-    )
+    moment, split, advective = ex.moment, ex.moment_split, ex.moment_advective
+    skew, kinetic = ex.moment_skew, ex.moment_kinetic
+    moment_defects = {
+        "moment_rewrite": _defect(split, moment),
+        "moment_advective": _defect(advective, _plus(split, -s.u * ex.continuity[..., None])),
+        "moment_skew_average": _defect(skew, _plus(0.5 * advective, 0.5 * split)),
+        "moment_kinetic_energy": _defect(kinetic, moment_weights(s.n_moments) * s.u * skew),
+    } if s.n_moments else {}
+    q_u = entropy_vars(W, s.b, 0.0).q_u  # does not read g
+    moment_energy, moment_kinetic = _flatten_moments(q_u * moment), _flatten_moments(kinetic)
+    del moment, split, advective, skew, kinetic  # the gravity loop reads only the two products
+    out = {}
+    for g in gravities:
+        gx = ex.at_gravity(g)
+        q = entropy_vars(W, s.b, g)
+        energy_terms = _plus(gx.energy_time, gx.energy_flux)
+        lhs = _plus(q.q1 * gx.continuity, q.q2 * gx.momentum, moment_energy)
+        out[g] = {
+            "total energy identity": _defect(lhs, energy_terms),
+            "potential_energy": _defect(gx.potential, g * (s.h + s.b) * gx.continuity),
+            "momentum_rewrite": _defect(gx.momentum_split, gx.momentum),
+            "momentum_advective": _defect(
+                gx.momentum_advective, _plus(gx.momentum_split, -s.um * gx.continuity)
+            ),
+            "momentum_skew_average": _defect(
+                gx.momentum_skew, _plus(0.5 * gx.momentum_advective, 0.5 * gx.momentum_split)
+            ),
+            "kinetic_energy": _defect(gx.kinetic, s.um * gx.momentum_skew),
+            **moment_defects,
+            "total_kinetic_energy": _defect(gx.total_kinetic, _plus(gx.kinetic, moment_kinetic)),
+            "total_energy_sum": _defect(energy_terms, _plus(gx.total_kinetic, gx.potential)),
+        }
     return out
 
 
-def check_skew_forms(s: FreeSample, g: float) -> dict:
-    """Max relative defect of every intermediate step of the energy derivation.
+def check_total_energy_identity(s: FreeSample, gravities) -> dict:
+    """Max relative defect of the energy derivation, per gravity: {g: {identity: defect}}.
 
-    Each named identity compares an independently expanded form of one
-    displayed equation against the stated combination of earlier ones:
-    the potential-energy equation is g(h+b) times continuity; the
-    advective momentum/moment forms subtract velocity times continuity;
-    their skew-symmetric averages halve the two forms; kinetic energies
-    multiply the skew forms by the velocity; and the total energy is the
-    total kinetic plus potential energy.  Evaluated block by block (_blocks).
+    "total energy identity" comes first: contracting the balance residuals
+    with the entropy variables must reproduce the energy residual,
+    q1 R_C + q2 R_M + sum_i q_ui R_ui = R_E, for arbitrary slot values.
+    The intermediate steps follow.  Each compares an independently
+    expanded form of one displayed equation against the stated combination
+    of earlier ones: the potential-energy equation is g(h+b) times
+    continuity; the advective momentum/moment forms subtract velocity times
+    continuity; their skew-symmetric averages halve the two forms; kinetic
+    energies multiply the skew forms by the velocity; and the total energy
+    is the total kinetic plus potential energy.  The moment-equation steps
+    exist for N >= 1 only.  Every identity at every gravity is evaluated in
+    one walk over the blocks (_blocks).
     """
-    per_block = [_skew_form_defects(blk, g) for blk in _blocks(s)]
-    return {name: float(np.max([d[name] for d in per_block])) for name in per_block[0]}
+    per_block = [_block_defects(blk, gravities) for blk in _blocks(s)]
+    return {g: {name: float(np.max([d[g][name] for d in per_block])) for name in per_block[0][g]}
+            for g in gravities}
 
 
 def gradient_check_entropy(W: np.ndarray, b, g: float, rel_step: float = 1e-6) -> float:
@@ -432,7 +439,8 @@ def gradient_check_entropy(W: np.ndarray, b, g: float, rel_step: float = 1e-6) -
         Up, Um = U.copy(), U.copy()
         Up[..., m] += step
         Um[..., m] -= step
-        fd = (energy(to_primitive(Up), b, g).e - energy(to_primitive(Um), b, g).e) / (2.0 * step)
+        fd = (_energy_density(to_primitive(Up), b, g)
+              - _energy_density(to_primitive(Um), b, g)) / (2.0 * step)
         dev = np.abs(fd - exact[..., m]) / np.maximum(1.0, np.abs(exact[..., m]))
         worst = max(worst, float(np.max(dev)))
     return worst

@@ -218,14 +218,20 @@ def nonconservative_rhs(W: np.ndarray, dUdx: np.ndarray, p: ModelParams) -> np.n
     return out
 
 
+def _energy_density(W: np.ndarray, b, g: float) -> np.ndarray:
+    """Total energy density e at primitive states W (an array, also for one state)."""
+    h, um = W[..., 0], W[..., 1]
+    return (0.5 * h * um**2 + 0.5 * h * _moment_sum(W[..., 2:]) + 0.5 * g * h**2
+            + g * h * np.asarray(b, dtype=float))
+
+
 def energy(W: np.ndarray, b, g: float) -> EnergyPair:
     """Total energy density e and its flux f at primitive states over bottom b."""
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
-    T = _moment_sum(u)
     b = np.asarray(b, dtype=float)
-    e = 0.5 * h * um**2 + 0.5 * h * T + 0.5 * g * h**2 + g * h * b
-    f = 0.5 * h * um**3 + 1.5 * h * um * T + g * h * um * (h + b)
+    e = _energy_density(W, b, g)
+    f = 0.5 * h * um**3 + 1.5 * h * um * _moment_sum(u) + g * h * um * (h + b)
     if W.ndim == 1:
         return EnergyPair(float(e), float(f))
     return EnergyPair(e, f)

@@ -39,12 +39,12 @@ from swlme.model import (
     ModelParams,
     Topography,
     Variant,
+    _energy_density,
     _flux_rows,
     _moment_sum,
     _path_rows,
     _wave_speed,
     check_wet,
-    energy,
     max_wave_speed,
     to_primitive,
 )
@@ -374,7 +374,7 @@ def step(U: np.ndarray, dt: float, scenario: Scenario) -> np.ndarray:
 def _summary_row(t: float, U: np.ndarray, W: np.ndarray, b: np.ndarray, g: float,
                  dx: float) -> list:
     """Row (t, mass, momentum, total energy) of conserved states U, primitive W."""
-    e = energy(W, b, g).e
+    e = _energy_density(W, b, g)
     return [t, float(U[:, 0].sum() * dx), float(U[:, 1].sum() * dx), float(e.sum() * dx)]
 
 

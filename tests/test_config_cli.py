@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from swlme.basis import Variant, compute_tensors
 from swlme.cli import CSV_CHUNK_ROWS, _fmt, _write_outputs, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
 from swlme.model import N_MAX, energy, to_primitive
-from swlme.solver import _PRESETS, run
+from swlme.solver import _PRESETS, Trajectory, run
 from test_diagnostics import scale_energy_flux
 
 LAKE_CFG = """\
@@ -280,7 +281,49 @@ def reference_write_outputs(scenario, traj, path):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def reference_row_wise_outputs(scenario, traj, path):
+    """The row-wise CSV writer before it formatted the t and x columns once."""
+    def write_rows(fh, block):
+        for start in range(0, len(block), CSV_CHUNK_ROWS):
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in block[start:start + CSV_CHUNK_ROWS].tolist())
+
+    path.mkdir()
+    x = scenario.grid.centers
+    b = scenario.topography.b
+    n = scenario.params.N
+    cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
+    with open(path / "snapshots.csv", "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for t, U in zip(traj.times, traj.snapshots):
+            W = to_primitive(U)
+            write_rows(fh, np.column_stack([np.full(x.size, t), x, W,
+                                            energy(W, b, scenario.params.g).e]))
+    with open(path / "summary.csv", "w", encoding="utf-8") as fh:
+        fh.write("t,mass,momentum,total_energy\n")
+        write_rows(fh, traj.steps)
+
+
 class TestRunCommand:
+    def test_writer_matches_row_wise_reference_on_special_values(self, tmp_path):
+        scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "new")))
+        traj = run(scenario)
+        # 300 cells: a row count that is not a multiple of the chunk size
+        assert scenario.grid.cells % CSV_CHUNK_ROWS and scenario.grid.cells > CSV_CHUNK_ROWS
+        last = traj.snapshots[-1].copy()
+        last[3, 1], last[4, 1], last[5, 2], last[6, 3] = np.inf, -np.inf, np.nan, -0.0
+        steps = traj.steps.copy()
+        steps[1, 1], steps[2, 2], steps[3, 3], steps[4, 2] = np.inf, -np.inf, np.nan, -0.0
+        special = Trajectory(times=[-0.0] + traj.times[1:],
+                             snapshots=traj.snapshots[:-1] + [last], steps=steps)
+        _write_outputs(scenario, special, str(tmp_path / "new"))
+        reference_row_wise_outputs(scenario, special, tmp_path / "ref")
+        text = (tmp_path / "new" / "snapshots.csv").read_text()
+        assert ",inf," in text and ",-inf," in text and ",nan," in text and ",-0.0," in text
+        assert text.splitlines()[1].startswith("-0.0,")
+        for name in ("snapshots.csv", "summary.csv"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
     def test_writer_matches_per_field_reference(self, tmp_path):
         scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "new")))
         traj = run(scenario)
@@ -418,10 +461,13 @@ def test_overflowed_swme_run_exits_2_with_partial_output(tmp_path, capsys):
         "bc.kind = periodic\nic.name = smooth_periodic\nic.um_amp = 1e200\n"
         f"time.t_end = 0.1\ntime.cfl = 0.9\noutput.path = {tmp_path/'o'}\n"
     )
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", str(cfg)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert "non-finite quasilinear matrix at cell 0" in err and "partial output" in err
+    assert err == ("error: run failed (invalid state: non-finite quasilinear matrix at cell 0); "
+                   f"partial output written to {tmp_path/'o'}\n")
     assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
     assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 20
 
@@ -436,11 +482,13 @@ def test_overflowed_swlme_run_reports_non_finite_state(tmp_path, capsys):
         "bc.kind = periodic\nic.name = smooth_periodic\nic.um_amp = 1e200\n"
         f"time.t_end = 0.1\ntime.cfl = 0.9\noutput.path = {tmp_path/'o'}\n"
     )
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", str(cfg)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert "run failed (stage 1: non-finite state: momentum = nan at cell 0)" in err
-    assert "partial output" in err
+    assert err == ("error: run failed (stage 1: non-finite state: momentum = nan at cell 0); "
+                   f"partial output written to {tmp_path/'o'}\n")
     assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
     assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 50
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import swlme.diagnostics
 from swlme.cli import main
 from swlme.diagnostics import (
     _BLOCK,
@@ -10,7 +11,6 @@ from swlme.diagnostics import (
     _blocks,
     _Expansions,
     _term_sum,
-    check_skew_forms,
     check_total_energy_identity,
     convergence_study,
     gradient_check_entropy,
@@ -32,6 +32,18 @@ def scale_energy_flux(monkeypatch, factor):
     """Corrupt the energy flux terms of every _Expansions by factor (a negative control)."""
     original = _Expansions.energy_flux.func
     monkeypatch.setattr(_Expansions, "energy_flux", property(lambda ex: factor * original(ex)))
+
+
+def total_identity(s, g):
+    """The total energy identity defect of one gravity."""
+    return check_total_energy_identity(s, (g,))[g]["total energy identity"]
+
+
+def skew_forms(s, g):
+    """The intermediate-step defects of one gravity: every identity but the total one."""
+    defects = check_total_energy_identity(s, (g,))[g]
+    del defects["total energy identity"]
+    return defects
 
 
 def balance_residuals(s, g):
@@ -92,14 +104,16 @@ class TestResiduals:
 
 class TestTotalEnergyIdentity:
     def test_zero_slots(self):
-        assert check_total_energy_identity(zero_sample(3), 9.81) == 0.0
+        assert total_identity(zero_sample(3), 9.81) == 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_random_samples(self, n):
         rng = np.random.default_rng(22)
         s = FreeSample.random(rng, 20000, n)
+        defects = check_total_energy_identity(s, (1.0, 9.81))
+        assert list(defects) == [1.0, 9.81]
         for g in (1.0, 9.81):
-            assert check_total_energy_identity(s, g) <= 1e-12
+            assert defects[g]["total energy identity"] <= 1e-12
 
     def test_plain_shallow_water_reduction(self):
         # independently coded SWE energy residual must agree with N = 0
@@ -123,12 +137,12 @@ class TestTotalEnergyIdentity:
         rng = np.random.default_rng(24)
         s = FreeSample.random(rng, 1000, 2)
         scale_energy_flux(monkeypatch, 1.0 + 1e-6)
-        assert check_total_energy_identity(s, 9.81) > 1e-9
+        assert total_identity(s, 9.81) > 1e-9
 
 
 class TestSkewForms:
     def test_zero_slots(self):
-        forms = check_skew_forms(zero_sample(2), 9.81)
+        forms = skew_forms(zero_sample(2), 9.81)
         assert set(forms) >= {"potential_energy", "momentum_skew_average",
                               "moment_skew_average", "total_energy_sum"}
         assert all(v == 0.0 for v in forms.values())
@@ -137,8 +151,8 @@ class TestSkewForms:
     def test_random_samples(self, n):
         rng = np.random.default_rng(25)
         s = FreeSample.random(rng, 20000, n)
-        for g in (1.0, 9.81):
-            forms = check_skew_forms(s, g)
+        for g, defects in check_total_energy_identity(s, (1.0, 9.81)).items():
+            forms = {name: d for name, d in defects.items() if name != "total energy identity"}
             worst = max(forms.values())
             assert worst <= 1e-12, max(forms, key=forms.get)
 
@@ -146,7 +160,18 @@ class TestSkewForms:
         # g h dx(h+b) against g dx(h^2)/2 + g h dx b is pure product rule
         rng = np.random.default_rng(26)
         s = FreeSample.random(rng, 5000, 1)
-        assert check_skew_forms(s, 9.81)["momentum_rewrite"] <= 1e-15
+        assert skew_forms(s, 9.81)["momentum_rewrite"] <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_moment_steps_do_not_read_gravity(self, n):
+        # taken once per block for every gravity; they must equal a one-gravity run
+        s = FreeSample.random(np.random.default_rng(29), _BLOCK + 9, n)
+        both = check_total_energy_identity(s, (1.0, 9.81))
+        for name in ("moment_rewrite", "moment_advective", "moment_skew_average",
+                     "moment_kinetic_energy"):
+            assert both[1.0][name] == both[9.81][name] == skew_forms(s, 9.81)[name] \
+                == skew_forms(s, 1.0)[name]
+        assert skew_forms(s, 1.0)["kinetic_energy"] != skew_forms(s, 9.81)["kinetic_energy"]
 
 
 class TrailingExpansions:
@@ -184,7 +209,7 @@ def trailing_flatten_moments(terms):
 
 
 def reference_total_energy_identity(s, g, flux_scale=1.0):
-    """check_total_energy_identity unblocked and summed on the trailing axis."""
+    """The total energy identity, unblocked and summed on the trailing axis."""
     ex = TrailingExpansions(s, g)
     W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
     q = entropy_vars(W, s.b, g)
@@ -195,7 +220,7 @@ def reference_total_energy_identity(s, g, flux_scale=1.0):
 
 
 def reference_skew_forms(s, g):
-    """check_skew_forms unblocked and summed on the trailing axis."""
+    """The intermediate steps of one gravity, unblocked and summed on the trailing axis."""
     ex = TrailingExpansions(s, g)
     w = moment_weights(s.n_moments)
     by, plus, defect = trailing_by, trailing_plus, trailing_defect
@@ -234,14 +259,24 @@ def reference_skew_forms(s, g):
     return out
 
 
+def reference_defects(s, g):
+    """check_total_energy_identity(s, (g,))[g], one identity at a time (same order)."""
+    return {"total energy identity": reference_total_energy_identity(s, g),
+            **reference_skew_forms(s, g)}
+
+
 def assert_blocked_equals_reference(s):
+    # both gravities in one pass, and each alone; names, order and bits must match
+    want = {g: list(reference_defects(s, g).items()) for g in (1.0, 9.81)}
+    got = check_total_energy_identity(s, (1.0, 9.81))
+    assert list(got) == [1.0, 9.81]
     for g in (1.0, 9.81):
-        assert check_total_energy_identity(s, g) == reference_total_energy_identity(s, g)
-        assert check_skew_forms(s, g) == reference_skew_forms(s, g)
+        assert list(got[g].items()) == want[g]
+        assert list(check_total_energy_identity(s, (g,))[g].items()) == want[g]
 
 
 class TestBlockedChecks:
-    """The blocked checks return the unblocked maxima bit for bit."""
+    """The one-pass blocked check returns the unblocked maxima bit for bit."""
 
     @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17])
     @pytest.mark.parametrize("n", [0, 1, 3])
@@ -251,9 +286,8 @@ class TestBlockedChecks:
 
     def test_empty_batch(self):
         s = FreeSample.random(np.random.default_rng(41), 0, 2)
-        assert check_total_energy_identity(s, 9.81) == 0.0
-        forms = check_skew_forms(s, 9.81)
-        assert forms == reference_skew_forms(s, 9.81) and set(forms.values()) == {0.0}
+        assert_blocked_equals_reference(s)
+        assert set(check_total_energy_identity(s, (9.81,))[9.81].values()) == {0.0}
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_scalar_slots_mixed_with_arrays(self, n):
@@ -287,9 +321,22 @@ class TestBlockedChecks:
         s = FreeSample.random(np.random.default_rng(45), 3 * _BLOCK + 1, 2)
         want = reference_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
         scale_energy_flux(monkeypatch, 1.0 + 1e-6)
-        corrupted = check_total_energy_identity(s, 9.81)
+        corrupted = total_identity(s, 9.81)
         assert corrupted > 1e-9
         assert corrupted == want
+
+    def test_one_expansion_per_block(self, monkeypatch):
+        # every identity at every gravity shares one expansion of each block
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[0].h.size)
+            return _Expansions(*args, **kwargs)
+
+        monkeypatch.setattr(swlme.diagnostics, "_Expansions", counted)
+        s = FreeSample.random(np.random.default_rng(49), 2 * _BLOCK + 17, 2)
+        check_total_energy_identity(s, (1.0, 9.81))
+        assert built == [_BLOCK, _BLOCK, 17]
 
 
 class TestTermSum:
@@ -321,8 +368,8 @@ class TestNanSlot:
     def test_identities_reading_the_slot_return_nan(self):
         s = FreeSample.random(np.random.default_rng(48), _BLOCK + 3, 2)
         s.dx_b[_BLOCK + 1] = np.nan  # in the last block only
-        assert np.isnan(check_total_energy_identity(s, 9.81))
-        forms = check_skew_forms(s, 9.81)
+        assert np.isnan(total_identity(s, 9.81))
+        forms = skew_forms(s, 9.81)
         assert {name for name, value in forms.items() if np.isnan(value)} == READS_DX_B
         assert all(forms[name] <= 1e-12 for name in set(forms) - READS_DX_B)
 
@@ -345,17 +392,16 @@ class TestNanSlot:
 
 
 def test_check_memory_stays_bounded():
-    # the default check size at its largest order; unblocked, each check peaks near 270 MB
+    # the default check size at its largest order, both gravities in one pass;
+    # unblocked, each gravity's identities peaked near 270 MB
     s = FreeSample.random(np.random.default_rng(46), 100_000, 5)
     tracemalloc.start()
     try:
-        for check in (check_total_energy_identity, check_skew_forms):
-            tracemalloc.reset_peak()
-            check(s, 9.81)
-            peak = tracemalloc.get_traced_memory()[1]
-            assert peak <= 32 * 2**20, f"{check.__name__} peaked at {peak / 2**20:.1f} MiB"
+        check_total_energy_identity(s, (1.0, 9.81))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"the check peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestGradientCheck:
