@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,18 +135,54 @@ def tensor_node_count(order: int) -> int:
     return math.ceil((3 * order + 1) / 2) + 2
 
 
+class TermTable(NamedTuple):
+    """The nonzero terms of a closure contraction sum_jk T_ijk x[.] y[.], padded term-major.
+
+    Column i holds the terms of output row i in np.einsum's order (j outer,
+    k inner): term t is coef[t, i] x[xrow[t, i]] y[yrow[t, i]].  All three
+    arrays have shape (m, N), m the most terms any row has; a row with
+    fewer terms is padded with zero coefficients.
+    """
+
+    coef: np.ndarray
+    xrow: np.ndarray
+    yrow: np.ndarray
+
+
+def term_table(T: np.ndarray, x_axis: int) -> TermTable:
+    """Read-only TermTable of tensor T, whose axis x_axis (1 or 2) indexes x; y takes the other."""
+    n = T.shape[0]
+    i, j, k = np.nonzero(T)  # in C order: by i, then j, then k
+    counts = np.bincount(i, minlength=n)
+    m = int(counts.max(initial=0))
+    term = np.arange(i.size) - (np.cumsum(counts) - counts)[i]  # position within its row
+    coef = np.zeros((m, n))
+    xrow = np.zeros((m, n), dtype=np.intp)
+    yrow = np.zeros((m, n), dtype=np.intp)
+    coef[term, i] = T[i, j, k]
+    xrow[term, i], yrow[term, i] = (j, k) if x_axis == 1 else (k, j)
+    for a in (coef, xrow, yrow):
+        a.setflags(write=False)
+    return TermTable(coef, xrow, yrow)
+
+
 @dataclass(frozen=True)
 class ClosureTensors:
-    """Dense closure tensors for moment order N.
+    """Dense closure tensors for moment order N, with the term tables of the full closure.
 
     A and B have shape (N, N, N); logical indices i,j,k in 1..N map to
     storage indices i-1, j-1, k-1.  A is symmetric in its last two indices.
+    For the full variant A_terms lists sum_jk A_ijk x_j y_k and B_terms
+    sum_jk B_ijk x_k y_j (the roles of the flux and path contractions); both
+    are None for the linearized variant.
     """
 
     order: int
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     variant: Variant = Variant.SWLME
+    A_terms: TermTable | None = field(init=False, repr=False, compare=False)
+    B_terms: TermTable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.order
@@ -155,6 +192,9 @@ class ClosureTensors:
             raise ValueError("tensor shapes must be (order, order, order)")
         self.A.setflags(write=False)
         self.B.setflags(write=False)
+        full = self.variant is Variant.SWME
+        object.__setattr__(self, "A_terms", term_table(self.A, 1) if full else None)
+        object.__setattr__(self, "B_terms", term_table(self.B, 2) if full else None)
 
 
 def compute_tensors(order: int, variant: Variant) -> ClosureTensors:

@@ -32,6 +32,8 @@ IDENTITY_TOL = 1e-12
 GRADIENT_TOL = 1e-6
 GRAVITIES = (1.0, 9.81)
 CSV_CHUNK_ROWS = 256
+# `check` draws each order's whole sample up front; this bounds the largest one
+CHECK_SAMPLE_BYTES = 1 << 30
 
 
 def _keep_heap_slack() -> None:
@@ -129,6 +131,13 @@ def cmd_check(args) -> int:
         return EXIT_FAIL
     if args.samples < 0:
         print("error: --samples must be >= 0", file=sys.stderr)
+        return EXIT_FAIL
+    n = max(orders)
+    per_sample = FreeSample.random_nbytes(1, n)
+    if args.samples * per_sample > CHECK_SAMPLE_BYTES:
+        print(f"error: --samples {args.samples} exceeds {CHECK_SAMPLE_BYTES // per_sample} at "
+              f"N={n}: a sample takes {per_sample} bytes, and one order's samples at most "
+              f"{CHECK_SAMPLE_BYTES} bytes", file=sys.stderr)
         return EXIT_FAIL
     if args.samples == 0:
         print("warning: --samples 0, nothing checked (vacuous pass)")

@@ -76,6 +76,11 @@ class FreeSample:
     def n_moments(self) -> int:
         return self.u.shape[-1]
 
+    @staticmethod
+    def random_nbytes(size: int, n_moments: int) -> int:
+        """Bytes random(rng, size, n_moments) draws: 8 scalar and 3 moment fields of floats."""
+        return 8 * size * (8 + 3 * n_moments)
+
     @classmethod
     def random(cls, rng: np.random.Generator, size: int, n_moments: int):
         """Batch of samples: h in [0.1, 3], b in [0, 1], every other value in [-2, 2]."""

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from swlme.basis import ClosureTensors, Variant, compute_tensors
+from swlme.basis import ClosureTensors, TermTable, Variant, compute_tensors
 
 H_MIN = 1e-10  # dry threshold: a depth at or below it is rejected
 N_MAX = 64  # largest moment order; the tensors take 2 N^3 floats
@@ -128,23 +128,45 @@ def _moment_sum(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(u * u) @ moment_weights(n) if n else np.zeros(u.shape[:-1])
 
 
-def _moments_last(u: np.ndarray) -> np.ndarray:
-    """Contiguous (..., N) copy of moment rows of shape (N, ...), for the closure einsums."""
-    return np.ascontiguousarray(np.moveaxis(u, 0, -1))
+def _contract(terms: TermTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Closure contraction rows sum_t coef[t] x[xrow[t]] y[yrow[t]], shape (N,) + S.
+
+    x and y are moment rows of shape (N,) + S, in any layout.  For finite
+    inputs the result is bitwise np.einsum's over the dense tensor: einsum
+    starts each output at +0.0 and adds (T_ijk x) y term by term, j outer
+    and k inner, and the table keeps the nonzero terms in that order.  A
+    skipped or padded zero term would add +-0.0, which leaves a sum that
+    started at +0.0 unchanged.  One (N,) + S accumulator takes the terms one
+    table row at a time, through two preallocated buffers.
+    """
+    coef = terms.coef.reshape(terms.coef.shape + (1,) * (x.ndim - 1))
+    out = np.zeros(x.shape)
+    term, y_rows = np.empty(x.shape), np.empty(x.shape)
+    for c, i, j in zip(coef, terms.xrow, terms.yrow):
+        # the rows are in range; mode="clip" lets take write into out= unbuffered
+        np.take(x, i, axis=0, out=term, mode="clip")
+        term *= c
+        np.take(y, j, axis=0, out=y_rows, mode="clip")
+        term *= y_rows
+        out += term
+    return out
 
 
 def _flux_rows(h, um, u, T, p: ModelParams, out: np.ndarray) -> None:
     """Write the flux into out, variable axis first.
 
     h, um and T = _moment_sum of the moments have shape S, the moments u
-    shape (N,) + S, and out shape (N+2,) + S.  No wetness check.
+    shape (N,) + S, and out shape (N+2,) + S.  No wetness check.  The
+    closure term skips the zero entries of A, so for an infinite velocity a
+    row can be +-inf where np.einsum over the dense A gave nan (0 * inf).
+    Both are non-finite, and an overflowing run stops earlier anyway: cfl_dt
+    rejects the non-finite quasilinear matrix of such a state.
     """
     out[0] = h * um
     out[1] = h * um**2 + h * T + 0.5 * p.g * h**2
     out[2:] = 2.0 * h * um * u
     if p.variant is Variant.SWME and p.N > 0:
-        ul = _moments_last(u)
-        out[2:] += h * np.moveaxis(np.einsum("ijk,...j,...k->...i", p.tensors.A, ul, ul), -1, 0)
+        out[2:] += h * _contract(p.tensors.A_terms, u, u)
 
 
 def _path_rows(um, u, du, p: ModelParams) -> np.ndarray:
@@ -154,9 +176,7 @@ def _path_rows(um, u, du, p: ModelParams) -> np.ndarray:
     """
     out = um * du
     if p.variant is Variant.SWME and p.N > 0:
-        out -= np.moveaxis(
-            np.einsum("ijk,...k,...j->...i", p.tensors.B, _moments_last(u), _moments_last(du)),
-            -1, 0)
+        out -= _contract(p.tensors.B_terms, u, du)
     return out
 
 
@@ -285,7 +305,8 @@ def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
     um_ = um[..., None]
     if p.variant is Variant.SWME and p.N > 0:
         A, B = p.tensors.A, p.tensors.B
-        Q[..., 2:, 0] -= np.einsum("ijk,...j,...k->...i", A, u, u)
+        rows = np.moveaxis(u, -1, 0)
+        Q[..., 2:, 0] -= np.moveaxis(_contract(p.tensors.A_terms, rows, rows), 0, -1)
         a = np.einsum("ijk,...k->...ij", A + A.transpose(0, 2, 1), u)
         b = np.einsum("ijk,...k->...ij", B, u)
         np.add(a, b, out=Q[..., 2:, 2:])

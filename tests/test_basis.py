@@ -166,3 +166,23 @@ def test_known_tensor_entries():
     assert t.B[1, 0, 0] == pytest.approx(-1.0, abs=1e-14)
     assert t.B[1, 1, 1] == pytest.approx(-1.0 / 7.0, abs=1e-14)
     assert t.A[0, 0, 1] == pytest.approx(0.4, abs=1e-14)
+
+
+def test_term_tables_list_the_nonzero_entries_in_einsum_order():
+    assert compute_tensors(3, Variant.SWLME).A_terms is None
+    assert compute_tensors(3, Variant.SWLME).B_terms is None
+    for n in range(1, 9):
+        t = compute_tensors(n, Variant.SWME)
+        for T, terms, x_axis in ((t.A, t.A_terms, 1), (t.B, t.B_terms, 2)):
+            assert all(not a.flags.writeable for a in terms)
+            m = terms.coef.shape[0]
+            assert terms.coef.shape == terms.xrow.shape == terms.yrow.shape == (m, n)
+            assert m == max(np.count_nonzero(T[i]) for i in range(n))
+            for i in range(n):
+                k = np.count_nonzero(terms.coef[:, i])
+                assert not terms.coef[k:, i].any()  # padding only after the terms
+                x, y = terms.xrow[:k, i], terms.yrow[:k, i]
+                j, kk = (x, y) if x_axis == 1 else (y, x)
+                # j outer, k inner, and every nonzero entry once
+                assert list(zip(j, kk)) == sorted(zip(*np.nonzero(T[i])))
+                assert terms.coef[:k, i].tobytes() == T[i, j, kk].tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 from pathlib import Path
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from swlme.basis import Variant, compute_tensors
-from swlme.cli import CSV_CHUNK_ROWS, _fmt, _write_outputs, main
+from swlme.cli import CHECK_SAMPLE_BYTES, CSV_CHUNK_ROWS, _fmt, _write_outputs, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
+from swlme.diagnostics import FreeSample
 from swlme.model import N_MAX, energy, to_primitive
 from swlme.solver import _PRESETS, Trajectory, run
 from test_diagnostics import scale_energy_flux
@@ -239,6 +241,26 @@ class TestCheckCommand:
         monkeypatch.setenv("SWLME_SEED", value)
         self.rejected(capsys, monkeypatch, [], "SWLME_SEED")
 
+    @pytest.mark.parametrize("argv", [["--N", "5", "--samples", "20000000"],
+                                      ["--N", "0,64", "--samples", "671089"]])
+    def test_rejects_samples_over_memory_budget(self, capsys, monkeypatch, argv):
+        # the sample is drawn whole, (8 + 3N) floats each, before any block is checked
+        self.rejected(capsys, monkeypatch, argv, "--samples")
+
+    @pytest.mark.parametrize("argv", [["--N", "64"], ["--N", "64", "--samples", "671088"]])
+    def test_accepts_samples_within_memory_budget(self, capsys, monkeypatch, argv):
+        drawn = []
+        monkeypatch.setattr("swlme.cli._check_identities", lambda orders, samples, seed:
+                            drawn.append(FreeSample.random_nbytes(samples, max(orders))) or [])
+        monkeypatch.setattr("swlme.cli._check_gradients", lambda *args: [])
+        assert main(["check", *argv]) == 0
+        assert 0 < drawn[0] <= CHECK_SAMPLE_BYTES
+
+    def test_sample_size_matches_what_is_drawn(self):
+        sample = FreeSample.random(np.random.default_rng(0), 7, 3)
+        assert FreeSample.random_nbytes(7, 3) == sum(
+            getattr(sample, f.name).nbytes for f in dataclasses.fields(sample))
+
 
 SMOOTH_CFG = """\
 model.N = 2
@@ -451,16 +473,22 @@ class TestConvergeCommand:
         assert "dyadic" in capsys.readouterr().err
 
 
-def test_overflowed_swme_run_exits_2_with_partial_output(tmp_path, capsys):
-    # the full closure's eigen-solve cannot take the overflowed state; the run
-    # records it as a failure, as the linearized closure's run does
+def overflowed_swme_config(tmp_path, ic_line):
+    """Write a 20-cell SWME N=3 smooth-flow config with the given ic line; its path."""
     cfg = tmp_path / "swme.cfg"
     cfg.write_text(
         "model.N = 3\nmodel.g = 9.81\nmodel.variant = swme\n"
         "grid.cells = 20\ngrid.xmin = 0.0\ngrid.xmax = 1.0\n"
-        "bc.kind = periodic\nic.name = smooth_periodic\nic.um_amp = 1e200\n"
+        f"bc.kind = periodic\nic.name = smooth_periodic\n{ic_line}\n"
         f"time.t_end = 0.1\ntime.cfl = 0.9\noutput.path = {tmp_path/'o'}\n"
     )
+    return cfg
+
+
+def test_overflowed_swme_run_exits_2_with_partial_output(tmp_path, capsys):
+    # the full closure's eigen-solve cannot take the overflowed state; the run
+    # records it as a failure, as the linearized closure's run does
+    cfg = overflowed_swme_config(tmp_path, "ic.um_amp = 1e200")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["run", str(cfg)]) == 2
@@ -470,6 +498,18 @@ def test_overflowed_swme_run_exits_2_with_partial_output(tmp_path, capsys):
                    f"partial output written to {tmp_path/'o'}\n")
     assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
     assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 20
+
+
+def test_overflowed_swme_moments_exit_2_before_any_flux(tmp_path, capsys):
+    # moments of 1e160 overflow the quasilinear matrix too, so cfl_dt stops the
+    # run before a flux could meet an infinite velocity (where the closure
+    # contraction, skipping zero coefficients, would differ from a dense one)
+    cfg = overflowed_swme_config(tmp_path, "ic.u_amp = 1e160")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: run failed (invalid state: non-finite quasilinear matrix at cell 0); "
+                   f"partial output written to {tmp_path/'o'}\n")
+    assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
 
 
 def test_overflowed_swlme_run_reports_non_finite_state(tmp_path, capsys):

@@ -10,7 +10,10 @@ from swlme.model import (
     DryStateError,
     ModelParams,
     WaveSpeedBoundWarning,
+    _contract,
+    _flux_rows,
     _moment_sum,
+    _path_rows,
     boussinesq_beta,
     check_wet,
     energy,
@@ -251,6 +254,78 @@ class TestBoussinesq:
     def test_zero_mean_velocity(self):
         with pytest.raises(ValueError):
             boussinesq_beta(np.array([1.0, 0.0, 1.0]))
+
+
+# the dense einsum bodies _flux_rows and _path_rows had before the closure
+# contractions went through _contract; they must keep their bits
+def reference_flux_rows(h, um, u, T, p, out):
+    out[0] = h * um
+    out[1] = h * um**2 + h * T + 0.5 * p.g * h**2
+    out[2:] = 2.0 * h * um * u
+    if p.variant is Variant.SWME and p.N > 0:
+        ul = np.ascontiguousarray(np.moveaxis(u, 0, -1))
+        out[2:] += h * np.moveaxis(np.einsum("ijk,...j,...k->...i", p.tensors.A, ul, ul), -1, 0)
+
+
+def reference_path_rows(um, u, du, p):
+    out = um * du
+    if p.variant is Variant.SWME and p.N > 0:
+        ul = np.ascontiguousarray(np.moveaxis(u, 0, -1))
+        dul = np.ascontiguousarray(np.moveaxis(du, 0, -1))
+        out -= np.moveaxis(np.einsum("ijk,...k,...j->...i", p.tensors.B, ul, dul), -1, 0)
+    return out
+
+
+def signed_rows(rng, shape):
+    """Moment rows of mixed magnitudes 1e-3..1e3 with zeros of both signs, one row all -0.0."""
+    x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    zeros = rng.random(shape) < 0.25
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    x[rng.integers(shape[0])] = -0.0
+    return x
+
+
+class TestClosureContraction:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitwise_against_einsum(self, n):
+        rng = np.random.default_rng(40 + n)
+        t = params(n, variant=Variant.SWME).tensors
+        for shape in [(n,), (n, 37), (n, 2, 37)]:
+            for _ in range(10):
+                u, du = signed_rows(rng, shape), signed_rows(rng, shape)
+                ul, dul = np.moveaxis(u, 0, -1), np.moveaxis(du, 0, -1)
+                want = np.moveaxis(np.einsum("ijk,...j,...k->...i", t.A, ul, ul), -1, 0)
+                assert _contract(t.A_terms, u, u).tobytes() == want.tobytes(), shape
+                want = np.moveaxis(np.einsum("ijk,...k,...j->...i", t.B, ul, dul), -1, 0)
+                assert _contract(t.B_terms, u, du).tobytes() == want.tobytes(), shape
+
+    @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+    def test_rows_match_einsum_references(self, variant):
+        rng = np.random.default_rng(47)
+        for n in range(1, 6):
+            p = params(n, g=9.81, variant=variant)
+            # the solver's layout: variable axis first, both sides of 40 interfaces
+            W = np.moveaxis(random_primitive(rng, 80, n).reshape(2, 40, n + 2), -1, 0)
+            W[2:] = signed_rows(rng, W[2:].shape)
+            h, um, u = W[0], W[1], W[2:]
+            T = _moment_sum(np.moveaxis(u, 0, -1))
+            got, want = np.empty_like(W), np.empty_like(W)
+            _flux_rows(h, um, u, T, p, got)
+            reference_flux_rows(h, um, u, T, p, want)
+            assert got.tobytes() == want.tobytes(), n
+            du = signed_rows(rng, u.shape)
+            assert (_path_rows(um, u, du, p).tobytes()
+                    == reference_path_rows(um, u, du, p).tobytes()), n
+
+    def test_infinite_velocity_skips_zero_coefficients(self):
+        # the library-level difference from the dense einsum: 0 * inf is not taken
+        t = params(2, variant=Variant.SWME).tensors
+        u = np.array([0.0, np.inf])
+        with np.errstate(invalid="ignore"):
+            got = _contract(t.A_terms, u, u)
+            dense = np.einsum("ijk,...j,...k->...i", t.A, u, u)
+        assert np.isnan(dense).all()
+        assert np.isnan(got[0]) and got[1] == np.inf
 
 
 # the flux Jacobian and the nonconservative coefficient matrix, built apart as

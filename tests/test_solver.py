@@ -30,7 +30,13 @@ from swlme.solver import (
     semi_discrete_rhs,
     step,
 )
-from test_model import full_eigen_wave_speed
+from test_model import (
+    full_eigen_wave_speed,
+    reference_flux_jacobian,
+    reference_flux_rows,
+    reference_ncp_matrix,
+    reference_path_rows,
+)
 
 
 def swme_smooth_scenario(cells, t_end=0.0, **kw):
@@ -209,6 +215,25 @@ class TestCflDt:
         assert pruned.times == reference.times
         assert np.array_equal(pruned.steps, reference.steps)
         assert all(np.array_equal(a, b) for a, b in zip(pruned.snapshots, reference.snapshots))
+
+    def test_full_closure_run_matches_dense_einsum_contractions(self, monkeypatch):
+        # the kernel's flux and path rows and cfl_dt's quasilinear matrix all
+        # contract the closure tensors; with the dense einsums put back, the
+        # run must keep every bit, dt included
+        sc = swme_smooth_scenario(cells=64, t_end=0.08, output_every_steps=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            sparse = run(sc)
+            monkeypatch.setattr(swlme.solver, "_flux_rows", reference_flux_rows)
+            monkeypatch.setattr(swlme.solver, "_path_rows", reference_path_rows)
+            monkeypatch.setattr(swlme.model, "quasilinear_matrix", lambda W, p: (
+                reference_flux_jacobian(W, p) - reference_ncp_matrix(W, p)))
+            dense = run(sc)
+        assert sparse.failure is None and len(sparse.steps) > 20
+        assert sparse.times == dense.times
+        assert sparse.steps.tobytes() == dense.steps.tobytes()
+        assert len(sparse.snapshots) == len(dense.snapshots) > 4
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(sparse.snapshots, dense.snapshots))
 
 
 def random_states(rng, cells, n, h=(0.2, 2.0), v=(-1.0, 1.0)):
