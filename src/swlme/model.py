@@ -107,6 +107,10 @@ def check_wet(h: np.ndarray) -> None:
     The error's index holds the offending cell as a tuple of ints.
     """
     h = np.asarray(h)
+    # two reductions clear a wet array: a NaN propagates into the minimum, and
+    # +-inf shows in the minimum or the maximum; anything else takes the full test
+    if h.size and h.min() > H_MIN and h.max() < np.inf:
+        return
     if np.any(h <= H_MIN) or not np.all(np.isfinite(h)):
         flat = np.argmin(np.where(np.isfinite(h), h, -np.inf))
         idx = tuple(int(i) for i in np.unravel_index(flat, h.shape))
@@ -152,21 +156,22 @@ def _contract(terms: TermTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flux_rows(h, um, u, T, p: ModelParams, out: np.ndarray) -> None:
+def _flux_rows(h, um, u, T, p: ModelParams, out: np.ndarray, h_sq) -> None:
     """Write the flux into out, variable axis first.
 
-    h, um and T = _moment_sum of the moments have shape S, the moments u
-    shape (N,) + S, and out shape (N+2,) + S.  No wetness check.  The
+    h, um, T = _moment_sum of the moments and h_sq = h**2 have shape S, the
+    moments u shape (N,) + S, and out shape (N+2,) + S.  No wetness check.  The
     closure term skips the zero entries of A, so for an infinite velocity a
     row can be +-inf where np.einsum over the dense A gave nan (0 * inf).
     Both are non-finite, and an overflowing run stops earlier anyway: cfl_dt
     rejects the non-finite quasilinear matrix of such a state.
     """
     out[0] = h * um
-    out[1] = h * um**2 + h * T + 0.5 * p.g * h**2
-    out[2:] = 2.0 * h * um * u
-    if p.variant is Variant.SWME and p.N > 0:
-        out[2:] += h * _contract(p.tensors.A_terms, u, u)
+    out[1] = h * um**2 + h * T + 0.5 * p.g * h_sq
+    if p.N > 0:
+        out[2:] = 2.0 * h * um * u
+        if p.variant is Variant.SWME:
+            out[2:] += h * _contract(p.tensors.A_terms, u, u)
 
 
 def _path_rows(um, u, du, p: ModelParams) -> np.ndarray:
@@ -220,8 +225,9 @@ def flux(W: np.ndarray, p: ModelParams) -> np.ndarray:
     rows = np.moveaxis(W, -1, 0)
     # [i, ...] keeps a single state's fields 0-d arrays: numpy's scalar ** rounds
     # differently from the array square
-    _flux_rows(rows[0, ...], rows[1, ...], rows[2:], _moment_sum(W[..., 2:]), p,
-               np.moveaxis(F, -1, 0))
+    h = rows[0, ...]
+    _flux_rows(h, rows[1, ...], rows[2:], _moment_sum(W[..., 2:]), p,
+               np.moveaxis(F, -1, 0), h**2)
     return F
 
 

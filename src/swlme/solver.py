@@ -20,12 +20,19 @@ another layout: it transposes the ghost-extended states to (N+2, cells+2),
 stacks both sides of every interface into one (N+2, 2, cells+1) array, and
 evaluates primitives, flux, wave speed and path term once over that stack
 with the model's component helpers, so each elementwise operation runs along
-a row of cells.  It validates the depths once per call and returns the usual
-(cells, N+2) layout.
+a row of cells, and returns the usual (cells, N+2) layout.  The
+ghost-extended bottom and b* = max(b_L, b_R) depend on the scenario alone
+and are computed once, as the cached Scenario.interface_bottom.
+
+Validation: semi_discrete_rhs checks the depths on both sides of every
+interface and in every cell, once per call; step checks each stage's result
+for non-finite components, then dry depths; run checks each new state once,
+for its summary row and the next time step, and stops after MAX_STEPS steps.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 from collections.abc import Mapping
@@ -50,6 +57,8 @@ from swlme.model import (
 )
 
 BOUNDARY_KINDS = ("periodic", "outflow", "reflective")
+# steps one run may take; the largest benchmark mesh takes about 900
+MAX_STEPS = 10**7
 
 # config section -> preset name -> parameter -> default
 _PRESETS = {
@@ -190,6 +199,25 @@ class Scenario:
     def topography(self) -> Topography:
         return make_topography(self.topo_name, self.topo_params, self.grid)
 
+    @functools.cached_property
+    def interface_bottom(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ghost-extended bottom b_ext (cells+2) and b* = max(b_L, b_R) per interface.
+
+        The ghosts follow the boundary kind: periodic wraps, the others copy
+        the edge cell.  Both arrays are read-only.
+        """
+        b = self.topography.b
+        b_ext = np.empty(b.shape[0] + 2)
+        b_ext[1:-1] = b
+        if self.boundary == "periodic":
+            b_ext[0], b_ext[-1] = b[-1], b[0]
+        else:
+            b_ext[0], b_ext[-1] = b[0], b[-1]
+        b_star = np.maximum(b_ext[:-1], b_ext[1:])
+        b_ext.setflags(write=False)
+        b_star.setflags(write=False)
+        return b_ext, b_star
+
     def initial_states(self) -> np.ndarray:
         return initial_condition(self.ic_name, self.ic_params, self.grid,
                                  self.params.N, self.topography.b)
@@ -233,16 +261,6 @@ def apply_boundary(U: np.ndarray, kind: str) -> np.ndarray:
     return ext
 
 
-def _extend_bottom(b: np.ndarray, kind: str) -> np.ndarray:
-    ext = np.empty(b.shape[0] + 2)
-    ext[1:-1] = b
-    if kind == "periodic":
-        ext[0], ext[-1] = b[-1], b[0]
-    else:
-        ext[0], ext[-1] = b[0], b[-1]
-    return ext
-
-
 def cfl_dt(U: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
     """Time step cfl * dx / (largest wave-speed bound over the cells)."""
     return _cfl_dt(to_primitive(U), grid, params, cfl)
@@ -260,18 +278,19 @@ def _cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> flo
     return cfl * grid.dx / float(np.max(speeds))
 
 
-def _interface_states(X: np.ndarray, b_ext: np.ndarray, boundary: str) -> np.ndarray:
+def _interface_states(X: np.ndarray, b_ext: np.ndarray, b_star: np.ndarray,
+                      boundary: str) -> np.ndarray:
     """Hydrostatically reconstructed interface states, variable axis first.
 
     X holds the ghost-extended conserved states as rows, shape
-    (N+2, cells+2).  Returns Us of shape (N+2, 2, cells+1): Us[:, 0] is the
-    left and Us[:, 1] the right state at each interface, with the depth
-    reconstructed against max(b_L, b_R) and each cell's velocities kept.
-    Validates every depth the update reads, naming the offending cell.
+    (N+2, cells+2), and b_ext, b_star are Scenario.interface_bottom.
+    Returns Us of shape (N+2, 2, cells+1): Us[:, 0] is the left and
+    Us[:, 1] the right state at each interface, with the depth
+    reconstructed against b* and each cell's velocities kept.  Validates
+    every depth the update reads, naming the offending cell.
     """
     h = X[0]
     hb = h + b_ext
-    b_star = np.maximum(b_ext[:-1], b_ext[1:])
     n = h.size - 1
     Us = np.empty((X.shape[0], 2, n))
     hs = Us[0]
@@ -296,31 +315,52 @@ def _interface_states(X: np.ndarray, b_ext: np.ndarray, boundary: str) -> np.nda
     return Us
 
 
-def _hydrostatic_correction(hs: np.ndarray, g: float) -> np.ndarray:
-    """Per-cell momentum correction g (hs_L^2 at the right face - hs_R^2 at the left) / 2."""
-    return 0.5 * g * (hs[0, 1:] ** 2 - hs[1, :-1] ** 2)
+def _hydrostatic_correction(hs_sq: np.ndarray, g: float) -> np.ndarray:
+    """Per-cell momentum correction g (hs_L^2 at the right face - hs_R^2 at the left) / 2.
+
+    hs_sq holds the squared interface depths, shape (2, cells+1).
+    """
+    corr = np.subtract(hs_sq[0, 1:], hs_sq[1, :-1])
+    corr *= 0.5 * g
+    return corr
 
 
-def _rusanov_flux(Us: np.ndarray, dUs: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Rusanov flux (N+2, cells+1) at the interface states Us, with dUs = Us_R - Us_L."""
+def _rusanov_flux(Us: np.ndarray, dUs: np.ndarray, hs_sq: np.ndarray,
+                  p: ModelParams) -> np.ndarray:
+    """Rusanov flux (N+2, cells+1) at the interface states Us.
+
+    dUs = Us_R - Us_L, and hs_sq holds the squared depths Us[0]**2.
+    """
     hs = Us[0]
     v = Us[1:] / hs
-    T = _moment_sum(np.moveaxis(v[1:], 0, -1))
+    T = _moment_sum(v[1:].transpose(1, 2, 0))
     speeds = _wave_speed(hs, v[0], T, p.g)
     F = np.empty_like(Us)
-    _flux_rows(hs, v[0], v[1:], T, p, F)
-    return 0.5 * (F[:, 0] + F[:, 1]) - 0.5 * np.maximum(speeds[0], speeds[1]) * dUs
+    _flux_rows(hs, v[0], v[1:], T, p, F, hs_sq)
+    # 0.5 (F_L + F_R) - (0.5 max(s_L, s_R)) dUs
+    F_star = np.add(F[:, 0], F[:, 1])
+    F_star *= 0.5
+    s = np.maximum(speeds[0], speeds[1])
+    s *= 0.5
+    F_star -= np.multiply(s, dUs, out=F[:, 0])
+    return F_star
 
 
 def _path_term(Us: np.ndarray, dUs: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Path term (N+2, cells+1) of the straight-line path, at the mean interface state."""
-    Um = 0.5 * (Us[:, 0] + Us[:, 1])
+    """Moment rows (N, cells) of the half path terms of each cell's two interfaces.
+
+    The path is straight and evaluated at the mean interface state, of which
+    only the rows _path_rows reads are formed: h and q, and the moments
+    under the full closure (the linearized one reads u_m alone).
+    """
+    rows = Us.shape[0] if p.variant is Variant.SWME else 2
+    Um = np.add(Us[:rows, 0], Us[:rows, 1])
+    Um *= 0.5
     vm = Um[1:] / Um[0]
-    # the zero mass and momentum rows are added to the update as well, which
-    # turns a -0.0 there into +0.0; dropping them would change the stored bits
-    P = np.zeros_like(dUs)
-    P[2:] = _path_rows(vm[0], vm[1:], dUs[2:], p)
-    return P
+    P = _path_rows(vm[0], vm[1:], dUs[2:], p)
+    P_cell = np.add(P[:, 1:], P[:, :-1])
+    P_cell *= 0.5
+    return P_cell
 
 
 def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -328,18 +368,26 @@ def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
 
     Each interface contributes a Rusanov flux at the reconstructed states
     and half of its path term to both neighbors; each cell adds the
-    hydrostatic momentum correction.  Fresh output array, no aliasing.
+    hydrostatic momentum correction.  The ghost-extended bottom and b* are
+    the scenario's cached interface_bottom, computed once per scenario.
+    The depths at both sides of every interface and in every cell are
+    validated here, once per call; other components are not checked (step
+    checks each stage's result).  Fresh output array, no aliasing.
     """
     p = scenario.params
     Us = _interface_states(apply_boundary(U, scenario.boundary).T.copy(),
-                           _extend_bottom(scenario.topography.b, scenario.boundary),
-                           scenario.boundary)
-    dUs = Us[:, 1] - Us[:, 0]
-    F_star = _rusanov_flux(Us, dUs, p)
-    dU = -(F_star[:, 1:] - F_star[:, :-1])
-    dU[1] += _hydrostatic_correction(Us[0], p.g)
-    P = _path_term(Us, dUs, p)
-    dU += 0.5 * (P[:, 1:] + P[:, :-1])
+                           *scenario.interface_bottom, scenario.boundary)
+    hs_sq = np.square(Us[0])
+    dUs = np.subtract(Us[:, 1], Us[:, 0])
+    F_star = _rusanov_flux(Us, dUs, hs_sq, p)
+    dU = np.subtract(F_star[:, 1:], F_star[:, :-1])
+    np.negative(dU, out=dU)
+    dU[1] += _hydrostatic_correction(hs_sq, p.g)
+    # the path term's mass and momentum rows are zero; adding them turned a
+    # -0.0 there into +0.0, which the stored bits keep
+    dU[:2] += 0.0
+    if p.N:
+        dU[2:] += _path_term(Us, dUs, p)
     out = np.empty(U.shape)
     np.divide(dU, scenario.grid.dx, out=out.T)
     return out
@@ -356,19 +404,34 @@ def _check_finite(U: np.ndarray) -> None:
 
 
 def step(U: np.ndarray, dt: float, scenario: Scenario) -> np.ndarray:
-    """One SSP-RK3 step; aborts with cell and stage on a non-finite or dry state."""
+    """One SSP-RK3 step; aborts with cell and stage on a non-finite or dry state.
+
+    Each stage V + dt R(V) and each combination is formed in place in the
+    fresh arrays the stages return, so U is never written.
+    """
     def stage(V: np.ndarray, k: int) -> np.ndarray:
         try:
-            out = V + dt * semi_discrete_rhs(V, scenario)
-            _check_finite(out)
+            out = semi_discrete_rhs(V, scenario)
+            out *= dt
+            out += V
+            # a finite array passes _check_finite; a NaN shows in its minimum
+            if not (out.min() > -np.inf and out.max() < np.inf):
+                _check_finite(out)
             check_wet(out[:, 0])
         except DryStateError as err:
             raise DryStateError(f"stage {k}: {err}", index=err.index) from err
         return out
 
     U1 = stage(U, 1)
-    U2 = 0.75 * U + 0.25 * stage(U1, 2)
-    return U / 3.0 + (2.0 / 3.0) * stage(U2, 3)
+    S = stage(U1, 2)
+    S *= 0.25
+    U2 = np.multiply(U, 0.75, out=U1)
+    U2 += S
+    S = stage(U2, 3)
+    S *= 2.0 / 3.0
+    U3 = np.divide(U, 3.0, out=U2)
+    U3 += S
+    return U3
 
 
 def _summary_row(t: float, U: np.ndarray, W: np.ndarray, b: np.ndarray, g: float,
@@ -382,8 +445,9 @@ def run(scenario: Scenario) -> Trajectory:
     """Advance the scenario to t_end, recording summaries and snapshots.
 
     The step is capped so snapshot times and t_end are hit exactly.  On a
-    dry state or a time step that underflows (dt <= 0 or t + dt == t) the
-    partial trajectory is returned with its failure field set.
+    dry state, a time step that underflows (dt <= 0 or t + dt == t), or
+    MAX_STEPS steps taken before t_end, the partial trajectory is returned
+    with its failure field set.
     """
     p = scenario.params
     grid = scenario.grid
@@ -407,7 +471,10 @@ def run(scenario: Scenario) -> Trajectory:
     n_steps = 0
 
     while t < scenario.t_end:
-        next_target = min(x for x in targets if x > t)
+        if n_steps >= MAX_STEPS:
+            failure = f"step limit of {MAX_STEPS} steps reached at t = {t}"
+            break
+        next_target = targets[bisect.bisect_right(targets, t)]  # the first target after t
         try:
             dt = _cfl_dt(W, grid, p, scenario.cfl)
             del W  # the step reads only U; holding W would raise its peak memory

@@ -427,6 +427,18 @@ class TestRunCommand:
         assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
         assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 100
 
+    def test_step_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a tiny CFL number passes validation; the step limit ends the run
+        monkeypatch.setattr("swlme.solver.MAX_STEPS", 3)
+        text = DAM_CFG.format(path=tmp_path / "o").replace("time.cfl = 0.9", "time.cfl = 1e-300")
+        path = self.write(tmp_path, text)
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"run failed \(step limit of 3 steps reached at t = \S+\); partial output",
+                         err), err
+        assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 4
+        assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 100
+
 
 class TestConvergeCommand:
     def test_stoker_rows(self, tmp_path, capsys):
@@ -459,6 +471,16 @@ class TestConvergeCommand:
         cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
         assert main(["converge", str(cfg), "--meshes", "50,100"]) == 2
         assert "time step underflow" in capsys.readouterr().err
+
+    def test_step_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("swlme.solver.MAX_STEPS", 3)
+        cfg = tmp_path / "dam.cfg"
+        cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
+        assert main(["converge", str(cfg), "--meshes", "50,100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: run on 50 cells failed: step limit of 3 steps "
+                                       "reached at t = ")
 
     def test_non_dyadic_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "smooth.cfg"

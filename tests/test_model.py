@@ -6,6 +6,7 @@ import pytest
 
 from swlme.basis import Variant
 from swlme.model import (
+    H_MIN,
     N_MAX,
     DryStateError,
     ModelParams,
@@ -80,6 +81,42 @@ class TestConversions:
             check_wet(np.array([[1.0, 1.0], [1.0, np.nan]]))
         assert info.value.index == (1, 1) and all(type(i) is int for i in info.value.index)
         assert str(info.value) == "dry or invalid state: h = nan at cell (1, 1)"
+
+
+def reference_check_wet(h):
+    """check_wet's body before its two-reduction pass for wet arrays."""
+    h = np.asarray(h)
+    if np.any(h <= H_MIN) or not np.all(np.isfinite(h)):
+        flat = np.argmin(np.where(np.isfinite(h), h, -np.inf))
+        idx = tuple(int(i) for i in np.unravel_index(flat, h.shape))
+        raise DryStateError(
+            f"dry or invalid state: h = {h.flat[flat] if h.ndim else float(h)} "
+            f"at cell {idx[0] if h.ndim == 1 else idx}",
+            index=idx,
+        )
+
+
+def outcome(fn, *args):
+    """("pass", what fn returned), or the type, message and index of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as err:  # the comparison covers whatever either side raises
+        return type(err), str(err), getattr(err, "index", None)
+    return "pass", value
+
+
+@pytest.mark.parametrize("h", [
+    np.array([]), np.empty((0, 3)), np.array(1.0), np.array(H_MIN), np.array(np.nan),
+    np.array(np.inf), np.array(-np.inf), np.array([1.0, 2.0, 0.5]),
+    np.array([1.0, np.nan, 2.0]), np.array([1.0, np.inf, 2.0]), np.array([1.0, -np.inf, 2.0]),
+    np.array([1.0, H_MIN, 2.0]), np.array([1.0, np.nextafter(H_MIN, 1.0), 2.0]),
+    np.array([np.inf, 0.0, np.nan]), np.array([2.0, -0.0, np.nan, -np.inf]),
+    np.array([[1.0, 1.0], [np.inf, H_MIN]]), np.array([[1.0, -np.inf], [np.nan, 1.0]]),
+    np.array([1.0, np.finfo(float).max]), np.array([3, 1, 2]), np.array([3, 0, 2]),
+], ids=repr)
+def test_check_wet_matches_reference(h):
+    for arg in (h, h[::-1] if h.ndim else h):  # a reversed view is strided
+        assert outcome(check_wet, arg) == outcome(reference_check_wet, arg)
 
 
 class TestFlux:
@@ -257,8 +294,9 @@ class TestBoussinesq:
 
 
 # the dense einsum bodies _flux_rows and _path_rows had before the closure
-# contractions went through _contract; they must keep their bits
-def reference_flux_rows(h, um, u, T, p, out):
+# contractions went through _contract; they must keep their bits.  The flux
+# reference squares h itself, as _flux_rows did before it took h_sq.
+def reference_flux_rows(h, um, u, T, p, out, h_sq=None):
     out[0] = h * um
     out[1] = h * um**2 + h * T + 0.5 * p.g * h**2
     out[2:] = 2.0 * h * um * u
@@ -310,7 +348,7 @@ class TestClosureContraction:
             h, um, u = W[0], W[1], W[2:]
             T = _moment_sum(np.moveaxis(u, 0, -1))
             got, want = np.empty_like(W), np.empty_like(W)
-            _flux_rows(h, um, u, T, p, got)
+            _flux_rows(h, um, u, T, p, got, h**2)
             reference_flux_rows(h, um, u, T, p, want)
             assert got.tobytes() == want.tobytes(), n
             du = signed_rows(rng, u.shape)

@@ -8,6 +8,7 @@ import swlme.model
 import swlme.solver
 from swlme.basis import Variant
 from swlme.model import (
+    H_MIN,
     DryStateError,
     ModelParams,
     WaveSpeedBoundWarning,
@@ -17,11 +18,14 @@ from swlme.model import (
     to_primitive,
 )
 from swlme.solver import (
+    BOUNDARY_KINDS,
     Grid1D,
     Scenario,
-    _extend_bottom,
+    Trajectory,
+    _cfl_dt,
     _hydrostatic_correction,
     _interface_states,
+    _summary_row,
     apply_boundary,
     cfl_dt,
     initial_condition,
@@ -32,6 +36,8 @@ from swlme.solver import (
 )
 from test_model import (
     full_eigen_wave_speed,
+    outcome,
+    reference_check_wet,
     reference_flux_jacobian,
     reference_flux_rows,
     reference_ncp_matrix,
@@ -291,9 +297,9 @@ class TestWellBalancing:
         # the hydrostatic momentum correction is semi_discrete_rhs's only bottom term
         U = random_states(np.random.default_rng(14), 20, 1)
         for bc in ("periodic", "outflow", "reflective"):
-            Us = _interface_states(apply_boundary(U, bc).T.copy(),
-                                   _extend_bottom(np.zeros(20), bc), bc)
-            assert np.all(_hydrostatic_correction(Us[0], 9.81) == 0.0), bc
+            sc = scenario(n=1, cells=20, bc=bc)
+            Us = _interface_states(apply_boundary(U, bc).T.copy(), *sc.interface_bottom, bc)
+            assert np.all(_hydrostatic_correction(Us[0] ** 2, 9.81) == 0.0), bc
 
     def test_lake_at_rest_is_fixed_point(self):
         sc = scenario(n=1, g=9.812, cells=100, span=(-5.0, 5.0), ic="lake_at_rest",
@@ -352,24 +358,123 @@ def reference_rhs(U, sc):
 
 
 @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
 def test_kernel_matches_reference_bitwise(variant, n):
     rng = np.random.default_rng(100 * n + (variant is Variant.SWME))
     p = ModelParams(g=9.81, N=n, variant=variant)
     topographies = [("flat", {}), ("gaussian", {"height": 0.4, "width": 0.8}),
                     ("slope", {"grade": 0.05})]
-    for bc in ("periodic", "outflow", "reflective"):
+    for bc in BOUNDARY_KINDS:
         for topo, topo_params in topographies:
             cells = int(rng.integers(2, 60))
             sc = Scenario(params=p, grid=Grid1D(-2.0, 2.0, cells), ic_name="constant",
                           topo_name=topo, topo_params=topo_params, boundary=bc)
-            U = np.empty((cells, n + 2))
-            U[:, 0] = rng.uniform(0.5, 2.0, cells)
-            U[:, 1:] = U[:, :1] * rng.uniform(-1.5, 1.5, (cells, n + 1))
-            got, ref = semi_discrete_rhs(U, sc), reference_rhs(U, sc)
-            assert np.array_equal(got, ref), (bc, topo)
-            assert got.tobytes() == ref.tobytes(), (bc, topo)  # signs of zero too
-            assert got.flags.c_contiguous and not np.shares_memory(got, U)
+            random = np.empty((cells, n + 2))
+            random[:, 0] = rng.uniform(0.5, 2.0, cells)
+            random[:, 1:] = random[:, :1] * rng.uniform(-1.5, 1.5, (cells, n + 1))
+            zero_moments = random.copy()
+            zero_moments[:, 2:] = 0.0
+            # states whose fluxes, differences and path terms come out exactly zero
+            constant = initial_condition("constant", {"h": 1.3, "um": 0.4, "u": -0.2},
+                                         sc.grid, n, sc.topography.b)
+            lake = initial_condition("lake_at_rest", {"surface": 1.0}, sc.grid, n,
+                                     sc.topography.b)
+            for name, U in [("random", random), ("zero moments", zero_moments),
+                            ("constant", constant), ("lake at rest", lake)]:
+                got, ref = semi_discrete_rhs(U, sc), reference_rhs(U, sc)
+                assert np.array_equal(got, ref), (bc, topo, name)
+                assert got.tobytes() == ref.tobytes(), (bc, topo, name)  # signs of zero too
+                assert got.flags.c_contiguous and not np.shares_memory(got, U)
+            assert np.all(semi_discrete_rhs(zero_moments, sc)[:, 2:] == 0.0)
+
+
+def reference_check_finite(U):
+    """_check_finite's body, which every stage ran before its min/max pass."""
+    bad = ~np.isfinite(U[:, 1:])
+    if bad.any():
+        cell, col = (int(i) for i in np.argwhere(bad)[0])
+        name = "momentum" if col == 0 else f"moment {col}"
+        raise DryStateError(f"non-finite state: {name} = {U[cell, col + 1]} at cell {cell}",
+                            index=(cell,))
+
+
+def reference_step(U, dt, sc):
+    """step as it was before it formed its stages in place: fresh arrays, full checks."""
+    def stage(V, k):
+        try:
+            out = V + dt * swlme.solver.semi_discrete_rhs(V, sc)
+            reference_check_finite(out)
+            reference_check_wet(out[:, 0])
+        except DryStateError as err:
+            raise DryStateError(f"stage {k}: {err}", index=err.index) from err
+        return out
+
+    U1 = stage(U, 1)
+    U2 = 0.75 * U + 0.25 * stage(U1, 2)
+    return U / 3.0 + (2.0 / 3.0) * stage(U2, 3)
+
+
+@pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+@pytest.mark.parametrize("bc", BOUNDARY_KINDS)
+def test_step_matches_reference_bitwise(variant, bc):
+    rng = np.random.default_rng(7)
+    sc = Scenario(params=ModelParams(g=9.81, N=3, variant=variant), grid=Grid1D(-5.0, 5.0, 64),
+                  ic_name="dam_break", ic_params={"h_l": 2.0, "h_r": 1.0},
+                  topo_name="gaussian", boundary=bc)
+    at_rest = sc.initial_states()  # zero velocities: signed zeros all over the update
+    moving = at_rest.copy()
+    moving[:, 1:] = moving[:, :1] * rng.uniform(-0.3, 0.3, (64, 4))
+    for U in (at_rest, moving):
+        for _ in range(20):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+                dt = cfl_dt(U, sc.grid, sc.params, 0.9)
+            before = U.copy()
+            got, want = step(U, dt, sc), reference_step(U, dt, sc)
+            assert got.tobytes() == want.tobytes()
+            assert U.tobytes() == before.tobytes()  # the input is never written
+            U = got
+
+
+# stage results of step(U, 1.0, ...) under a stubbed right-hand side R, which
+# equal U + R exactly: (cell, column, value) entries of R, and cells whose depth
+# in U is 0.0 (the stub reads nothing, so a dry input is allowed)
+STAGE_CASES = {
+    "finite": ([], []),
+    "nan depth": ([(3, 0, np.nan)], []),
+    "+inf depth": ([(3, 0, np.inf)], []),
+    "-inf depth": ([(3, 0, -np.inf)], []),
+    "depth at H_MIN": ([(3, 0, H_MIN)], [3]),
+    "depth just above H_MIN": ([(3, 0, np.nextafter(H_MIN, 1.0))], [3]),
+    "large finite values": ([(3, 1, np.finfo(float).max / 4), (4, 2, -np.finfo(float).max / 4)],
+                            []),
+    "nan momentum after a dry depth": ([(5, 1, np.nan)], [2]),
+    "nan momentum before a dry depth": ([(2, 1, np.nan)], [5]),
+    "-inf momentum": ([(7, 1, -np.inf)], []),
+    "+inf moment and nan depth": ([(4, 3, np.inf), (1, 0, np.nan)], []),
+    "nan and -inf moments": ([(6, 2, np.nan), (6, 3, -np.inf), (2, 3, np.nan)], []),
+}
+
+
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_stage_checks_match_reference(monkeypatch, case):
+    entries, dry = STAGE_CASES[case]
+    sc = scenario(n=2, cells=12, ic_params={"h": 1.0, "um": 0.2})
+    U = sc.initial_states()
+    U[dry, 0] = 0.0
+    R = np.zeros_like(U)
+    for cell, col, value in entries:
+        R[cell, col] = value
+    monkeypatch.setattr(swlme.solver, "semi_discrete_rhs", lambda V, scenario: R.copy())
+
+    def result(step_fn):
+        return step_fn(U, 1.0, sc).tobytes()
+
+    with np.errstate(all="ignore"):
+        got, want = outcome(result, step), outcome(result, reference_step)
+    assert got == want
+    assert (got[0] == "pass") == (case in ("finite", "depth just above H_MIN",
+                                           "large finite values"))
 
 
 class TestStep:
@@ -578,6 +683,37 @@ class TestRun:
         assert traj.failure == "time step underflow at t = 0.0"
         assert traj.times == [0.0] and traj.steps.shape == (1, 4)
 
+    def test_step_limit_returns_partial_trajectory(self, monkeypatch):
+        # time.cfl = 1e-300 passes validation and would take about 1e16 steps
+        monkeypatch.setattr(swlme.solver, "MAX_STEPS", 4)
+        sc = scenario(cells=10, ic_params={"h": 1.0}, t_end=1.0, cfl=1e-300)
+        traj = run(sc)
+        t = traj.steps[-1, 0]
+        assert traj.failure == f"step limit of 4 steps reached at t = {t}"
+        assert traj.steps.shape == (5, 4) and 0.0 < t < sc.t_end
+        assert traj.times == [0.0]
+
+    def test_step_limit_allows_exactly_max_steps(self, monkeypatch):
+        sc = scenario(n=1, cells=20, ic="dam_break", t_end=0.2)
+        steps = len(run(sc).steps) - 1
+        monkeypatch.setattr(swlme.solver, "MAX_STEPS", steps)
+        assert run(sc).failure is None
+        monkeypatch.setattr(swlme.solver, "MAX_STEPS", steps - 1)
+        assert run(sc).failure.startswith(f"step limit of {steps - 1} steps reached at t = ")
+
+    @pytest.mark.parametrize("snapshots, every", [(400, 7), (5, 0), (3, 2)])
+    def test_snapshot_targets_match_reference(self, snapshots, every):
+        sc = scenario(n=1, g=9.81, cells=16, span=(-5.0, 5.0), ic="dam_break",
+                      ic_params={"h_l": 2.0, "h_r": 1.0}, topo="gaussian", bc="reflective",
+                      t_end=0.6, output_snapshots=snapshots, output_every_steps=every)
+        got, want = run(sc), reference_run(sc)
+        assert got.failure is None and want.failure is None
+        assert got.times == want.times
+        assert got.times[-1] == sc.t_end and len(got.times) >= snapshots + 1
+        assert got.steps.tobytes() == want.steps.tobytes()
+        assert len(got.snapshots) == len(want.snapshots)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.snapshots, want.snapshots))
+
     def test_dry_failure_names_cell_as_int(self):
         sc = scenario(n=0, cells=40, ic="constant", ic_params={"um": 10.0},
                       bc="reflective", t_end=1.0)
@@ -594,6 +730,51 @@ class TestRun:
             traj = run(sc)
         assert traj.failure == "invalid state: non-finite quasilinear matrix at cell 0"
         assert traj.times == [0.0] and traj.steps.shape == (1, 4)
+
+
+def reference_run(scenario):
+    """run's loop as it was before the step limit, scanning every target per step."""
+    p = scenario.params
+    grid = scenario.grid
+    b = scenario.topography.b
+    U = scenario.initial_states()
+    targets = {scenario.t_end}
+    if scenario.output_snapshots > 0:
+        k = np.arange(1, scenario.output_snapshots)
+        targets.update((k * (scenario.t_end / scenario.output_snapshots)).tolist())
+    targets = sorted(targets)
+    t = 0.0
+    times = [0.0]
+    snapshots = [U.copy()]
+    W = to_primitive(U)
+    rows = [_summary_row(t, U, W, b, p.g, grid.dx)]
+    failure = None
+    n_steps = 0
+    while t < scenario.t_end:
+        next_target = min(x for x in targets if x > t)
+        try:
+            dt = _cfl_dt(W, grid, p, scenario.cfl)
+            landed = t + dt >= next_target
+            if landed:
+                dt = next_target - t
+            if dt <= 0.0 or t + dt == t:
+                failure = f"time step underflow at t = {t}"
+                break
+            U = step(U, dt, scenario)
+        except DryStateError as err:
+            failure = str(err)
+            break
+        t = next_target if landed else t + dt
+        n_steps += 1
+        W = to_primitive(U)
+        rows.append(_summary_row(t, U, W, b, p.g, grid.dx))
+        want_snap = landed or (
+            scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
+        )
+        if want_snap and t > times[-1]:
+            times.append(t)
+            snapshots.append(U.copy())
+    return Trajectory(times=times, snapshots=snapshots, steps=np.array(rows), failure=failure)
 
 
 def test_scenario_validation():
