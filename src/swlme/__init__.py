@@ -1,6 +1,6 @@
 """1D shallow water linearized moment equations: model, solver, and energy diagnostics."""
 
-from swlme.basis import ClosureTensors, QuadratureRule, Variant, compute_tensors, gauss_rule
+from swlme.basis import ClosureTensors, Variant, compute_tensors
 from swlme.model import (
     DryStateError,
     EnergyPair,
@@ -24,7 +24,6 @@ __all__ = [
     "EnergyPair",
     "EntropyVars",
     "ModelParams",
-    "QuadratureRule",
     "Topography",
     "Variant",
     "boussinesq_beta",
@@ -32,7 +31,6 @@ __all__ = [
     "energy",
     "entropy_vars",
     "flux",
-    "gauss_rule",
     "max_wave_speed",
     "to_conserved",
     "to_primitive",

@@ -1,4 +1,4 @@
-"""Shifted Legendre basis on [0,1], Gauss quadrature, and moment closure tensors.
+"""Shifted Legendre basis on [0,1] and the moment closure tensors.
 
 The vertical velocity profile is expanded in Legendre polynomials of the
 scaled depth coordinate zeta = (z - b)/h in [0,1].  The basis here uses the
@@ -14,6 +14,22 @@ Closure tensors couple the moment equations:
 
 for logical indices i,j,k in 1..N (stored 0-based).  The linearized variant
 sets both tensors to zero.
+
+Both are rationals in closed form.  With c(k) = C(2k, k) and 2s = l+m+p,
+Adams' integral of a product of three Legendre polynomials (Proc. R. Soc.
+27, 1878) gives
+
+    E(l,m,p) = (2l+1) int_0^1 phi_l phi_m phi_p dz
+             = (2l+1) c(s-l) c(s-m) c(s-p) / ((2s+1) c(s)),
+
+zero unless l+m+p is even and max(l,m,p) <= s.  So A_ijk = E(i,j,k).  With
+phi_i' = -2 sum_{l=i-1,i-3,...>=0} (2l+1) phi_l and
+int_0^z phi_j = (phi_{j-1} - phi_{j+1}) / (2(2j+1)),
+
+    B_ijk = -(2i+1)/(2j+1) sum_{l=i-1,i-3,...>=0} [E(l,j-1,k) - E(l,j+1,k)].
+
+compute_tensors evaluates both in integers over one common denominator, so
+each stored entry is the correctly rounded value of the exact rational.
 """
 
 from __future__ import annotations
@@ -31,108 +47,6 @@ class Variant(enum.Enum):
 
     SWLME = "swlme"
     SWME = "swme"
-
-
-def _check_index(i: int) -> None:
-    if i < 0:
-        raise ValueError(f"basis index must be >= 0, got {i}")
-
-
-def phi(i: int, zeta):
-    """Evaluate the shifted Legendre polynomial phi_i at zeta in [0,1].
-
-    Normalized so phi_i(0) = 1.  Uses the stable three-term recurrence in
-    the mapped variable x = 1 - 2*zeta.  Accepts scalar or array zeta.
-    """
-    _check_index(i)
-    x = 1.0 - 2.0 * np.asarray(zeta, dtype=float)
-    p_prev = np.ones_like(x)
-    if i == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = x
-    for k in range(1, i):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return p if p.ndim else float(p)
-
-
-def phi_prime(i: int, zeta):
-    """Derivative d(phi_i)/d(zeta), by the recurrence carried along with phi."""
-    _check_index(i)
-    x = 1.0 - 2.0 * np.asarray(zeta, dtype=float)
-    p_prev, d_prev = np.ones_like(x), np.zeros_like(x)
-    if i == 0:
-        return d_prev if d_prev.ndim else float(d_prev)
-    p, d = x, np.full_like(x, -2.0)
-    for k in range(1, i):
-        # chain rule: dx/dzeta = -2
-        p, p_prev, d, d_prev = (
-            ((2 * k + 1) * x * p - k * p_prev) / (k + 1),
-            p,
-            ((2 * k + 1) * (-2.0 * p + x * d) - k * d_prev) / (k + 1),
-            d,
-        )
-    return d if d.ndim else float(d)
-
-
-def phi_antiderivative(i: int, zeta):
-    """Integral of phi_i from 0 to zeta.
-
-    For i >= 1 this is (phi_{i-1} - phi_{i+1}) / (2*(2i+1)), which vanishes
-    at both endpoints; for i = 0 it is zeta itself.
-    """
-    _check_index(i)
-    z = np.asarray(zeta, dtype=float)
-    if i == 0:
-        return z if z.ndim else float(z)
-    out = (phi(i - 1, z) - phi(i + 1, z)) / (2.0 * (2 * i + 1))
-    return out if np.ndim(out) else float(out)
-
-
-def phi_table(max_index: int, zeta: np.ndarray) -> np.ndarray:
-    """All of phi_0..phi_max at once; returns array of shape (max_index+1, len(zeta))."""
-    _check_index(max_index)
-    z = np.atleast_1d(np.asarray(zeta, dtype=float))
-    x = 1.0 - 2.0 * z
-    table = np.empty((max_index + 1, z.size))
-    table[0] = 1.0
-    if max_index >= 1:
-        table[1] = x
-    for k in range(1, max_index):
-        table[k + 1] = ((2 * k + 1) * x * table[k] - k * table[k - 1]) / (k + 1)
-    return table
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights on the open interval (0,1); weights sum to one."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, fn) -> float:
-        """Apply the rule to a callable of zeta."""
-        return float(np.dot(self.weights, fn(self.nodes)))
-
-
-def gauss_rule(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule with n nodes mapped to [0,1]; exact to degree 2n-1."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights)
-
-
-def tensor_node_count(order: int) -> int:
-    """Node count used for the closure-tensor integrals of a given order.
-
-    The integrands are polynomials of degree at most 3*order; this count
-    leaves two nodes of headroom beyond exactness.
-    """
-    return math.ceil((3 * order + 1) / 2) + 2
 
 
 class TermTable(NamedTuple):
@@ -201,37 +115,41 @@ def compute_tensors(order: int, variant: Variant) -> ClosureTensors:
     """Build the closure tensors for the given moment order.
 
     The linearized variant has identically zero tensors.  The full variant
-    integrates the polynomial products by Gauss quadrature that is exact
-    for their degree (tensor_node_count).
+    evaluates the closed forms of the module docstring exactly: every
+    E(l,m,p) is an integer over the common denominator
+    D = lcm_s((2s+1) c(s)), and each entry is one correctly rounded
+    int / int division.
     """
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
-    if variant is Variant.SWLME or order == 0:
-        zeros = np.zeros((order, order, order))
-        return ClosureTensors(order=order, A=zeros, B=zeros.copy(), variant=variant)
+    n = order
+    if variant is Variant.SWLME or n == 0:
+        zeros = np.zeros((n, n, n))
+        return ClosureTensors(order=n, A=zeros, B=zeros.copy(), variant=variant)
 
-    rule = gauss_rule(tensor_node_count(order))
-    z, w = rule.nodes, rule.weights
-    # values, derivatives, and antiderivatives of phi_1..phi_N at the nodes
-    vals = phi_table(order, z)[1:]
-    der = np.stack([phi_prime(i, z) for i in range(1, order + 1)])
-    anti = np.stack([phi_antiderivative(i, z) for i in range(1, order + 1)])
-    scale = 2.0 * np.arange(1, order + 1) + 1.0
+    s_max = 3 * n // 2  # B reaches E(l, j+1, k) with l <= n-1 and j, k <= n
+    c = [math.comb(2 * k, k) for k in range(s_max + 1)]
+    D = math.lcm(*((2 * s + 1) * c[s] for s in range(s_max + 1)))
+    per_s = [D // ((2 * s + 1) * c[s]) for s in range(s_max + 1)]
 
-    A = np.zeros((order, order, order))
-    B = np.zeros((order, order, order))
-    for i in range(order):
-        for j in range(order):
-            # entries with odd logical index sum (even storage sum, since
-            # storage is 0-based) vanish by parity about zeta = 1/2, using
-            # phi_i(1 - z) = (-1)^i phi_i(z); keep them exact zeros instead
-            # of quadrature dust.  A is filled for j <= k and mirrored, so
-            # its j/k symmetry is exact too.
-            for k in range(j, order):
-                if (i + j + k) % 2 == 1:
-                    A[i, j, k] = scale[i] * np.dot(w, vals[i] * vals[j] * vals[k])
-                    A[i, k, j] = A[i, j, k]
-            for k in range(order):
-                if (i + j + k) % 2 == 1:
-                    B[i, j, k] = scale[i] * np.dot(w, der[i] * anti[j] * vals[k])
-    return ClosureTensors(order=order, A=A, B=B, variant=variant)
+    def e(l: int, m: int, p: int) -> int:
+        """D * E(l, m, p), exactly."""
+        s, odd = divmod(l + m + p, 2)
+        if odd or max(l, m, p) > s:
+            return 0
+        return (2 * l + 1) * c[s - l] * c[s - m] * c[s - p] * per_s[s]
+
+    A = [0.0] * n**3
+    B = [0.0] * n**3
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            # both tensors vanish unless i+j+k is even, so only one parity of
+            # l = i-1 enters B's sum; acc runs over it
+            acc = 0
+            for i in range(2 - (j + k) % 2, n + 1, 2):
+                acc += e(i - 1, j - 1, k) - e(i - 1, j + 1, k)
+                at = ((i - 1) * n + j - 1) * n + k - 1
+                A[at] = e(i, j, k) / D
+                B[at] = -(2 * i + 1) * acc / ((2 * j + 1) * D)
+    return ClosureTensors(order=n, A=np.array(A).reshape(n, n, n),
+                          B=np.array(B).reshape(n, n, n), variant=variant)

@@ -64,7 +64,7 @@ def cmd_coeffs(args) -> int:
     for i in range(args.N):
         for j in range(args.N):
             for k in range(args.N):
-                print(f"{i+1},{j+1},{k+1},{tensors.A[i,j,k]:.17g},{tensors.B[i,j,k]:.17g}")
+                print(f"{i+1},{j+1},{k+1},{_fmt(tensors.A[i,j,k])},{_fmt(tensors.B[i,j,k])}")
     return EXIT_OK
 
 

@@ -261,13 +261,11 @@ def apply_boundary(U: np.ndarray, kind: str) -> np.ndarray:
     return ext
 
 
-def cfl_dt(U: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
-    """Time step cfl * dx / (largest wave-speed bound over the cells)."""
-    return _cfl_dt(to_primitive(U), grid, params, cfl)
+def cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
+    """Time step cfl * dx / (largest wave-speed bound over the cells).
 
-
-def _cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
-    """cfl_dt from validated primitive states W."""
+    W holds validated primitive states, as to_primitive returns them.
+    """
     if params.variant is Variant.SWME:
         # the analytic bound can fail for the full closure; it is validated
         # against the spectrum where it could set the maximum
@@ -476,7 +474,7 @@ def run(scenario: Scenario) -> Trajectory:
             break
         next_target = targets[bisect.bisect_right(targets, t)]  # the first target after t
         try:
-            dt = _cfl_dt(W, grid, p, scenario.cfl)
+            dt = cfl_dt(W, grid, p, scenario.cfl)
             del W  # the step reads only U; holding W would raise its peak memory
             landed = t + dt >= next_target
             if landed:

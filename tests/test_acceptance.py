@@ -7,9 +7,9 @@ import functools
 import time
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
-import swlme.basis
-from swlme.basis import Variant, compute_tensors, gauss_rule, phi_table, tensor_node_count
+from swlme.basis import Variant, compute_tensors
 from swlme.diagnostics import (
     FreeSample,
     check_total_energy_identity,
@@ -19,6 +19,7 @@ from swlme.diagnostics import (
 )
 from swlme.model import ModelParams, boussinesq_beta, energy, to_primitive
 from swlme.solver import Grid1D, Scenario, run
+from test_basis import exact_tensors, gauss_nodes
 
 ORDERS = (0, 1, 2, 3, 5)
 GRAVITIES = (1.0, 9.81)
@@ -87,13 +88,13 @@ def test_criterion_04_boussinesq_closed_form():
     worst = 0.0
     count = 0
     for n in (1, 2, 3, 4, 5):
-        rule = gauss_rule(n + 2)
-        table = phi_table(n, rule.nodes)[1:]
+        z, w = gauss_nodes(n + 2)
+        table = legvander(1.0 - 2.0 * z, n).T[1:]
         for _ in range(200):
             um = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
             u = rng.uniform(-2.0, 2.0, n)
             profile = um + u @ table
-            beta_quad = float(np.dot(rule.weights, profile**2)) / um**2
+            beta_quad = float(np.dot(w, profile**2)) / um**2
             beta = boussinesq_beta(np.concatenate([[1.0, um], u]))
             worst = max(worst, abs(beta - beta_quad))
             count += 1
@@ -102,10 +103,10 @@ def test_criterion_04_boussinesq_closed_form():
             f"max |closed form - profile quadrature| {worst:.2e} <= 1e-13 on {count} sets")
 
 
-def test_criterion_05_closure_tensors(monkeypatch):
-    rule = gauss_rule(12)
-    table = phi_table(8, rule.nodes)
-    gram = (table * rule.weights) @ table.T
+def test_criterion_05_closure_tensors():
+    z, w = gauss_nodes(12)
+    table = legvander(1.0 - 2.0 * z, 8).T
+    gram = (table * w) @ table.T
     ortho_dev = float(np.abs(gram - np.diag(1.0 / (2.0 * np.arange(9) + 1.0))).max())
 
     zeros_exact = all(
@@ -114,19 +115,17 @@ def test_criterion_05_closure_tensors(monkeypatch):
         for n in (1, 2, 3, 5)
     )
 
-    plateau_dev = 0.0
-    exact = {n: compute_tensors(n, Variant.SWME) for n in (2, 4)}
-    # three quadrature nodes more than the exact rule must not move the entries
-    monkeypatch.setattr(swlme.basis, "tensor_node_count", lambda order: tensor_node_count(order) + 3)
-    for n, t1 in exact.items():
-        t2 = compute_tensors(n, Variant.SWME)
-        plateau_dev = max(plateau_dev, float(np.abs(t1.A - t2.A).max()),
-                          float(np.abs(t1.B - t2.B).max()))
+    # every full-closure entry is the correctly rounded exact rational
+    A, B = exact_tensors(12)
+    inexact = 0
+    for n in range(1, 13):
+        t = compute_tensors(n, Variant.SWME)
+        inexact += int(np.sum(t.A != A[:n, :n, :n]) + np.sum(t.B != B[:n, :n, :n]))
 
-    ok = ortho_dev <= 1e-12 and zeros_exact and plateau_dev <= 1e-13
+    ok = ortho_dev <= 1e-12 and zeros_exact and inexact == 0
     _report(5, "closure tensors", ok,
             f"orthogonality {ortho_dev:.2e} <= 1e-12, linearized zeros exact: {zeros_exact}, "
-            f"plateau {plateau_dev:.2e} <= 1e-13")
+            f"exact: {inexact} of the N = 1..12 entries differ from the rounded rationals")
 
 
 def test_criterion_06_plain_shallow_water_reduction():

@@ -1,101 +1,24 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legder, leggauss, legint, legval, legvander
 
-import swlme.basis
-from swlme.basis import (
-    Variant,
-    compute_tensors,
-    gauss_rule,
-    phi,
-    phi_antiderivative,
-    phi_prime,
-    phi_table,
-    tensor_node_count,
-)
+from swlme.basis import Variant, compute_tensors
+from swlme.model import N_MAX
 
 
-def test_phi_fixed_values():
-    assert phi(0, 0.7) == 1.0
-    assert phi(1, 0.5) == 0.0
-    assert phi(2, 0.0) == 1.0
-    # normalization at zero holds for every index
-    for i in range(9):
-        assert phi(i, 0.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_phi_negative_index():
-    for fn in (phi, phi_prime, phi_antiderivative):
-        with pytest.raises(ValueError):
-            fn(-1, 0.5)
-
-
-def test_phi_prime_fixed_values():
-    assert phi_prime(0, 0.3) == 0.0
-    assert phi_prime(1, 0.9) == -2.0
-
-
-def test_phi_prime_at_midpoint_by_finite_differences():
-    # phi_2 is symmetric about 1/2, so its derivative vanishes there
-    step = 1e-5
-    fd = (phi(2, 0.5 + step) - phi(2, 0.5 - step)) / (2 * step)
-    assert fd == pytest.approx(0.0, abs=1e-8)
-    assert phi_prime(2, 0.5) == pytest.approx(fd, abs=1e-8)
-
-
-def test_phi_prime_matches_finite_differences():
-    # away from the endpoints, where high-order third derivatives stay moderate
-    step = 1e-5
-    zeta = np.linspace(0.15, 0.85, 57)
-    for i in range(9):
-        fd = (phi(i, zeta + step) - phi(i, zeta - step)) / (2 * step)
-        np.testing.assert_allclose(phi_prime(i, zeta), fd, rtol=0.0, atol=1e-7)
-
-
-def test_phi_antiderivative_values():
-    assert phi_antiderivative(0, 0.25) == 0.25
-    assert phi_antiderivative(1, 1.0) == 0.0
-    # closed form zeta - zeta^2 at the midpoint
-    assert phi_antiderivative(1, 0.5) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_phi_antiderivative_against_quadrature():
-    rule = gauss_rule(12)
-    for i in range(7):
-        for zeta in (0.2, 0.5, 0.83, 1.0):
-            # map the rule onto [0, zeta]
-            val = zeta * np.dot(rule.weights, phi(i, zeta * rule.nodes))
-            assert phi_antiderivative(i, zeta) == pytest.approx(val, abs=1e-14)
-
-
-def test_gauss_rule_invariants():
-    for n in range(1, 13):
-        rule = gauss_rule(n)
-        assert np.all(rule.nodes > 0.0) and np.all(rule.nodes < 1.0)
-        assert np.all(np.diff(rule.nodes) > 0.0)
-        assert np.all(rule.weights > 0.0)
-        assert abs(rule.weights.sum() - 1.0) <= 1e-14
-        for k in range(2 * n):
-            exact = 1.0 / (k + 1)
-            assert rule.integrate(lambda z: z**k) == pytest.approx(exact, abs=1e-13)
-
-
-def test_gauss_rule_values():
-    one = gauss_rule(1)
-    np.testing.assert_array_equal(one.nodes, [0.5])
-    np.testing.assert_array_equal(one.weights, [1.0])
-    assert gauss_rule(2).integrate(lambda z: z**3) == pytest.approx(0.25, abs=1e-14)
-    assert gauss_rule(5).integrate(lambda z: z**9) == pytest.approx(0.1, abs=1e-14)
-
-
-def test_gauss_rule_rejects_zero_nodes():
-    with pytest.raises(ValueError):
-        gauss_rule(0)
+def gauss_nodes(n):
+    """Gauss-Legendre nodes and weights mapped to [0,1]."""
+    x, w = leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def test_orthogonality():
-    rule = gauss_rule(12)
-    table = phi_table(8, rule.nodes)
-    gram = (table * rule.weights) @ table.T
+    z, w = gauss_nodes(12)
+    table = legvander(1.0 - 2.0 * z, 8).T
+    gram = (table * w) @ table.T
     expect = np.diag(1.0 / (2.0 * np.arange(9) + 1.0))
     np.testing.assert_allclose(gram, expect, atol=1e-12)
 
@@ -115,37 +38,95 @@ def test_full_tensor_order_one():
     assert t.B[0, 0, 0] == 0.0
 
 
-def _brute_force_tensors(order, n_nodes):
-    """Independent oracle: plain triple loop, no symmetry or parity shortcuts."""
-    rule = gauss_rule(n_nodes)
-    z, w = rule.nodes, rule.weights
+def _brute_force_tensors(order):
+    """Independent oracle: Gauss quadrature, plain triple loop, no symmetry or parity shortcuts.
+
+    phi_i(z) = P_i(1 - 2z), so d(phi_i)/dz = -2 P_i'(x) and
+    int_0^z phi_j = (1/2) int_x^1 P_j, with x = 1 - 2z.
+    """
+    z, w = gauss_nodes(2 * order + 2)  # exact to degree 4 order + 3 >= 3 order
+    x = 1.0 - 2.0 * z
+    unit = np.eye(order + 1)
+    vals = [legval(x, unit[i]) for i in range(order + 1)]
+    der = [-2.0 * legval(x, legder(unit[i])) for i in range(order + 1)]
+    anti = [legval(x, legint(unit[i], lbnd=1, scl=-0.5)) for i in range(order + 1)]
     A = np.zeros((order,) * 3)
     B = np.zeros((order,) * 3)
     for i in range(1, order + 1):
         for j in range(1, order + 1):
             for k in range(1, order + 1):
-                A[i - 1, j - 1, k - 1] = (2 * i + 1) * np.dot(w, phi(i, z) * phi(j, z) * phi(k, z))
-                B[i - 1, j - 1, k - 1] = (2 * i + 1) * np.dot(
-                    w, phi_prime(i, z) * phi_antiderivative(j, z) * phi(k, z)
-                )
+                A[i - 1, j - 1, k - 1] = (2 * i + 1) * np.dot(w, vals[i] * vals[j] * vals[k])
+                B[i - 1, j - 1, k - 1] = (2 * i + 1) * np.dot(w, der[i] * anti[j] * vals[k])
     return A, B
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", range(1, 9))
 def test_full_tensors_against_brute_force(order):
     t = compute_tensors(order, Variant.SWME)
-    A, B = _brute_force_tensors(order, 4 * tensor_node_count(order))
+    A, B = _brute_force_tensors(order)
     np.testing.assert_allclose(t.A, A, atol=1e-13)
     np.testing.assert_allclose(t.B, B, atol=1e-13)
 
 
-def test_tensor_quadrature_plateau(monkeypatch):
-    # already-exact rules: adding nodes must not move the entries
-    t1 = compute_tensors(3, Variant.SWME)
-    monkeypatch.setattr(swlme.basis, "tensor_node_count", lambda order: tensor_node_count(order) + 3)
-    t2 = compute_tensors(3, Variant.SWME)
-    np.testing.assert_allclose(t1.A, t2.A, atol=1e-13)
-    np.testing.assert_allclose(t1.B, t2.B, atol=1e-13)
+def exact_tensors(order):
+    """A and B, correctly rounded from exact polynomial arithmetic in the monomial basis.
+
+    phi_n(z) = sum_k C(n,k) C(n+k,k) (-z)^k.  The products are multiplied,
+    differentiated and integrated coefficient by coefficient; no closed form
+    for the integrals is used.
+    """
+    phi = [[math.comb(n, k) * math.comb(n + k, k) * (-1) ** k for k in range(n + 1)]
+           for n in range(order + 1)]
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for a, x in enumerate(p):
+            for b, y in enumerate(q):
+                out[a + b] += x * y
+        return out
+
+    # integer coefficients throughout: the antiderivatives are scaled by L
+    L = math.lcm(*range(1, 3 * order + 2))
+
+    def integral(p):  # int_0^1 p dz
+        return Fraction(sum(c * (L // (d + 1)) for d, c in enumerate(p)), L)
+
+    der = [[d * c for d, c in enumerate(p)][1:] or [0] for p in phi]
+    anti = [[0] + [c * (L // (d + 1)) for d, c in enumerate(p)] for p in phi]
+    A = np.zeros((order,) * 3)
+    B = np.zeros((order,) * 3)
+    for j in range(1, order + 1):
+        for k in range(1, order + 1):
+            vv, av = mul(phi[j], phi[k]), mul(anti[j], phi[k])
+            for i in range(1, order + 1):
+                # float(Fraction) is the correctly rounded double
+                A[i - 1, j - 1, k - 1] = float((2 * i + 1) * integral(mul(phi[i], vv)))
+                B[i - 1, j - 1, k - 1] = float((2 * i + 1) * integral(mul(der[i], av)) / L)
+    return A, B
+
+
+def test_tensors_are_correctly_rounded():
+    A, B = exact_tensors(12)
+    for n in range(1, 13):
+        t = compute_tensors(n, Variant.SWME)
+        assert t.A.tobytes() == A[:n, :n, :n].tobytes(), n
+        assert t.B.tobytes() == B[:n, :n, :n].tobytes(), n
+
+
+def test_nonzero_pattern_at_the_order_bound():
+    n = N_MAX
+    t = compute_tensors(n, Variant.SWME)
+    assert np.count_nonzero(t.A) == 70064 and np.count_nonzero(t.B) == 70009
+    assert np.array_equal(t.A, t.A.transpose(0, 2, 1))
+    # Legendre parity and triangle rule: i+j+k even and max(i,j,k) <= (i+j+k)/2
+    i, j, k = np.meshgrid(*(np.arange(1, n + 1),) * 3, indexing="ij")
+    rule = ((i + j + k) % 2 == 0) & (2 * np.maximum(np.maximum(i, j), k) <= i + j + k)
+    assert np.array_equal(t.A != 0.0, rule)
+    assert not t.B[~rule].any()  # B also cancels exactly on 55 entries inside the rule
+    for T, terms in ((t.A, t.A_terms), (t.B, t.B_terms)):
+        rows = np.count_nonzero(T.reshape(n, -1), axis=1)
+        assert terms.coef.shape[0] == rows.max()
+        assert np.array_equal(np.count_nonzero(terms.coef, axis=0), rows)
 
 
 def test_tensor_symmetry_is_exact():
@@ -162,10 +143,10 @@ def test_tensors_immutable():
 def test_known_tensor_entries():
     # hand-integrated: B_112 = 1/5, B_211 = -1, B_222 = -1/7, A_112 = 2/5
     t = compute_tensors(2, Variant.SWME)
-    assert t.B[0, 0, 1] == pytest.approx(0.2, abs=1e-14)
-    assert t.B[1, 0, 0] == pytest.approx(-1.0, abs=1e-14)
-    assert t.B[1, 1, 1] == pytest.approx(-1.0 / 7.0, abs=1e-14)
-    assert t.A[0, 0, 1] == pytest.approx(0.4, abs=1e-14)
+    assert t.B[0, 0, 1] == 0.2
+    assert t.B[1, 0, 0] == -1.0
+    assert t.B[1, 1, 1] == -1.0 / 7.0
+    assert t.A[0, 0, 1] == 0.4
 
 
 def test_term_tables_list_the_nonzero_entries_in_einsum_order():

@@ -146,11 +146,11 @@ class TestCoeffsCommand:
     def test_linearized_single_row(self, capsys):
         assert main(["coeffs", "--N", "1", "--variant", "swlme"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out == ["i,j,k,A,B", "1,1,1,0,0"]
+        assert out == ["i,j,k,A,B", "1,1,1,0.0,0.0"]
 
     def test_full_order_one(self, capsys):
         assert main(["coeffs", "--N", "1", "--variant", "swme"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "1,1,1,0,0"
+        assert capsys.readouterr().out.splitlines()[1] == "1,1,1,0.0,0.0"
 
     def test_rejects_order_zero(self, capsys):
         assert main(["coeffs", "--N", "0"]) == 1
@@ -166,11 +166,14 @@ class TestCoeffsCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "i,j,k,A,B"
         assert len(lines) == 1 + 8
+        # the shortest round-trip form of the exact tensors
+        assert "1,1,2,0.4,0.2" in lines
+        assert "2,1,1,0.6666666666666666,-1.0" in lines
+        assert "2,2,2,0.2857142857142857,-0.14285714285714285" in lines
         t = compute_tensors(2, Variant.SWME)
         for line in lines[1:]:
             i, j, k, a, b = line.split(",")
             i, j, k = int(i) - 1, int(j) - 1, int(k) - 1
-            # 17 significant digits round-trip the double exactly
             assert float(a) == t.A[i, j, k]
             assert float(b) == t.B[i, j, k]
 
@@ -419,7 +422,7 @@ class TestRunCommand:
         assert (tmp_path / "o" / "summary.csv").exists()
 
     def test_time_step_underflow_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("swlme.solver._cfl_dt", lambda *args: 0.0)
+        monkeypatch.setattr("swlme.solver.cfl_dt", lambda *args: 0.0)
         path = self.write(tmp_path, DAM_CFG.format(path=tmp_path / "o"))
         assert main(["run", path]) == 2
         err = capsys.readouterr().err
@@ -466,7 +469,7 @@ class TestConvergeCommand:
         assert captured.out == "" and captured.err.startswith("error: --meshes ")
 
     def test_time_step_underflow_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("swlme.solver._cfl_dt", lambda *args: 0.0)
+        monkeypatch.setattr("swlme.solver.cfl_dt", lambda *args: 0.0)
         cfg = tmp_path / "dam.cfg"
         cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
         assert main(["converge", str(cfg), "--meshes", "50,100"]) == 2

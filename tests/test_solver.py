@@ -22,7 +22,6 @@ from swlme.solver import (
     Grid1D,
     Scenario,
     Trajectory,
-    _cfl_dt,
     _hydrostatic_correction,
     _interface_states,
     _summary_row,
@@ -167,15 +166,15 @@ class TestCflDt:
     def test_uniform_rest(self):
         sc = scenario(cells=10, ic_params={"h": 1.0})
         U = sc.initial_states()
-        dt = cfl_dt(U, sc.grid, sc.params, 0.5)
+        dt = cfl_dt(to_primitive(U), sc.grid, sc.params, 0.5)
         assert dt == pytest.approx(0.5 * 0.1 / np.sqrt(10.0), rel=1e-12)
 
     def test_scaling_with_dx(self):
         sc1 = scenario(cells=10, ic_params={"h": 1.0})
         sc2 = scenario(cells=10, span=(0.0, 2.0), ic_params={"h": 1.0})
-        U = sc1.initial_states()
-        assert cfl_dt(U, sc2.grid, sc1.params, 0.5) == pytest.approx(
-            2.0 * cfl_dt(U, sc1.grid, sc1.params, 0.5), rel=1e-14
+        W = to_primitive(sc1.initial_states())
+        assert cfl_dt(W, sc2.grid, sc1.params, 0.5) == pytest.approx(
+            2.0 * cfl_dt(W, sc1.grid, sc1.params, 0.5), rel=1e-14
         )
 
     def test_moments_decrease_dt(self):
@@ -190,7 +189,8 @@ class TestCflDt:
             base[:, 1] = h * um
             with_moments = base.copy()
             with_moments[:, 2:] = h[:, None] * rng.uniform(0.1, 1.0, (20, 2))
-            assert cfl_dt(with_moments, grid, p, 0.9) < cfl_dt(base, grid, p, 0.9)
+            assert (cfl_dt(to_primitive(with_moments), grid, p, 0.9)
+                    < cfl_dt(to_primitive(base), grid, p, 0.9))
 
     def test_full_closure_eigen_solves_few_states(self, monkeypatch):
         # regression guard on the pruning: counts states, not seconds
@@ -205,7 +205,7 @@ class TestCflDt:
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WaveSpeedBoundWarning)
-            dt = cfl_dt(sc.initial_states(), sc.grid, sc.params, 0.9)
+            dt = cfl_dt(to_primitive(sc.initial_states()), sc.grid, sc.params, 0.9)
         assert dt > 0.0 and len(solved) == 1
         assert sum(solved) < 0.1 * sc.grid.cells
 
@@ -306,7 +306,7 @@ class TestWellBalancing:
                       ic_params={"surface": 1.0}, topo="gaussian",
                       topo_params={"height": 0.2, "width": 1.0}, bc="outflow")
         U = sc.initial_states()
-        dt = cfl_dt(U, sc.grid, sc.params, 0.9)
+        dt = cfl_dt(to_primitive(U), sc.grid, sc.params, 0.9)
         for _ in range(100):
             U = step(U, dt, sc)
         W = to_primitive(U)
@@ -428,7 +428,7 @@ def test_step_matches_reference_bitwise(variant, bc):
         for _ in range(20):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WaveSpeedBoundWarning)
-                dt = cfl_dt(U, sc.grid, sc.params, 0.9)
+                dt = cfl_dt(to_primitive(U), sc.grid, sc.params, 0.9)
             before = U.copy()
             got, want = step(U, dt, sc), reference_step(U, dt, sc)
             assert got.tobytes() == want.tobytes()
@@ -677,7 +677,7 @@ class TestRun:
         assert len(traj.snapshots) >= 1 and len(traj.steps) >= 1
 
     def test_time_step_underflow_returns_partial_trajectory(self, monkeypatch):
-        monkeypatch.setattr(swlme.solver, "_cfl_dt", lambda *args: 0.0)
+        monkeypatch.setattr(swlme.solver, "cfl_dt", lambda *args: 0.0)
         sc = scenario(cells=10, ic_params={"h": 1.0}, t_end=1.0)
         traj = run(sc)
         assert traj.failure == "time step underflow at t = 0.0"
@@ -753,7 +753,7 @@ def reference_run(scenario):
     while t < scenario.t_end:
         next_target = min(x for x in targets if x > t)
         try:
-            dt = _cfl_dt(W, grid, p, scenario.cfl)
+            dt = cfl_dt(W, grid, p, scenario.cfl)
             landed = t + dt >= next_target
             if landed:
                 dt = next_target - t
