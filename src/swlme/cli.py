@@ -2,11 +2,17 @@
 
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
 runtime failures (for example a dry state or a time-step underflow mid-run).
+
+`run` opens its output files before the first step and streams into them:
+solver.run hands every summary row and snapshot to a _CsvSink, which
+formats it (in _write_outputs) and keeps only the last summary row, so the
+command's memory does not grow with the number of steps or snapshots.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import os
 import sys
@@ -60,11 +66,12 @@ def cmd_coeffs(args) -> int:
         print(f"error: --N must be in 1..{N_MAX}, got {args.N}", file=sys.stderr)
         return EXIT_FAIL
     tensors = compute_tensors(args.N, Variant(args.variant))
+    A, B = tensors.A.tolist(), tensors.B.tolist()  # Python floats: repr is the _fmt form
     print("i,j,k,A,B")
-    for i in range(args.N):
-        for j in range(args.N):
-            for k in range(args.N):
-                print(f"{i+1},{j+1},{k+1},{_fmt(tensors.A[i,j,k])},{_fmt(tensors.B[i,j,k])}")
+    for i, (A_i, B_i) in enumerate(zip(A, B), start=1):
+        for j, (A_ij, B_ij) in enumerate(zip(A_i, B_i), start=1):
+            sys.stdout.writelines(f"{i},{j},{k},{a!r},{b!r}\n"
+                                  for k, (a, b) in enumerate(zip(A_ij, B_ij), start=1))
     return EXIT_OK
 
 
@@ -161,39 +168,63 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _write_rows(fh, block: np.ndarray, heads=None) -> None:
-    """Write a 2D array as CSV rows of shortest round-trip floats (the _fmt form).
+class _CsvSink:
+    """The run sink of `swlme run`: appends each record to the CSV files as it arrives.
 
-    heads, if given, holds one preformatted text per row, written in front
-    of it.  Rows are converted a chunk at a time, so no more than
-    CSV_CHUNK_ROWS rows of strings are held at once.
+    Opening it creates output.path and both files, with their headers, so an
+    unwritable path fails before the first step.  Only the last summary row
+    is kept.  Used as a context manager, which closes the files.
     """
+
+    def __init__(self, scenario, path: str):
+        os.makedirs(path, exist_ok=True)
+        n = scenario.params.N
+        cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
+        self.b, self.g = scenario.topography.b, scenario.params.g
+        # the x column is the same every snapshot
+        self.x_texts = [_fmt(x) + "," for x in scenario.grid.centers.tolist()]
+        self.last = None
+        with contextlib.ExitStack() as files:
+            self.snapshots = files.enter_context(
+                open(os.path.join(path, "snapshots.csv"), "w", encoding="utf-8"))
+            self.summary = files.enter_context(
+                open(os.path.join(path, "summary.csv"), "w", encoding="utf-8"))
+            self.snapshots.write(",".join(cols) + "\n")
+            self.summary.write("t,mass,momentum,total_energy\n")
+            self._files = files.pop_all()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._files.close()
+
+    def record(self, row: list, U) -> None:
+        _write_outputs(self, row, U)
+        self.last = row
+
+    def finish(self, failure):
+        return self.last, failure
+
+
+def _write_outputs(out: _CsvSink, row: list, U) -> None:
+    """Append a summary row and, if U is given, its snapshot, as shortest round-trip floats.
+
+    Snapshot rows (t, x, primitive state, energy density) are converted a
+    chunk at a time, so no more than CSV_CHUNK_ROWS rows of strings are held
+    at once.
+    """
+    out.summary.write(",".join(map(repr, row)) + "\n")
+    if U is None:
+        return
+    W = to_primitive(U)
+    block = np.column_stack([W, _energy_density(W, out.b, out.g)])
+    t_text = _fmt(row[0]) + ","
     for start in range(0, len(block), CSV_CHUNK_ROWS):
-        rows = block[start:start + CSV_CHUNK_ROWS].tolist()
-        if heads is None:
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-        else:
-            fh.writelines(head + ",".join(map(repr, row)) + "\n"
-                          for head, row in zip(heads[start:start + CSV_CHUNK_ROWS], rows))
-
-
-def _write_outputs(scenario, traj, path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-    b = scenario.topography.b
-    g = scenario.params.g
-    n = scenario.params.N
-    cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
-    x_texts = [_fmt(x) + "," for x in scenario.grid.centers.tolist()]  # the same every snapshot
-    with open(os.path.join(path, "snapshots.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t, U in zip(traj.times, traj.snapshots):
-            W = to_primitive(U)
-            t_text = _fmt(t) + ","
-            _write_rows(fh, np.column_stack([W, _energy_density(W, b, g)]),
-                        [t_text + x_text for x_text in x_texts])
-    with open(os.path.join(path, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t,mass,momentum,total_energy\n")
-        _write_rows(fh, traj.steps)
+        out.snapshots.writelines(
+            t_text + x_text + ",".join(map(repr, values)) + "\n"
+            for x_text, values in zip(out.x_texts[start:start + CSV_CHUNK_ROWS],
+                                      block[start:start + CSV_CHUNK_ROWS].tolist()))
 
 
 def cmd_run(args) -> int:
@@ -206,13 +237,17 @@ def cmd_run(args) -> int:
     if args.print_config:
         sys.stdout.write(format_config(cfg))
         return EXIT_OK
+    path = cfg["output.path"]
+    try:
+        sink = _CsvSink(scenario, path)
+    except OSError as err:
+        print(f"error: output.path {path!r} cannot be written: {err}", file=sys.stderr)
+        return EXIT_FAIL
 
     # an overflowing run ends in a recorded failure, reported below; numpy's
     # floating-point warnings on the way there would only repeat it
-    with np.errstate(all="ignore"):
-        traj = run(scenario)
-        _write_outputs(scenario, traj, cfg["output.path"])
-    final = traj.steps[-1]
+    with sink, np.errstate(all="ignore"):
+        final, failure = run(scenario, sink)
     print(
         f"t={_fmt(final[0])} mass={_fmt(final[1])} momentum={_fmt(final[2])} "
         f"total_energy={_fmt(final[3])}"
@@ -220,9 +255,9 @@ def cmd_run(args) -> int:
     if scenario.params.variant is Variant.SWME:
         print("note: energy columns use the linearized-closure energy pair; for the "
               "full closure they are monitored, not certified")
-    if traj.failure:
-        print(f"error: run failed ({traj.failure}); partial output written to "
-              f"{cfg['output.path']}", file=sys.stderr)
+    if failure:
+        print(f"error: run failed ({failure}); partial output written to {path}",
+              file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

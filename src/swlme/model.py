@@ -160,14 +160,20 @@ def _flux_rows(h, um, u, T, p: ModelParams, out: np.ndarray, h_sq) -> None:
     """Write the flux into out, variable axis first.
 
     h, um, T = _moment_sum of the moments and h_sq = h**2 have shape S, the
-    moments u shape (N,) + S, and out shape (N+2,) + S.  No wetness check.  The
+    moments u shape (N,) + S, and out shape (N+2,) + S; T is not read when
+    there are no moments (it would be all zero).  No wetness check.  The
     closure term skips the zero entries of A, so for an infinite velocity a
     row can be +-inf where np.einsum over the dense A gave nan (0 * inf).
     Both are non-finite, and an overflowing run stops earlier anyway: cfl_dt
     rejects the non-finite quasilinear matrix of such a state.
     """
     out[0] = h * um
-    out[1] = h * um**2 + h * T + 0.5 * p.g * h_sq
+    # h um^2 >= +0.0, so leaving out h T = +0.0 when N = 0 keeps the bits
+    momentum = h * um**2
+    if p.N > 0:
+        momentum += h * T
+    momentum += 0.5 * p.g * h_sq
+    out[1] = momentum
     if p.N > 0:
         out[2:] = 2.0 * h * um * u
         if p.variant is Variant.SWME:
@@ -186,8 +192,15 @@ def _path_rows(um, u, du, p: ModelParams) -> np.ndarray:
 
 
 def _wave_speed(h, um, T, g: float):
-    """|u_m| + sqrt(g h + 3 T), T = _moment_sum of the moments.  No wetness check."""
-    return np.abs(um) + np.sqrt(g * h + 3.0 * T)
+    """|u_m| + sqrt(g h + 3 T), T = _moment_sum of the moments.  No wetness check.
+
+    T is None when there are no moments: sqrt(g h), the same bits as adding
+    an all-zero T to g h > 0.
+    """
+    c_sq = g * h
+    if T is not None:
+        c_sq = c_sq + 3.0 * T
+    return np.abs(um) + np.sqrt(c_sq)
 
 
 def to_primitive(U: np.ndarray) -> np.ndarray:
@@ -247,8 +260,10 @@ def nonconservative_rhs(W: np.ndarray, dUdx: np.ndarray, p: ModelParams) -> np.n
 def _energy_density(W: np.ndarray, b, g: float) -> np.ndarray:
     """Total energy density e at primitive states W (an array, also for one state)."""
     h, um = W[..., 0], W[..., 1]
-    return (0.5 * h * um**2 + 0.5 * h * _moment_sum(W[..., 2:]) + 0.5 * g * h**2
-            + g * h * np.asarray(b, dtype=float))
+    e = 0.5 * h * um**2
+    if W.shape[-1] > 2:  # with no moments, 0.5 h T = +0.0 leaves e >= +0.0 unchanged
+        e += 0.5 * h * _moment_sum(W[..., 2:])
+    return e + 0.5 * g * h**2 + g * h * np.asarray(b, dtype=float)
 
 
 def energy(W: np.ndarray, b, g: float) -> EnergyPair:

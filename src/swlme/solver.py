@@ -28,6 +28,12 @@ Validation: semi_discrete_rhs checks the depths on both sides of every
 interface and in every cell, once per call; step checks each stage's result
 for non-finite components, then dry depths; run checks each new state once,
 for its summary row and the next time step, and stops after MAX_STEPS steps.
+
+Output: run hands each summary row, and each snapshot it is asked for, to a
+sink as soon as it produces it, and keeps neither itself, so its memory does
+not depend on the number of steps or snapshots.  The default sink,
+TrajectorySink, keeps them all and returns a Trajectory; the CLI's sink
+writes them to CSV files instead.
 """
 
 from __future__ import annotations
@@ -237,6 +243,30 @@ class Trajectory:
     failure: str | None = None
 
 
+class TrajectorySink:
+    """The default sink of run: keeps every summary row and snapshot, and returns a Trajectory.
+
+    A sink has two methods.  record(row, U) takes the summary row
+    (t, mass, momentum, total_energy) of each state, t = 0 first, and that
+    state's conserved array U if it is a snapshot, else None; run never
+    writes U afterwards.  finish(failure) is called once, after the last
+    record, and what it returns, run returns.
+    """
+
+    def __init__(self):
+        self.times, self.snapshots, self.rows = [], [], []
+
+    def record(self, row: list, U: np.ndarray | None) -> None:
+        self.rows.append(row)
+        if U is not None:
+            self.times.append(row[0])
+            self.snapshots.append(U)
+
+    def finish(self, failure: str | None) -> Trajectory:
+        return Trajectory(times=self.times, snapshots=self.snapshots,
+                          steps=np.array(self.rows), failure=failure)
+
+
 def apply_boundary(U: np.ndarray, kind: str) -> np.ndarray:
     """Return U with one ghost cell per side filled per the boundary kind.
 
@@ -272,7 +302,8 @@ def cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> floa
         speeds = max_wave_speed(W, params, validate=True)
     else:
         # the analytic bound is exact for the linearized closure
-        speeds = _wave_speed(W[:, 0], W[:, 1], _moment_sum(W[:, 2:]), params.g)
+        speeds = _wave_speed(W[:, 0], W[:, 1], _moment_sum(W[:, 2:]) if params.N else None,
+                             params.g)
     return cfl * grid.dx / float(np.max(speeds))
 
 
@@ -331,7 +362,7 @@ def _rusanov_flux(Us: np.ndarray, dUs: np.ndarray, hs_sq: np.ndarray,
     """
     hs = Us[0]
     v = Us[1:] / hs
-    T = _moment_sum(v[1:].transpose(1, 2, 0))
+    T = _moment_sum(v[1:].transpose(1, 2, 0)) if p.N else None
     speeds = _wave_speed(hs, v[0], T, p.g)
     F = np.empty_like(Us)
     _flux_rows(hs, v[0], v[1:], T, p, F, hs_sq)
@@ -436,17 +467,22 @@ def _summary_row(t: float, U: np.ndarray, W: np.ndarray, b: np.ndarray, g: float
                  dx: float) -> list:
     """Row (t, mass, momentum, total energy) of conserved states U, primitive W."""
     e = _energy_density(W, b, g)
-    return [t, float(U[:, 0].sum() * dx), float(U[:, 1].sum() * dx), float(e.sum() * dx)]
+    return [float(t), float(U[:, 0].sum() * dx), float(U[:, 1].sum() * dx),
+            float(e.sum() * dx)]
 
 
-def run(scenario: Scenario) -> Trajectory:
-    """Advance the scenario to t_end, recording summaries and snapshots.
+def run(scenario: Scenario, sink=None):
+    """Advance the scenario to t_end, handing summaries and snapshots to sink.
 
-    The step is capped so snapshot times and t_end are hit exactly.  On a
-    dry state, a time step that underflows (dt <= 0 or t + dt == t), or
-    MAX_STEPS steps taken before t_end, the partial trajectory is returned
-    with its failure field set.
+    Each state's summary row, and the state itself when it is a snapshot,
+    go to sink.record as soon as the state is produced (see TrajectorySink,
+    the default, which makes run return a Trajectory); run returns what
+    sink.finish returns.  The step is capped so snapshot times and t_end are
+    hit exactly.  On a dry state, a time step that underflows (dt <= 0 or
+    t + dt == t), or MAX_STEPS steps taken before t_end, the run stops and
+    the failure is passed to sink.finish; what was recorded so far stands.
     """
+    sink = TrajectorySink() if sink is None else sink
     p = scenario.params
     grid = scenario.grid
     b = scenario.topography.b
@@ -459,12 +495,10 @@ def run(scenario: Scenario) -> Trajectory:
         targets.update((k * (scenario.t_end / scenario.output_snapshots)).tolist())
     targets = sorted(targets)
 
-    t = 0.0
-    times = [0.0]
-    snapshots = [U.copy()]
+    t = last_snap = 0.0
     # each state is converted and validated once, for its summary row and the next time step
     W = to_primitive(U)
-    rows = [_summary_row(t, U, W, b, p.g, grid.dx)]
+    sink.record(_summary_row(t, U, W, b, p.g, grid.dx), U)
     failure = None
     n_steps = 0
 
@@ -489,12 +523,12 @@ def run(scenario: Scenario) -> Trajectory:
         t = next_target if landed else t + dt
         n_steps += 1
         W = to_primitive(U)
-        rows.append(_summary_row(t, U, W, b, p.g, grid.dx))
         want_snap = landed or (
             scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
         )
-        if want_snap and t > times[-1]:
-            times.append(t)
-            snapshots.append(U.copy())
+        snap = want_snap and t > last_snap
+        if snap:
+            last_snap = t
+        sink.record(_summary_row(t, U, W, b, p.g, grid.dx), U if snap else None)
 
-    return Trajectory(times=times, snapshots=snapshots, steps=np.array(rows), failure=failure)
+    return sink.finish(failure)

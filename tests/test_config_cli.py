@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from swlme.basis import Variant, compute_tensors
-from swlme.cli import CHECK_SAMPLE_BYTES, CSV_CHUNK_ROWS, _fmt, _write_outputs, main
+from swlme.cli import CHECK_SAMPLE_BYTES, CSV_CHUNK_ROWS, _CsvSink, _fmt, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
 from swlme.diagnostics import FreeSample
 from swlme.model import N_MAX, energy, to_primitive
@@ -49,6 +51,26 @@ ic.h_r = 0.1
 time.t_end = 1.0
 time.cfl = 0.9
 output.path = {path}
+"""
+
+# 50 cells, N = 1, a snapshot every step: each snapshot and summary row a run
+# kept would add about 1.4 kB to the peak
+MEMORY_CFG = """\
+model.N = 1
+model.g = 9.81
+model.variant = swlme
+grid.cells = 50
+grid.xmin = -1.0
+grid.xmax = 1.0
+bc.kind = periodic
+ic.name = smooth_periodic
+ic.h_amp = 0.2
+ic.um_amp = 0.3
+ic.u_amp = 0.1
+time.t_end = {t_end}
+time.cfl = 0.9
+output.path = {path}
+output.every_steps = 1
 """
 
 
@@ -142,7 +164,25 @@ class TestBuildScenario:
         assert a.ic_params == b.ic_params and a.topo_params == b.topo_params
 
 
+def reference_coeffs(n, variant):
+    """The coeffs table as printed before it read each tensor with one .tolist()."""
+    tensors = compute_tensors(n, Variant(variant))
+    lines = ["i,j,k,A,B"]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lines.append(f"{i+1},{j+1},{k+1},{_fmt(tensors.A[i,j,k])},"
+                             f"{_fmt(tensors.B[i,j,k])}")
+    return "".join(line + "\n" for line in lines)
+
+
 class TestCoeffsCommand:
+    @pytest.mark.parametrize("variant", ["swlme", "swme"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_scalar_reference(self, capsys, n, variant):
+        assert main(["coeffs", "--N", str(n), "--variant", variant]) == 0
+        assert capsys.readouterr().out == reference_coeffs(n, variant)
+
     def test_linearized_single_row(self, capsys):
         assert main(["coeffs", "--N", "1", "--variant", "swlme"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -329,20 +369,44 @@ def reference_row_wise_outputs(scenario, traj, path):
         write_rows(fh, traj.steps)
 
 
+class Recorder:
+    """A run sink that keeps every (row, U) record run hands it, in order."""
+
+    def __init__(self):
+        self.records = []
+
+    def record(self, row, U):
+        self.records.append((row, U))
+
+    def finish(self, failure):
+        return self.records
+
+
+def as_trajectory(records):
+    """The Trajectory the default sink builds from the same records."""
+    snaps = [(row[0], U) for row, U in records if U is not None]
+    return Trajectory(times=[t for t, _ in snaps], snapshots=[U for _, U in snaps],
+                      steps=np.array([row for row, _ in records]))
+
+
 class TestRunCommand:
     def test_writer_matches_row_wise_reference_on_special_values(self, tmp_path):
         scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "new")))
-        traj = run(scenario)
+        records = run(scenario, Recorder())
         # 300 cells: a row count that is not a multiple of the chunk size
         assert scenario.grid.cells % CSV_CHUNK_ROWS and scenario.grid.cells > CSV_CHUNK_ROWS
-        last = traj.snapshots[-1].copy()
-        last[3, 1], last[4, 1], last[5, 2], last[6, 3] = np.inf, -np.inf, np.nan, -0.0
-        steps = traj.steps.copy()
-        steps[1, 1], steps[2, 2], steps[3, 3], steps[4, 2] = np.inf, -np.inf, np.nan, -0.0
-        special = Trajectory(times=[-0.0] + traj.times[1:],
-                             snapshots=traj.snapshots[:-1] + [last], steps=steps)
-        _write_outputs(scenario, special, str(tmp_path / "new"))
-        reference_row_wise_outputs(scenario, special, tmp_path / "ref")
+        rows = [list(row) for row, _ in records]
+        rows[0][0] = -0.0
+        rows[1][1], rows[2][2], rows[3][3], rows[4][2] = np.inf, -np.inf, np.nan, -0.0
+        last = max(k for k, (_, U) in enumerate(records) if U is not None)
+        U = records[last][1].copy()
+        U[3, 1], U[4, 1], U[5, 2], U[6, 3] = np.inf, -np.inf, np.nan, -0.0
+        special = [(row, snap) for row, (_, snap) in zip(rows, records)]
+        special[last] = (rows[last], U)
+        with _CsvSink(scenario, str(tmp_path / "new")) as sink:
+            for row, snap in special:
+                sink.record(row, snap)
+        reference_row_wise_outputs(scenario, as_trajectory(special), tmp_path / "ref")
         text = (tmp_path / "new" / "snapshots.csv").read_text()
         assert ",inf," in text and ",-inf," in text and ",nan," in text and ",-0.0," in text
         assert text.splitlines()[1].startswith("-0.0,")
@@ -350,12 +414,14 @@ class TestRunCommand:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_writer_matches_per_field_reference(self, tmp_path):
-        scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "new")))
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(SMOOTH_CFG.format(path=tmp_path / "new"))
+        scenario = build_scenario(parse_config(cfg.read_text()))
         traj = run(scenario)
         # more rows than one chunk of the row-wise writer, and signed values
         assert scenario.grid.cells > CSV_CHUNK_ROWS and len(traj.snapshots) > 3
         assert np.any(traj.snapshots[-1][:, 1:] < 0.0)
-        _write_outputs(scenario, traj, str(tmp_path / "new"))
+        assert main(["run", str(cfg)]) == 0
         reference_write_outputs(scenario, traj, tmp_path / "ref")
         for name in ("snapshots.csv", "summary.csv"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
@@ -364,6 +430,36 @@ class TestRunCommand:
         cfg = tmp_path / "case.cfg"
         cfg.write_text(text)
         return str(cfg)
+
+    def test_unwritable_output_path_rejected_before_first_step(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_run(*args):
+            raise AssertionError("run started with an unwritable output.path")
+        monkeypatch.setattr("swlme.cli.run", no_run)
+        (tmp_path / "file").write_text("")
+        path = self.write(tmp_path, DAM_CFG.format(path=tmp_path / "file" / "out"))
+        assert main(["run", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output.path ")
+
+    def test_memory_does_not_grow_with_snapshots(self, tmp_path, capsys):
+        """Snapshots and summary rows stream to disk: 4x the snapshots, the same traced peak."""
+        def traced_peak(t_end):
+            path = self.write(tmp_path, MEMORY_CFG.format(t_end=t_end, path=tmp_path / "o"))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(["run", path]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(0.3)  # first-call allocations (caches, lazy imports) out of the way
+        # about 120 and 450 steps, a snapshot each: both runs fill the files' write buffers
+        short, long = traced_peak(1.2), traced_peak(4.8)
+        assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) > 400
+        assert long <= 1.1 * short, (short, long)
 
     def test_lake_at_rest_energy_constant(self, tmp_path, capsys):
         out = tmp_path / "out"

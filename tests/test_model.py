@@ -114,7 +114,17 @@ def outcome(fn, *args):
     np.array([np.inf, 0.0, np.nan]), np.array([2.0, -0.0, np.nan, -np.inf]),
     np.array([[1.0, 1.0], [np.inf, H_MIN]]), np.array([[1.0, -np.inf], [np.nan, 1.0]]),
     np.array([1.0, np.finfo(float).max]), np.array([3, 1, 2]), np.array([3, 0, 2]),
-], ids=repr)
+], ids=[
+    # written out, so numpy's print options cannot rename them: the names these
+    # cases were first listed under (numpy's repr, whitespace runs collapsed)
+    "array([], dtype=float64)", "array([], shape=(0, 3), dtype=float64)", "array(1.)",
+    "array(1.e-10)", "array(nan)", "array(inf)", "array(-inf)", "array([1. , 2. , 0.5])",
+    "array([ 1., nan, 2.])", "array([ 1., inf, 2.])", "array([ 1., -inf, 2.])",
+    "array([1.e+00, 1.e-10, 2.e+00])0", "array([1.e+00, 1.e-10, 2.e+00])1",
+    "array([inf, 0., nan])", "array([ 2., -0., nan, -inf])",
+    "array([[1.e+00, 1.e+00],\n [ inf, 1.e-10]])", "array([[ 1., -inf],\n [ nan, 1.]])",
+    "array([1.00000000e+000, 1.79769313e+308])", "array([3, 1, 2])", "array([3, 0, 2])",
+])
 def test_check_wet_matches_reference(h):
     for arg in (h, h[::-1] if h.ndim else h):  # a reversed view is strided
         assert outcome(check_wet, arg) == outcome(reference_check_wet, arg)
