@@ -27,7 +27,7 @@ from swlme.diagnostics import (
     convergence_study,
     gradient_check_entropy,
 )
-from swlme.model import N_MAX, _energy_density, to_primitive
+from swlme.model import N_MAX, _energy_density
 from swlme.solver import run
 
 EXIT_OK = 0
@@ -199,25 +199,25 @@ class _CsvSink:
     def __exit__(self, *exc):
         self._files.close()
 
-    def record(self, row: list, U) -> None:
-        _write_outputs(self, row, U)
+    def record(self, row: list, U, W) -> None:
+        _write_outputs(self, row, W)
         self.last = row
 
     def finish(self, failure):
         return self.last, failure
 
 
-def _write_outputs(out: _CsvSink, row: list, U) -> None:
-    """Append a summary row and, if U is given, its snapshot, as shortest round-trip floats.
+def _write_outputs(out: _CsvSink, row: list, W) -> None:
+    """Append a summary row and, if W is given, its snapshot, as shortest round-trip floats.
 
+    W holds the snapshot's primitive states, as solver.run validated them.
     Snapshot rows (t, x, primitive state, energy density) are converted a
     chunk at a time, so no more than CSV_CHUNK_ROWS rows of strings are held
     at once.
     """
     out.summary.write(",".join(map(repr, row)) + "\n")
-    if U is None:
+    if W is None:
         return
-    W = to_primitive(U)
     block = np.column_stack([W, _energy_density(W, out.b, out.g)])
     t_text = _fmt(row[0]) + ","
     for start in range(0, len(block), CSV_CHUNK_ROWS):

@@ -309,7 +309,8 @@ def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
     minus the matrix G with nonconservative_rhs(W, dUdx) = G @ dUdx, built
     in one buffer.  The moment block is (2 u_m + a_ii) - (u_m - b_ii) on
     the diagonal and a_ij + b_ij off it, a = (A + A^T) u and b = B u: the
-    roundings of the Jacobian and G formed apart and subtracted.
+    roundings of the Jacobian and G formed apart and subtracted.  a and b
+    read a C-contiguous u, since from N = 8 on einsum's rounding follows the layout.
     """
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
@@ -328,6 +329,7 @@ def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
         A, B = p.tensors.A, p.tensors.B
         rows = np.moveaxis(u, -1, 0)
         Q[..., 2:, 0] -= np.moveaxis(_contract(p.tensors.A_terms, rows, rows), 0, -1)
+        u = np.ascontiguousarray(u)
         a = np.einsum("ijk,...k->...ij", A + A.transpose(0, 2, 1), u)
         b = np.einsum("ijk,...k->...ij", B, u)
         np.add(a, b, out=Q[..., 2:, 2:])

@@ -14,15 +14,15 @@ samplers, the config validation and docs/config.md all follow it.  A
 Scenario is frozen and keeps read-only copies of its preset parameters,
 resolved against that table, so its cached bottom cannot go stale.
 
-State arrays are conserved variables of shape (cells, N+2); one ghost cell
-per side is appended by apply_boundary.  Only semi_discrete_rhs works in
-another layout: it transposes the ghost-extended states to (N+2, cells+2),
-stacks both sides of every interface into one (N+2, 2, cells+1) array, and
-evaluates primitives, flux, wave speed and path term once over that stack
-with the model's component helpers, so each elementwise operation runs along
-a row of cells, and returns the usual (cells, N+2) layout.  The
-ghost-extended bottom and b* = max(b_L, b_R) depend on the scenario alone
-and are computed once, as the cached Scenario.interface_bottom.
+State arrays are conserved variables of shape (cells, N+2), stored
+variables-first from initial_condition on: U.T is C-contiguous, one row of
+cells per variable.  apply_boundary, the one ghost rule for states and
+bottom alike, appends a ghost cell per side to such rows.  semi_discrete_rhs
+stacks both sides of every interface into one (N+2, 2, cells+1) array and
+evaluates primitives, flux, wave speed and path term once over that stack,
+so each elementwise operation runs along a row of cells.  The ghost-extended
+bottom and b* = max(b_L, b_R) depend on the scenario alone and are computed
+once, as the cached Scenario.interface_bottom.
 
 Validation: semi_discrete_rhs checks the depths on both sides of every
 interface and in every cell, once per call; step checks each stage's result
@@ -38,7 +38,6 @@ writes them to CSV files instead.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 from collections.abc import Mapping
@@ -144,8 +143,7 @@ def initial_condition(name: str, params: Mapping, grid: Grid1D, n_moments: int,
     """
     p = _preset("ic", name, params)
     x = grid.centers
-    m = grid.cells
-    U = np.zeros((m, n_moments + 2))
+    U = np.zeros((n_moments + 2, grid.cells)).T  # variables-first, see the module docstring
     if name == "dam_break":
         U[:, 0] = np.where(x < p["x0"], p["h_l"], p["h_r"])
     elif name == "lake_at_rest":
@@ -209,16 +207,10 @@ class Scenario:
     def interface_bottom(self) -> tuple[np.ndarray, np.ndarray]:
         """Ghost-extended bottom b_ext (cells+2) and b* = max(b_L, b_R) per interface.
 
-        The ghosts follow the boundary kind: periodic wraps, the others copy
-        the edge cell.  Both arrays are read-only.
+        Ghosts per apply_boundary: periodic wraps, the others copy the edge
+        cell (one row has nothing to negate).  Both arrays are read-only.
         """
-        b = self.topography.b
-        b_ext = np.empty(b.shape[0] + 2)
-        b_ext[1:-1] = b
-        if self.boundary == "periodic":
-            b_ext[0], b_ext[-1] = b[-1], b[0]
-        else:
-            b_ext[0], b_ext[-1] = b[0], b[-1]
+        b_ext = apply_boundary(self.topography.b[None], self.boundary)[0]
         b_star = np.maximum(b_ext[:-1], b_ext[1:])
         b_ext.setflags(write=False)
         b_star.setflags(write=False)
@@ -246,17 +238,17 @@ class Trajectory:
 class TrajectorySink:
     """The default sink of run: keeps every summary row and snapshot, and returns a Trajectory.
 
-    A sink has two methods.  record(row, U) takes the summary row
+    A sink has two methods.  record(row, U, W) takes the summary row
     (t, mass, momentum, total_energy) of each state, t = 0 first, and that
-    state's conserved array U if it is a snapshot, else None; run never
-    writes U afterwards.  finish(failure) is called once, after the last
-    record, and what it returns, run returns.
+    state's conserved and validated primitive arrays if it is a snapshot,
+    else None twice; run never writes them afterwards.  finish(failure) is
+    called once, after the last record, and what it returns, run returns.
     """
 
     def __init__(self):
         self.times, self.snapshots, self.rows = [], [], []
 
-    def record(self, row: list, U: np.ndarray | None) -> None:
+    def record(self, row: list, U: np.ndarray | None, W: np.ndarray | None) -> None:
         self.rows.append(row)
         if U is not None:
             self.times.append(row[0])
@@ -267,25 +259,21 @@ class TrajectorySink:
                           steps=np.array(self.rows), failure=failure)
 
 
-def apply_boundary(U: np.ndarray, kind: str) -> np.ndarray:
-    """Return U with one ghost cell per side filled per the boundary kind.
+def apply_boundary(X: np.ndarray, kind: str) -> np.ndarray:
+    """Return rows X (variables, cells) with one ghost column per side, per the boundary kind.
 
-    Reflective walls copy the depth and negate the whole velocity profile
-    (mean and every moment), so the momentum-like components flip sign.
+    Periodic wraps and the others copy the edge cell; reflective walls then
+    negate rows 1: of the ghost columns, the whole velocity profile (mean and
+    every moment) of a state, so the momentum-like components flip sign.
     """
-    ext = np.empty((U.shape[0] + 2,) + U.shape[1:])
-    ext[1:-1] = U
+    ext = np.empty((X.shape[0], X.shape[1] + 2))
+    ext[:, 1:-1] = X
     if kind == "periodic":
-        ext[0] = U[-1]
-        ext[-1] = U[0]
-    elif kind == "outflow":
-        ext[0] = U[0]
-        ext[-1] = U[-1]
-    elif kind == "reflective":
-        ext[0] = U[0]
-        ext[-1] = U[-1]
-        ext[0, 1:] *= -1.0
-        ext[-1, 1:] *= -1.0
+        ext[:, 0], ext[:, -1] = X[:, -1], X[:, 0]
+    elif kind in ("outflow", "reflective"):
+        ext[:, 0], ext[:, -1] = X[:, 0], X[:, -1]
+        if kind == "reflective":
+            ext[1:, [0, -1]] *= -1.0
     else:
         raise ValueError(f"unknown boundary kind '{kind}'")
     return ext
@@ -401,10 +389,10 @@ def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
     the scenario's cached interface_bottom, computed once per scenario.
     The depths at both sides of every interface and in every cell are
     validated here, once per call; other components are not checked (step
-    checks each stage's result).  Fresh output array, no aliasing.
+    checks each stage's result).  Fresh variables-first output, no aliasing.
     """
     p = scenario.params
-    Us = _interface_states(apply_boundary(U, scenario.boundary).T.copy(),
+    Us = _interface_states(apply_boundary(U.T, scenario.boundary),
                            *scenario.interface_bottom, scenario.boundary)
     hs_sq = np.square(Us[0])
     dUs = np.subtract(Us[:, 1], Us[:, 0])
@@ -417,9 +405,8 @@ def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
     dU[:2] += 0.0
     if p.N:
         dU[2:] += _path_term(Us, dUs, p)
-    out = np.empty(U.shape)
-    np.divide(dU, scenario.grid.dx, out=out.T)
-    return out
+    dU /= scenario.grid.dx
+    return dU.T
 
 
 def _check_finite(U: np.ndarray) -> None:
@@ -474,13 +461,14 @@ def _summary_row(t: float, U: np.ndarray, W: np.ndarray, b: np.ndarray, g: float
 def run(scenario: Scenario, sink=None):
     """Advance the scenario to t_end, handing summaries and snapshots to sink.
 
-    Each state's summary row, and the state itself when it is a snapshot,
-    go to sink.record as soon as the state is produced (see TrajectorySink,
-    the default, which makes run return a Trajectory); run returns what
-    sink.finish returns.  The step is capped so snapshot times and t_end are
-    hit exactly.  On a dry state, a time step that underflows (dt <= 0 or
-    t + dt == t), or MAX_STEPS steps taken before t_end, the run stops and
-    the failure is passed to sink.finish; what was recorded so far stands.
+    Each state's summary row, and the state (with its primitives) when it
+    is a snapshot, go to sink.record as soon as the state is produced (see
+    TrajectorySink, the default, which makes run return a Trajectory); run
+    returns what sink.finish returns.  The step is capped so snapshot times,
+    formed one at a time, and t_end are hit exactly.  On a dry state, a time
+    step that underflows (dt <= 0 or t + dt == t), or MAX_STEPS steps taken
+    before t_end, the run stops and the failure is passed to sink.finish;
+    what was recorded so far stands.
     """
     sink = TrajectorySink() if sink is None else sink
     p = scenario.params
@@ -488,17 +476,16 @@ def run(scenario: Scenario, sink=None):
     b = scenario.topography.b
     U = scenario.initial_states()
 
-    targets = {scenario.t_end}
-    if scenario.output_snapshots > 0:
-        # interior snapshot times only; k = snapshots would be t_end up to roundoff
-        k = np.arange(1, scenario.output_snapshots)
-        targets.update((k * (scenario.t_end / scenario.output_snapshots)).tolist())
-    targets = sorted(targets)
+    # interior snapshot times k * spacing, 0 < k < snapshots, one at a time;
+    # k = snapshots would be t_end up to roundoff
+    snapshots = scenario.output_snapshots
+    spacing = scenario.t_end / snapshots if snapshots else 0.0
+    k = 1 if spacing > 0.0 else snapshots  # index of the next interior snapshot time
 
-    t = last_snap = 0.0
-    # each state is converted and validated once, for its summary row and the next time step
+    t = 0.0
+    # each state is converted and validated once, for its summary row, snapshot and next step
     W = to_primitive(U)
-    sink.record(_summary_row(t, U, W, b, p.g, grid.dx), U)
+    sink.record(_summary_row(t, U, W, b, p.g, grid.dx), U, W)
     failure = None
     n_steps = 0
 
@@ -506,7 +493,9 @@ def run(scenario: Scenario, sink=None):
         if n_steps >= MAX_STEPS:
             failure = f"step limit of {MAX_STEPS} steps reached at t = {t}"
             break
-        next_target = targets[bisect.bisect_right(targets, t)]  # the first target after t
+        while k < snapshots and k * spacing <= t:
+            k += 1
+        next_target = min(k * spacing, scenario.t_end) if k < snapshots else scenario.t_end
         try:
             dt = cfl_dt(W, grid, p, scenario.cfl)
             del W  # the step reads only U; holding W would raise its peak memory
@@ -520,15 +509,13 @@ def run(scenario: Scenario, sink=None):
         except DryStateError as err:
             failure = str(err)
             break
+        # t strictly increases, so no state is a snapshot twice
         t = next_target if landed else t + dt
         n_steps += 1
         W = to_primitive(U)
-        want_snap = landed or (
+        snap = landed or (
             scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
         )
-        snap = want_snap and t > last_snap
-        if snap:
-            last_snap = t
-        sink.record(_summary_row(t, U, W, b, p.g, grid.dx), U if snap else None)
+        sink.record(_summary_row(t, U, W, b, p.g, grid.dx), *((U, W) if snap else (None, None)))
 
     return sink.finish(failure)

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swlme.cli
+import swlme.solver
 from swlme.basis import Variant, compute_tensors
 from swlme.cli import CHECK_SAMPLE_BYTES, CSV_CHUNK_ROWS, _CsvSink, _fmt, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
@@ -370,13 +372,13 @@ def reference_row_wise_outputs(scenario, traj, path):
 
 
 class Recorder:
-    """A run sink that keeps every (row, U) record run hands it, in order."""
+    """A run sink that keeps every (row, U, W) record run hands it, in order."""
 
     def __init__(self):
         self.records = []
 
-    def record(self, row, U):
-        self.records.append((row, U))
+    def record(self, row, U, W):
+        self.records.append((row, U, W))
 
     def finish(self, failure):
         return self.records
@@ -384,9 +386,9 @@ class Recorder:
 
 def as_trajectory(records):
     """The Trajectory the default sink builds from the same records."""
-    snaps = [(row[0], U) for row, U in records if U is not None]
+    snaps = [(row[0], U) for row, U, _ in records if U is not None]
     return Trajectory(times=[t for t, _ in snaps], snapshots=[U for _, U in snaps],
-                      steps=np.array([row for row, _ in records]))
+                      steps=np.array([row for row, _, _ in records]))
 
 
 class TestRunCommand:
@@ -395,23 +397,47 @@ class TestRunCommand:
         records = run(scenario, Recorder())
         # 300 cells: a row count that is not a multiple of the chunk size
         assert scenario.grid.cells % CSV_CHUNK_ROWS and scenario.grid.cells > CSV_CHUNK_ROWS
-        rows = [list(row) for row, _ in records]
+        rows = [list(row) for row, _, _ in records]
         rows[0][0] = -0.0
         rows[1][1], rows[2][2], rows[3][3], rows[4][2] = np.inf, -np.inf, np.nan, -0.0
-        last = max(k for k, (_, U) in enumerate(records) if U is not None)
+        last = max(k for k, (_, U, _) in enumerate(records) if U is not None)
         U = records[last][1].copy()
         U[3, 1], U[4, 1], U[5, 2], U[6, 3] = np.inf, -np.inf, np.nan, -0.0
-        special = [(row, snap) for row, (_, snap) in zip(rows, records)]
-        special[last] = (rows[last], U)
+        special = [(row, snap, W) for row, (_, snap, W) in zip(rows, records)]
+        special[last] = (rows[last], U, to_primitive(U))
         with _CsvSink(scenario, str(tmp_path / "new")) as sink:
-            for row, snap in special:
-                sink.record(row, snap)
+            for record in special:
+                sink.record(*record)
         reference_row_wise_outputs(scenario, as_trajectory(special), tmp_path / "ref")
         text = (tmp_path / "new" / "snapshots.csv").read_text()
         assert ",inf," in text and ",-inf," in text and ",nan," in text and ",-0.0," in text
         assert text.splitlines()[1].startswith("-0.0,")
         for name in ("snapshots.csv", "summary.csv"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_run_hands_the_sink_its_validated_primitives(self, tmp_path):
+        scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "o")))
+        records = run(scenario, Recorder())
+        snapshots = [(U, W) for _, U, W in records if U is not None]
+        assert len(snapshots) > 3
+        assert all(W is None for _, U, W in records if U is None)
+        assert all(W.tobytes() == to_primitive(U).tobytes() for U, W in snapshots)
+
+    def test_writer_converts_no_state_again(self, tmp_path, monkeypatch):
+        # run converts each state once; the CSV writer formats the W it is handed
+        calls = []
+        convert = swlme.solver.to_primitive
+
+        def counted(U):
+            calls.append(None)
+            return convert(U)
+
+        monkeypatch.setattr(swlme.solver, "to_primitive", counted)
+        path = self.write(tmp_path, SMOOTH_CFG.format(path=tmp_path / "o"))
+        assert main(["run", path]) == 0
+        rows = len((tmp_path / "o" / "summary.csv").read_text().splitlines()) - 1
+        assert rows > 3 and len(calls) == rows  # one per step, plus the initial state
+        assert not hasattr(swlme.cli, "to_primitive")
 
     def test_writer_matches_per_field_reference(self, tmp_path):
         cfg = tmp_path / "case.cfg"

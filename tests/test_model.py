@@ -430,6 +430,18 @@ class TestQuasilinear:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (n, states.shape)
 
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    def test_bits_do_not_depend_on_layout(self, n):
+        # solver states are variables-first: the transposed view of (N+2, cells) rows
+        p = params(n, g=9.81, variant=Variant.SWME)
+        W = random_primitive(np.random.default_rng(n), 200, n)
+        rows_first = np.ascontiguousarray(W.T).T
+        assert quasilinear_matrix(rows_first, p).tobytes() == quasilinear_matrix(W, p).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            speeds = [max_wave_speed(V, p, validate=True) for V in (rows_first, W)]
+        assert speeds[0].tobytes() == speeds[1].tobytes()
+
     def test_dry_state(self):
         with pytest.raises(DryStateError):
             quasilinear_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), params(1))

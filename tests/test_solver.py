@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -143,23 +145,64 @@ class TestTopography:
 
 
 class TestBoundary:
+    # apply_boundary takes rows: variables on the first axis, cells on the last
     def test_periodic(self):
-        U = np.arange(8.0).reshape(4, 2)
-        ext = apply_boundary(U, "periodic")
-        np.testing.assert_array_equal(ext[0], U[-1])
-        np.testing.assert_array_equal(ext[-1], U[0])
+        X = np.arange(8.0).reshape(2, 4)
+        ext = apply_boundary(X, "periodic")
+        np.testing.assert_array_equal(ext[:, 1:-1], X)
+        np.testing.assert_array_equal(ext[:, 0], X[:, -1])
+        np.testing.assert_array_equal(ext[:, -1], X[:, 0])
 
     def test_outflow(self):
-        U = np.arange(8.0).reshape(4, 2)
-        ext = apply_boundary(U, "outflow")
-        np.testing.assert_array_equal(ext[0], U[0])
-        np.testing.assert_array_equal(ext[-1], U[-1])
+        X = np.arange(8.0).reshape(2, 4)
+        ext = apply_boundary(X, "outflow")
+        np.testing.assert_array_equal(ext[:, 1:-1], X)
+        np.testing.assert_array_equal(ext[:, 0], X[:, 0])
+        np.testing.assert_array_equal(ext[:, -1], X[:, -1])
 
     def test_reflective(self):
-        U = np.array([[1.0, 2.0, -1.0]])
-        ext = apply_boundary(U, "reflective")
-        np.testing.assert_array_equal(ext[0], [1.0, -2.0, 1.0])
-        np.testing.assert_array_equal(ext[-1], [1.0, -2.0, 1.0])
+        X = np.array([[1.0], [2.0], [-1.0]])
+        ext = apply_boundary(X, "reflective")
+        np.testing.assert_array_equal(ext[:, 0], [1.0, -2.0, 1.0])
+        np.testing.assert_array_equal(ext[:, -1], [1.0, -2.0, 1.0])
+
+    def test_single_row_is_never_negated(self):
+        # the bottom is one row: a reflective wall copies its edge cells
+        b = np.array([0.5, -0.25, 2.0])
+        np.testing.assert_array_equal(apply_boundary(b[None], "reflective")[0],
+                                      [0.5, 0.5, -0.25, 2.0, 2.0])
+
+    @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+    def test_matches_cells_first_reference(self, kind):
+        U = random_states(np.random.default_rng(3), 9, 2)
+        U[4, 2] = -0.0
+        ext = apply_boundary(U.T, kind)
+        assert ext.flags.c_contiguous and not np.shares_memory(ext, U)
+        assert ext.T.tobytes() == reference_boundary(U, kind).tobytes()
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown boundary kind"):
+            apply_boundary(np.ones((2, 3)), "absorbing")
+
+
+def reference_boundary(U, kind):
+    """apply_boundary as it was on cells-first states (cells, N+2), ghost rows appended."""
+    ext = np.empty((U.shape[0] + 2,) + U.shape[1:])
+    ext[1:-1] = U
+    if kind == "periodic":
+        ext[0] = U[-1]
+        ext[-1] = U[0]
+    elif kind == "outflow":
+        ext[0] = U[0]
+        ext[-1] = U[-1]
+    elif kind == "reflective":
+        ext[0] = U[0]
+        ext[-1] = U[-1]
+        ext[0, 1:] *= -1.0
+        ext[-1, 1:] *= -1.0
+    else:
+        raise ValueError(f"unknown boundary kind '{kind}'")
+    return ext
 
 
 class TestCflDt:
@@ -298,7 +341,7 @@ class TestWellBalancing:
         U = random_states(np.random.default_rng(14), 20, 1)
         for bc in ("periodic", "outflow", "reflective"):
             sc = scenario(n=1, cells=20, bc=bc)
-            Us = _interface_states(apply_boundary(U, bc).T.copy(), *sc.interface_bottom, bc)
+            Us = _interface_states(apply_boundary(U.T, bc), *sc.interface_bottom, bc)
             assert np.all(_hydrostatic_correction(Us[0] ** 2, 9.81) == 0.0), bc
 
     def test_lake_at_rest_is_fixed_point(self):
@@ -330,11 +373,8 @@ def reference_rhs(U, sc):
     speed and path term.  The kernel must reproduce it bit for bit.
     """
     p = sc.params
-    U_ext = apply_boundary(U, sc.boundary)
-    b = sc.topography.b
-    ghosts = (b[-1], b[0]) if sc.boundary == "periodic" else (b[0], b[-1])
-    b_ext = np.concatenate([[ghosts[0]], b, [ghosts[1]]])
-    b_star = np.maximum(b_ext[:-1], b_ext[1:])
+    U_ext = reference_boundary(U, sc.boundary)
+    b_ext, b_star = reference_bottom(sc)
     hs_L = (U_ext[:-1, 0] + b_ext[:-1]) - b_star
     hs_R = (U_ext[1:, 0] + b_ext[1:]) - b_star
     W_L = to_primitive(U_ext[:-1])
@@ -355,6 +395,27 @@ def reference_rhs(U, sc):
     dU[:, 1] += 0.5 * p.g * (Us_L[1:, 0] ** 2 - Us_R[:-1, 0] ** 2)
     dU += 0.5 * (P[1:] + P[:-1])
     return dU / sc.grid.dx
+
+
+def reference_bottom(sc):
+    """reference_rhs's ghost-extended bottom and b*: the ghosts copy the edge cells
+    (periodic wraps), under a reflective wall too."""
+    b = sc.topography.b
+    ghosts = (b[-1], b[0]) if sc.boundary == "periodic" else (b[0], b[-1])
+    b_ext = np.concatenate([[ghosts[0]], b, [ghosts[1]]])
+    return b_ext, np.maximum(b_ext[:-1], b_ext[1:])
+
+
+@pytest.mark.parametrize("bc", BOUNDARY_KINDS)
+@pytest.mark.parametrize("topo", ["gaussian", "slope"])
+def test_interface_bottom_matches_reference(bc, topo):
+    sc = scenario(cells=17, span=(-2.0, 3.0), topo=topo, bc=bc)
+    b = sc.topography.b
+    got, want = sc.interface_bottom, reference_bottom(sc)
+    for a, r in zip(got, want):
+        assert a.tobytes() == r.tobytes() and not a.flags.writeable
+    if bc != "periodic":  # the bottom's ghosts are the edge cells, never negated
+        assert (got[0][0], got[0][-1]) == (b[0], b[-1])
 
 
 @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
@@ -384,7 +445,8 @@ def test_kernel_matches_reference_bitwise(variant, n):
                 got, ref = semi_discrete_rhs(U, sc), reference_rhs(U, sc)
                 assert np.array_equal(got, ref), (bc, topo, name)
                 assert got.tobytes() == ref.tobytes(), (bc, topo, name)  # signs of zero too
-                assert got.flags.c_contiguous and not np.shares_memory(got, U)
+                # variables-first, as every state: contiguous rows of cells
+                assert got.T.flags.c_contiguous and not np.shares_memory(got, U)
             assert np.all(semi_discrete_rhs(zero_moments, sc)[:, 2:] == 0.0)
 
 
@@ -478,6 +540,17 @@ def test_stage_checks_match_reference(monkeypatch, case):
 
 
 class TestStep:
+    @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+    def test_states_are_variables_first(self, variant):
+        sc = Scenario(params=ModelParams(g=9.81, N=2, variant=variant),
+                      grid=Grid1D(-5.0, 5.0, 40), ic_name="dam_break", topo_name="gaussian",
+                      boundary="reflective")
+        U = sc.initial_states()
+        assert U.shape == (40, 4) and len(U) == 40 and U.T.flags.c_contiguous
+        for _ in range(3):
+            U = step(U, 0.01, sc)
+            assert U.shape == (40, 4) and U.T.flags.c_contiguous
+
     def test_constant_state_unchanged(self):
         sc = scenario(n=1, cells=30, ic_params={"h": 2.0, "um": 0.3, "u": -0.1})
         U = sc.initial_states()
@@ -615,6 +688,20 @@ class TestStep:
         assert len(calls) == 7 * steps + 1  # + the initial state
 
 
+# (snapshots, every_steps, t_end): the original cases keep their ids; the
+# others cover no, one and many snapshots, down to a spacing t_end / snapshots
+# that underflows to 0.0 (no interior snapshot time), and a spacing of 2
+# subnormal units for t_end = 17 units, rounded up so far that 9 * spacing > t_end
+SNAPSHOT_CASES = [pytest.param(400, 7, 0.6, id="400-7"), pytest.param(5, 0, 0.6, id="5-0"),
+                  pytest.param(3, 2, 0.6, id="3-2"),
+                  pytest.param(10, 0, 17 * 5e-324, id="10-0-spacing-rounded-up")] + [
+    pytest.param(snapshots, every, t_end, id=f"{snapshots}-{every}-t{t_end!r}")
+    for snapshots in (0, 1, 2, 7, 400)
+    for every in (0, 3)
+    for t_end in (0.0, 5e-324, 1e-320, 1e-300, 0.01, 0.3)
+]
+
+
 class TestRun:
     def test_zero_time(self):
         sc = scenario(cells=10, ic_params={"h": 1.0}, t_end=0.0)
@@ -701,18 +788,46 @@ class TestRun:
         monkeypatch.setattr(swlme.solver, "MAX_STEPS", steps - 1)
         assert run(sc).failure.startswith(f"step limit of {steps - 1} steps reached at t = ")
 
-    @pytest.mark.parametrize("snapshots, every", [(400, 7), (5, 0), (3, 2)])
-    def test_snapshot_targets_match_reference(self, snapshots, every):
+    @pytest.mark.parametrize("snapshots, every, t_end", SNAPSHOT_CASES)
+    def test_snapshot_targets_match_reference(self, snapshots, every, t_end):
         sc = scenario(n=1, g=9.81, cells=16, span=(-5.0, 5.0), ic="dam_break",
                       ic_params={"h_l": 2.0, "h_r": 1.0}, topo="gaussian", bc="reflective",
-                      t_end=0.6, output_snapshots=snapshots, output_every_steps=every)
+                      t_end=t_end, output_snapshots=snapshots, output_every_steps=every)
         got, want = run(sc), reference_run(sc)
         assert got.failure is None and want.failure is None
         assert got.times == want.times
-        assert got.times[-1] == sc.t_end and len(got.times) >= snapshots + 1
+        assert got.times[-1] == sc.t_end
+        spacing = t_end / snapshots if snapshots else 0.0
+        if 0.0 < spacing and (snapshots - 1) * spacing < t_end:  # distinct interior times
+            assert len(got.times) >= snapshots + 1
         assert got.steps.tobytes() == want.steps.tobytes()
         assert len(got.snapshots) == len(want.snapshots)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.snapshots, want.snapshots))
+
+    def test_snapshot_count_costs_no_memory(self, monkeypatch):
+        """The snapshot times are formed as they are reached, not all before the first step."""
+        class Discard:
+            def record(self, row, U, W):
+                pass
+
+            def finish(self, failure):
+                return failure
+
+        def traced_peak(snapshots):
+            sc = scenario(n=1, cells=16, ic="dam_break", t_end=0.6, output_snapshots=snapshots)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run(sc, Discard()).startswith("step limit of 3 steps")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(swlme.solver, "MAX_STEPS", 3)
+        traced_peak(10)  # first-call allocations out of the way
+        few, many = traced_peak(10), traced_peak(10**6)
+        # every target up front took about 100 MB at 10^6 snapshots
+        assert many <= few + 16 * 1024, (few, many)
 
     def test_dry_failure_names_cell_as_int(self):
         sc = scenario(n=0, cells=40, ic="constant", ic_params={"um": 10.0},
