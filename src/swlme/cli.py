@@ -1,12 +1,18 @@
 """Command-line front end: closure tables, identity checks, runs, convergence.
 
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
-runtime failures (for example a dry state or a time-step underflow mid-run).
+runtime failures (for example a dry state, a time-step underflow or a
+failed write mid-run).
 
 `run` opens its output files before the first step and streams into them:
 solver.run hands every summary row and snapshot to a _CsvSink, which
-formats it (in _write_outputs) and keeps only the last summary row, so the
-command's memory does not grow with the number of steps or snapshots.
+writes it (in _write_outputs) and keeps only the last summary row, so the
+command's memory does not grow with the number of steps or snapshots.  A
+run with snapshots between t = 0 and t_end forks one writer process that
+owns snapshots.csv, where os.fork exists; _write_outputs sends it each
+snapshot's block, and the writer formats the rows while the run steps on.
+Otherwise _write_outputs formats them itself, with the same
+_write_snapshot.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import argparse
 import contextlib
 import ctypes
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -27,7 +34,7 @@ from swlme.diagnostics import (
     convergence_study,
     gradient_check_entropy,
 )
-from swlme.model import N_MAX, _energy_density
+from swlme.model import N_MAX
 from swlme.solver import run
 
 EXIT_OK = 0
@@ -173,17 +180,23 @@ class _CsvSink:
 
     Opening it creates output.path and both files, with their headers, so an
     unwritable path fails before the first step.  Only the last summary row
-    is kept.  Used as a context manager, which closes the files.
+    is kept.  If forked, one writer process owns snapshots.csv: each
+    snapshot's block goes to it through a pipe, one pickled message per
+    os.write, and it formats the rows while the run takes its next steps; a
+    full pipe holds back one message, so memory does not grow with the
+    snapshots.  finish, and __exit__ on an exception, close the pipe and
+    reap the writer; a writer that failed or died raises OSError there, or
+    at the next snapshot.  Used as a context manager, which closes the files.
     """
 
-    def __init__(self, scenario, path: str):
+    def __init__(self, scenario, path: str, fork: bool = False):
         os.makedirs(path, exist_ok=True)
         n = scenario.params.N
         cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
-        self.b, self.g = scenario.topography.b, scenario.params.g
         # the x column is the same every snapshot
         self.x_texts = [_fmt(x) + "," for x in scenario.grid.centers.tolist()]
         self.last = None
+        self.writer = None  # (pid, message pipe, error pipe) of the writer process
         with contextlib.ExitStack() as files:
             self.snapshots = files.enter_context(
                 open(os.path.join(path, "snapshots.csv"), "w", encoding="utf-8"))
@@ -191,40 +204,123 @@ class _CsvSink:
                 open(os.path.join(path, "summary.csv"), "w", encoding="utf-8"))
             self.snapshots.write(",".join(cols) + "\n")
             self.summary.write("t,mass,momentum,total_energy\n")
+            if fork:
+                self.snapshots.flush()  # else the writer would inherit the header, unwritten
+                self._start_writer()
             self._files = files.pop_all()
+
+    def _start_writer(self) -> None:
+        """Fork the process that writes snapshots.csv from the blocks sent to it."""
+        r, w = os.pipe()
+        err_r, err_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the snapshots are formatted in-process
+            for fd in (r, w, err_r, err_w):
+                os.close(fd)
+            return
+        if pid == 0:
+            # the writer only unpickles and formats: no numpy arithmetic, so no
+            # lock a thread of the parent held at the fork is ever taken here
+            status = 1
+            try:
+                os.close(w)
+                os.close(err_r)
+                with open(r, "rb") as pipe, self.snapshots:
+                    while True:
+                        try:
+                            t, block = pickle.load(pipe)
+                        except EOFError:
+                            break
+                        _write_snapshot(self.snapshots, t, block, self.x_texts)
+                status = 0
+            except Exception as err:
+                reason = str(err) if isinstance(err, OSError) else f"{type(err).__name__}: {err}"
+                os.write(err_w, reason.encode("utf-8", "replace")[:4096])
+            finally:
+                os._exit(status)
+        os.close(r)
+        os.close(err_w)
+        self.writer = (pid, w, err_r)
+        self.snapshots.close()
+
+    def _stop_writer(self) -> None:
+        """Close the pipe and reap the writer; OSError if it failed or died."""
+        if self.writer is None:
+            return
+        pid, w, err_r = self.writer
+        self.writer = None
+        os.close(w)
+        # the writer holds its end of the error pipe until it exits
+        with open(err_r, "rb") as fh:
+            reason = fh.read().decode("utf-8", "replace")
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            raise OSError(reason or f"snapshot writer process ended with "
+                          f"{f'signal {-code}' if code < 0 else f'status {code}'}")
+
+    def send(self, t: float, block: np.ndarray) -> None:
+        """Hand a snapshot to the writer process, all of it in one os.write if it can."""
+        view = memoryview(pickle.dumps((t, block), pickle.HIGHEST_PROTOCOL))
+        pipe = self.writer[1]
+        try:
+            while view:
+                view = view[os.write(pipe, view):]
+        except BrokenPipeError:
+            self._stop_writer()  # raises the writer's own reason
+            raise
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self._files.close()
+    def __exit__(self, exc_type, *exc):
+        try:
+            self._stop_writer()
+        except OSError:
+            if exc_type is None:  # else the exception already on its way is the one to report
+                raise
+        finally:
+            self._files.close()
 
-    def record(self, row: list, U, W) -> None:
-        _write_outputs(self, row, W)
+    def record(self, row: list, U, W, e) -> None:
+        _write_outputs(self, row, W, e)
         self.last = row
 
     def finish(self, failure):
+        self._stop_writer()
         return self.last, failure
 
 
-def _write_outputs(out: _CsvSink, row: list, W) -> None:
+def _write_snapshot(out, t: float, block: np.ndarray, x_texts: list) -> None:
+    """Write a snapshot's rows (t, x, primitive state, energy density) to the file out.
+
+    The formatter of both transports, in-process and in the writer process.
+    The block is converted a chunk at a time, so no more than CSV_CHUNK_ROWS
+    rows of strings are held at once.
+    """
+    t_text = _fmt(t) + ","
+    for start in range(0, len(block), CSV_CHUNK_ROWS):
+        out.writelines(
+            t_text + x_text + ",".join(map(repr, values)) + "\n"
+            for x_text, values in zip(x_texts[start:start + CSV_CHUNK_ROWS],
+                                      block[start:start + CSV_CHUNK_ROWS].tolist()))
+
+
+def _write_outputs(out: _CsvSink, row: list, W, e) -> None:
     """Append a summary row and, if W is given, its snapshot, as shortest round-trip floats.
 
-    W holds the snapshot's primitive states, as solver.run validated them.
-    Snapshot rows (t, x, primitive state, energy density) are converted a
-    chunk at a time, so no more than CSV_CHUNK_ROWS rows of strings are held
-    at once.
+    W holds the snapshot's primitive states, as solver.run validated them,
+    and e the energy density its summary row summed.  The snapshot block
+    goes to the writer process if there is one, else it is formatted here.
     """
     out.summary.write(",".join(map(repr, row)) + "\n")
     if W is None:
         return
-    block = np.column_stack([W, _energy_density(W, out.b, out.g)])
-    t_text = _fmt(row[0]) + ","
-    for start in range(0, len(block), CSV_CHUNK_ROWS):
-        out.snapshots.writelines(
-            t_text + x_text + ",".join(map(repr, values)) + "\n"
-            for x_text, values in zip(out.x_texts[start:start + CSV_CHUNK_ROWS],
-                                      block[start:start + CSV_CHUNK_ROWS].tolist()))
+    block = np.column_stack([W, e])
+    if out.writer is None:
+        _write_snapshot(out.snapshots, row[0], block, out.x_texts)
+    else:
+        out.send(row[0], block)
 
 
 def cmd_run(args) -> int:
@@ -238,16 +334,25 @@ def cmd_run(args) -> int:
         sys.stdout.write(format_config(cfg))
         return EXIT_OK
     path = cfg["output.path"]
+    # only snapshots between t = 0 and t_end overlap their formatting with the
+    # steps; for the two end snapshots alone, a fork costs more than it saves
+    fork = hasattr(os, "fork") and (scenario.output_every_steps > 0
+                                    or scenario.output_snapshots >= 2)
     try:
-        sink = _CsvSink(scenario, path)
+        sink = _CsvSink(scenario, path, fork)
     except OSError as err:
         print(f"error: output.path {path!r} cannot be written: {err}", file=sys.stderr)
         return EXIT_FAIL
 
     # an overflowing run ends in a recorded failure, reported below; numpy's
     # floating-point warnings on the way there would only repeat it
-    with sink, np.errstate(all="ignore"):
-        final, failure = run(scenario, sink)
+    try:
+        with sink, np.errstate(all="ignore"):
+            final, failure = run(scenario, sink)
+    except OSError as err:
+        print(f"error: writing output.path {path!r} failed: {err}; partial output written "
+              f"to {path}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(
         f"t={_fmt(final[0])} mass={_fmt(final[1])} momentum={_fmt(final[2])} "
         f"total_energy={_fmt(final[3])}"

@@ -148,9 +148,9 @@ def _contract(terms: TermTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     term, y_rows = np.empty(x.shape), np.empty(x.shape)
     for c, i, j in zip(coef, terms.xrow, terms.yrow):
         # the rows are in range; mode="clip" lets take write into out= unbuffered
-        np.take(x, i, axis=0, out=term, mode="clip")
+        x.take(i, axis=0, out=term, mode="clip")
         term *= c
-        np.take(y, j, axis=0, out=y_rows, mode="clip")
+        y.take(j, axis=0, out=y_rows, mode="clip")
         term *= y_rows
         out += term
     return out

@@ -238,17 +238,19 @@ class Trajectory:
 class TrajectorySink:
     """The default sink of run: keeps every summary row and snapshot, and returns a Trajectory.
 
-    A sink has two methods.  record(row, U, W) takes the summary row
-    (t, mass, momentum, total_energy) of each state, t = 0 first, and that
-    state's conserved and validated primitive arrays if it is a snapshot,
-    else None twice; run never writes them afterwards.  finish(failure) is
-    called once, after the last record, and what it returns, run returns.
+    A sink has two methods.  record(row, U, W, e) takes the summary row
+    (t, mass, momentum, total_energy) of each state, t = 0 first, and, if it
+    is a snapshot, that state's conserved and validated primitive arrays and
+    the energy density the row summed, else None three times; run never
+    writes them afterwards.  finish(failure) is called once, after the last
+    record, and what it returns, run returns.
     """
 
     def __init__(self):
         self.times, self.snapshots, self.rows = [], [], []
 
-    def record(self, row: list, U: np.ndarray | None, W: np.ndarray | None) -> None:
+    def record(self, row: list, U: np.ndarray | None, W: np.ndarray | None,
+               e: np.ndarray | None) -> None:
         self.rows.append(row)
         if U is not None:
             self.times.append(row[0])
@@ -451,20 +453,23 @@ def step(U: np.ndarray, dt: float, scenario: Scenario) -> np.ndarray:
 
 
 def _summary_row(t: float, U: np.ndarray, W: np.ndarray, b: np.ndarray, g: float,
-                 dx: float) -> list:
-    """Row (t, mass, momentum, total energy) of conserved states U, primitive W."""
+                 dx: float) -> tuple:
+    """Row (t, mass, momentum, total energy) of states U (primitive W), and the e it sums.
+
+    e is the energy density of each cell, which a snapshot also writes.
+    """
     e = _energy_density(W, b, g)
     return [float(t), float(U[:, 0].sum() * dx), float(U[:, 1].sum() * dx),
-            float(e.sum() * dx)]
+            float(e.sum() * dx)], e
 
 
 def run(scenario: Scenario, sink=None):
     """Advance the scenario to t_end, handing summaries and snapshots to sink.
 
-    Each state's summary row, and the state (with its primitives) when it
-    is a snapshot, go to sink.record as soon as the state is produced (see
-    TrajectorySink, the default, which makes run return a Trajectory); run
-    returns what sink.finish returns.  The step is capped so snapshot times,
+    Each state's summary row, and the state (with its primitives and energy
+    density) when it is a snapshot, go to sink.record as soon as the state
+    is produced (see TrajectorySink, the default, which makes run return a
+    Trajectory); run returns what sink.finish returns.  The step is capped so snapshot times,
     formed one at a time, and t_end are hit exactly.  On a dry state, a time
     step that underflows (dt <= 0 or t + dt == t), or MAX_STEPS steps taken
     before t_end, the run stops and the failure is passed to sink.finish;
@@ -485,7 +490,8 @@ def run(scenario: Scenario, sink=None):
     t = 0.0
     # each state is converted and validated once, for its summary row, snapshot and next step
     W = to_primitive(U)
-    sink.record(_summary_row(t, U, W, b, p.g, grid.dx), U, W)
+    row, e = _summary_row(t, U, W, b, p.g, grid.dx)
+    sink.record(row, U, W, e)
     failure = None
     n_steps = 0
 
@@ -498,7 +504,7 @@ def run(scenario: Scenario, sink=None):
         next_target = min(k * spacing, scenario.t_end) if k < snapshots else scenario.t_end
         try:
             dt = cfl_dt(W, grid, p, scenario.cfl)
-            del W  # the step reads only U; holding W would raise its peak memory
+            del W, e  # the step reads only U; holding them would raise its peak memory
             landed = t + dt >= next_target
             if landed:
                 dt = next_target - t
@@ -516,6 +522,7 @@ def run(scenario: Scenario, sink=None):
         snap = landed or (
             scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
         )
-        sink.record(_summary_row(t, U, W, b, p.g, grid.dx), *((U, W) if snap else (None, None)))
+        row, e = _summary_row(t, U, W, b, p.g, grid.dx)
+        sink.record(row, *((U, W, e) if snap else (None, None, None)))
 
     return sink.finish(failure)

@@ -1,6 +1,9 @@
 import dataclasses
+import errno
 import gc
+import os
 import re
+import signal
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -372,12 +375,12 @@ def reference_row_wise_outputs(scenario, traj, path):
 
 
 class Recorder:
-    """A run sink that keeps every (row, U, W) record run hands it, in order."""
+    """A run sink that keeps every (row, U, W) record run hands it, in order; e is ignored."""
 
     def __init__(self):
         self.records = []
 
-    def record(self, row, U, W):
+    def record(self, row, U, W, e):
         self.records.append((row, U, W))
 
     def finish(self, failure):
@@ -391,29 +394,36 @@ def as_trajectory(records):
                       steps=np.array([row for row, _, _ in records]))
 
 
+def special_values_case(tmp_path, fork):
+    """Records of a run with special values written in, through _CsvSink and the reference."""
+    scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "new")))
+    records = run(scenario, Recorder())
+    # 300 cells: a row count that is not a multiple of the chunk size
+    assert scenario.grid.cells % CSV_CHUNK_ROWS and scenario.grid.cells > CSV_CHUNK_ROWS
+    rows = [list(row) for row, _, _ in records]
+    rows[0][0] = -0.0
+    rows[1][1], rows[2][2], rows[3][3], rows[4][2] = np.inf, -np.inf, np.nan, -0.0
+    last = max(k for k, (_, U, _) in enumerate(records) if U is not None)
+    U = records[last][1].copy()
+    U[3, 1], U[4, 1], U[5, 2], U[6, 3] = np.inf, -np.inf, np.nan, -0.0
+    special = [(row, snap, W) for row, (_, snap, W) in zip(rows, records)]
+    special[last] = (rows[last], U, to_primitive(U))
+    b, g = scenario.topography.b, scenario.params.g
+    with _CsvSink(scenario, str(tmp_path / "new"), fork) as sink:
+        for row, snap, W in special:
+            sink.record(row, snap, W, None if W is None else energy(W, b, g).e)
+        sink.finish(None)
+    reference_row_wise_outputs(scenario, as_trajectory(special), tmp_path / "ref")
+    text = (tmp_path / "new" / "snapshots.csv").read_text()
+    assert ",inf," in text and ",-inf," in text and ",nan," in text and ",-0.0," in text
+    assert text.splitlines()[1].startswith("-0.0,")
+    for name in ("snapshots.csv", "summary.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 class TestRunCommand:
     def test_writer_matches_row_wise_reference_on_special_values(self, tmp_path):
-        scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "new")))
-        records = run(scenario, Recorder())
-        # 300 cells: a row count that is not a multiple of the chunk size
-        assert scenario.grid.cells % CSV_CHUNK_ROWS and scenario.grid.cells > CSV_CHUNK_ROWS
-        rows = [list(row) for row, _, _ in records]
-        rows[0][0] = -0.0
-        rows[1][1], rows[2][2], rows[3][3], rows[4][2] = np.inf, -np.inf, np.nan, -0.0
-        last = max(k for k, (_, U, _) in enumerate(records) if U is not None)
-        U = records[last][1].copy()
-        U[3, 1], U[4, 1], U[5, 2], U[6, 3] = np.inf, -np.inf, np.nan, -0.0
-        special = [(row, snap, W) for row, (_, snap, W) in zip(rows, records)]
-        special[last] = (rows[last], U, to_primitive(U))
-        with _CsvSink(scenario, str(tmp_path / "new")) as sink:
-            for record in special:
-                sink.record(*record)
-        reference_row_wise_outputs(scenario, as_trajectory(special), tmp_path / "ref")
-        text = (tmp_path / "new" / "snapshots.csv").read_text()
-        assert ",inf," in text and ",-inf," in text and ",nan," in text and ",-0.0," in text
-        assert text.splitlines()[1].startswith("-0.0,")
-        for name in ("snapshots.csv", "summary.csv"):
-            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        special_values_case(tmp_path, fork=False)
 
     def test_run_hands_the_sink_its_validated_primitives(self, tmp_path):
         scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "o")))
@@ -438,6 +448,24 @@ class TestRunCommand:
         rows = len((tmp_path / "o" / "summary.csv").read_text().splitlines()) - 1
         assert rows > 3 and len(calls) == rows  # one per step, plus the initial state
         assert not hasattr(swlme.cli, "to_primitive")
+
+    def test_energy_density_formed_once_per_state(self, tmp_path, monkeypatch):
+        # the writer formats the energy density run formed for the summary row
+        calls = []
+        density = swlme.solver._energy_density
+
+        def counted(*args):
+            calls.append(None)
+            return density(*args)
+
+        monkeypatch.setattr(swlme.solver, "_energy_density", counted)
+        monkeypatch.delattr(os, "fork", raising=False)  # every snapshot formatted in-process
+        path = self.write(tmp_path, SMOOTH_CFG.format(path=tmp_path / "o"))
+        assert main(["run", path]) == 0
+        rows = len((tmp_path / "o" / "summary.csv").read_text().splitlines()) - 1
+        snapshots = len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) // 300
+        assert snapshots > 3 and len(calls) == rows  # one per step, plus the initial state
+        assert not hasattr(swlme.cli, "_energy_density")
 
     def test_writer_matches_per_field_reference(self, tmp_path):
         cfg = tmp_path / "case.cfg"
@@ -563,6 +591,170 @@ class TestRunCommand:
                          err), err
         assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 4
         assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 100
+
+
+# the dam break of DAM_CFG at N = 3 on 2000 cells, a snapshot every step: each
+# snapshot's (cells, N+3) block takes 96,000 bytes, more than a 64 KiB pipe holds
+WIDE_CFG = DAM_CFG.replace("model.N = 0", "model.N = 3").replace(
+    "grid.cells = 100", "grid.cells = 2000").replace(
+    "time.t_end = 1.0", "time.t_end = 0.005") + "output.every_steps = 1\n"
+
+DRY_CFG = """\
+model.N = 0
+model.g = 10.0
+model.variant = swlme
+grid.cells = 40
+grid.xmin = 0.0
+grid.xmax = 1.0
+bc.kind = reflective
+ic.name = constant
+ic.h = 1.0
+ic.um = 10.0
+time.t_end = 1.0
+time.cfl = 0.9
+output.path = {path}
+output.every_steps = 1
+"""
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made in this process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def full_disk_after(monkeypatch, snapshots):
+    """Make the snapshot formatter raise ENOSPC once it has written `snapshots` snapshots."""
+    write = swlme.cli._write_snapshot
+    calls = []
+
+    def formatter(out, *args):
+        calls.append(None)
+        if len(calls) > snapshots:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write(out, *args)
+
+    monkeypatch.setattr(swlme.cli, "_write_snapshot", formatter)
+
+
+def assert_no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWriterProcess:
+    """`swlme run` formats snapshots in a forked writer process when it has interior ones."""
+
+    def run_case(self, tmp_path, text):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        return main(["run", str(cfg)])
+
+    def assert_matches_reference(self, tmp_path, text):
+        scenario = build_scenario(parse_config(text))
+        reference_write_outputs(scenario, run(scenario), tmp_path / "ref")
+        for name in ("snapshots.csv", "summary.csv"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_writer_process_matches_row_wise_reference_on_special_values(self, tmp_path,
+                                                                          forks):
+        special_values_case(tmp_path, fork=True)
+        assert len(forks) == 1
+        assert_no_process_left()
+
+    def test_snapshots_larger_than_the_pipe_buffer(self, tmp_path, forks):
+        text = WIDE_CFG.format(path=tmp_path / "o")
+        assert self.run_case(tmp_path, text) == 0
+        assert len(forks) == 1
+        scenario = build_scenario(parse_config(text))
+        assert scenario.grid.cells * (scenario.params.N + 3) * 8 > 64 * 1024
+        assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) > 3
+        self.assert_matches_reference(tmp_path, text)
+
+    @pytest.mark.parametrize("extra, forked", [
+        ("", 0),
+        ("output.snapshots = 1\n", 0),
+        ("output.snapshots = 2\n", 1),
+        ("output.every_steps = 1\n", 1),
+        ("output.every_steps = 4\noutput.snapshots = 3\n", 1),
+    ], ids=["end-snapshots-only", "one-snapshot", "two-snapshots", "every-step",
+            "every-4-steps-and-3-snapshots"])
+    def test_transport_follows_interior_snapshots(self, tmp_path, forks, extra, forked):
+        text = DAM_CFG.format(path=tmp_path / "o") + extra
+        assert self.run_case(tmp_path, text) == 0
+        assert len(forks) == forked
+        self.assert_matches_reference(tmp_path, text)
+        assert_no_process_left()
+
+    def test_without_fork_formats_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        text = DAM_CFG.format(path=tmp_path / "o") + "output.every_steps = 1\n"
+        assert self.run_case(tmp_path, text) == 0
+        self.assert_matches_reference(tmp_path, text)
+
+    def test_failed_fork_formats_in_process(self, tmp_path, monkeypatch):
+        def no_process():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_process)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        text = DAM_CFG.format(path=tmp_path / "o") + "output.every_steps = 1\n"
+        assert self.run_case(tmp_path, text) == 0
+        self.assert_matches_reference(tmp_path, text)
+        if fds is not None:  # both pipes were closed again
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["writer-process", "in-process"])
+    def test_write_failure_exits_2_with_partial_output(self, tmp_path, capsys, monkeypatch,
+                                                       forks, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        full_disk_after(monkeypatch, 2)
+        out = tmp_path / "o"
+        assert self.run_case(tmp_path, DAM_CFG.format(path=out) + "output.every_steps = 5\n") == 2
+        assert len(forks) == fork
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: writing output.path '{out}' failed: [Errno 28] "
+                                f"No space left on device; partial output written to {out}\n")
+        # two whole snapshots, and every summary row up to the third (step 10)
+        assert len((out / "snapshots.csv").read_text().splitlines()) == 1 + 2 * 100
+        assert len((out / "summary.csv").read_text().splitlines()) >= 1 + 11
+        assert_no_process_left()
+
+    def test_writer_that_dies_exits_2(self, tmp_path, capsys, monkeypatch, forks):
+        def killed(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(swlme.cli, "_write_snapshot", killed)
+        out = tmp_path / "o"
+        assert self.run_case(tmp_path, DAM_CFG.format(path=out) + "output.every_steps = 1\n") == 2
+        assert len(forks) == 1
+        assert capsys.readouterr().err == (
+            f"error: writing output.path '{out}' failed: snapshot writer process ended with "
+            f"signal {int(signal.SIGKILL)}; partial output written to {out}\n")
+        assert (out / "snapshots.csv").read_text().startswith("t,x,h,u_m,e\n")
+        assert_no_process_left()
+
+    @pytest.mark.parametrize("case", ["success", "dry-state", "writer-failure"])
+    def test_no_process_left(self, tmp_path, capsys, monkeypatch, forks, case):
+        text = (DRY_CFG if case == "dry-state" else DAM_CFG + "output.every_steps = 1\n")
+        if case == "writer-failure":
+            full_disk_after(monkeypatch, 1)
+        assert self.run_case(tmp_path, text.format(path=tmp_path / "o")) == \
+            (0 if case == "success" else 2)
+        assert len(forks) == 1
+        if case == "dry-state":
+            assert "dry or invalid state" in capsys.readouterr().err
+        assert_no_process_left()
 
 
 class TestConvergeCommand:

@@ -807,7 +807,7 @@ class TestRun:
     def test_snapshot_count_costs_no_memory(self, monkeypatch):
         """The snapshot times are formed as they are reached, not all before the first step."""
         class Discard:
-            def record(self, row, U, W):
+            def record(self, row, U, W, e):
                 pass
 
             def finish(self, failure):
@@ -862,7 +862,7 @@ def reference_run(scenario):
     times = [0.0]
     snapshots = [U.copy()]
     W = to_primitive(U)
-    rows = [_summary_row(t, U, W, b, p.g, grid.dx)]
+    rows = [_summary_row(t, U, W, b, p.g, grid.dx)[0]]
     failure = None
     n_steps = 0
     while t < scenario.t_end:
@@ -882,7 +882,7 @@ def reference_run(scenario):
         t = next_target if landed else t + dt
         n_steps += 1
         W = to_primitive(U)
-        rows.append(_summary_row(t, U, W, b, p.g, grid.dx))
+        rows.append(_summary_row(t, U, W, b, p.g, grid.dx)[0])
         want_snap = landed or (
             scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
         )
