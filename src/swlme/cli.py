@@ -34,7 +34,7 @@ from swlme.diagnostics import (
     convergence_study,
     gradient_check_entropy,
 )
-from swlme.model import N_MAX
+from swlme.model import N_MAX, ParameterError
 from swlme.solver import run
 
 EXIT_OK = 0
@@ -386,6 +386,9 @@ def cmd_converge(args) -> int:
         return EXIT_FAIL
     try:
         rows = convergence_study(scenario, meshes)
+    except ParameterError as err:  # the scenario is valid, so a mesh made it invalid
+        print(f"error: --meshes: {err}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL

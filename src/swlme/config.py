@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from swlme.basis import Variant
-from swlme.model import N_MAX, ModelParams
-from swlme.solver import _PRESETS, BOUNDARY_KINDS, Grid1D, Scenario
+from swlme.model import ModelParams, ParameterError
+from swlme.solver import Grid1D, Scenario, _preset
 
 
 class ConfigError(ValueError):
@@ -27,6 +27,14 @@ REQUIRED_KEYS = (
     "bc.kind", "ic.name", "time.t_end", "time.cfl", "output.path",
 )
 OPTIONAL_KEYS = ("topo.name", "output.every_steps", "output.snapshots")
+# the key of each constructor argument a ParameterError can name
+_ARGUMENT_KEYS = {
+    "g": "model.g", "N": "model.N",
+    "x_min": "grid.xmin", "x_max": "grid.xmax", "cells": "grid.cells",
+    "ic_name": "ic.name", "topo_name": "topo.name", "boundary": "bc.kind",
+    "t_end": "time.t_end", "cfl": "time.cfl",
+    "output_every_steps": "output.every_steps", "output_snapshots": "output.snapshots",
+}
 
 
 def parse_config(text: str) -> dict:
@@ -73,19 +81,30 @@ def _get(cfg: dict, key: str, kind, default=None):
 
 
 def _preset_keys(section: str, name: str) -> list:
-    """Config keys `section.parameter` of a preset; ConfigError on an unknown preset."""
-    if name not in _PRESETS[section]:
-        raise ConfigError(f"key '{section}.name': unknown preset '{name}' "
-                          f"(known: {', '.join(_PRESETS[section])})")
-    return [f"{section}.{param}" for param in _PRESETS[section][name]]
+    """Config keys `section.parameter` of a preset; ParameterError on an unknown preset."""
+    return [f"{section}.{param}" for param in _preset(section, name, {})]
 
 
 def build_scenario(cfg: dict) -> Scenario:
-    """Validate a parsed config and construct the scenario it describes."""
+    """Validate a parsed config and construct the scenario it describes.
+
+    The constructors enforce every constraint on a value; a ParameterError
+    they raise becomes a ConfigError that names the argument's key.
+    """
     for key in REQUIRED_KEYS:
         if key not in cfg:
             raise ConfigError(f"missing required key '{key}'")
+    try:
+        return _scenario(cfg)
+    except ParameterError as err:
+        raise ConfigError(f"key '{_ARGUMENT_KEYS[err.field]}': {err}") from err
+    except ConfigError:
+        raise
+    except ValueError as err:  # not a constraint, e.g. a grid too large for numpy
+        raise ConfigError(str(err)) from err
 
+
+def _scenario(cfg: dict) -> Scenario:
     ic_name = cfg["ic.name"]
     ic_keys = _preset_keys("ic", ic_name)
     topo_name = cfg.get("topo.name", "flat")
@@ -103,37 +122,23 @@ def build_scenario(cfg: dict) -> Scenario:
         raise ConfigError(
             f"key 'model.variant': expected 'swlme' or 'swme', got '{cfg['model.variant']}'"
         ) from None
-    bc = cfg["bc.kind"]
-    if bc not in BOUNDARY_KINDS:
-        raise ConfigError(f"key 'bc.kind': unknown kind '{bc}' (known: {', '.join(BOUNDARY_KINDS)})")
 
     ic_params = {key.split(".", 1)[1]: _get(cfg, key, float)
                  for key in ic_keys if key in cfg}
     topo_params = {key.split(".", 1)[1]: _get(cfg, key, float)
                    for key in topo_keys if key in cfg}
-
-    n = _get(cfg, "model.N", int)
-    if not 0 <= n <= N_MAX:
-        raise ConfigError(f"key 'model.N': expected an order in 0..{N_MAX}, got {n}")
-
-    try:
-        params = ModelParams(g=_get(cfg, "model.g", float), N=n, variant=variant)
-        grid = Grid1D(x_min=_get(cfg, "grid.xmin", float),
-                      x_max=_get(cfg, "grid.xmax", float),
-                      cells=_get(cfg, "grid.cells", int))
-        scenario = Scenario(
-            params=params, grid=grid,
-            ic_name=ic_name, ic_params=ic_params,
-            topo_name=topo_name, topo_params=topo_params,
-            boundary=bc,
-            t_end=_get(cfg, "time.t_end", float),
-            cfl=_get(cfg, "time.cfl", float),
-            output_every_steps=_get(cfg, "output.every_steps", int, default=0),
-            output_snapshots=_get(cfg, "output.snapshots", int, default=0),
-        )
-        scenario.initial_states()  # raises on a non-positive depth
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    scenario = Scenario(
+        params=ModelParams(g=_get(cfg, "model.g", float), N=_get(cfg, "model.N", int),
+                           variant=variant),
+        grid=Grid1D(x_min=_get(cfg, "grid.xmin", float), x_max=_get(cfg, "grid.xmax", float),
+                    cells=_get(cfg, "grid.cells", int)),
+        ic_name=ic_name, ic_params=ic_params,
+        topo_name=topo_name, topo_params=topo_params,
+        boundary=cfg["bc.kind"],
+        t_end=_get(cfg, "time.t_end", float),
+        cfl=_get(cfg, "time.cfl", float),
+        output_every_steps=_get(cfg, "output.every_steps", int, default=0),
+        output_snapshots=_get(cfg, "output.snapshots", int, default=0),
+    )
+    scenario.initial_states()  # raises on a non-positive depth
     return scenario

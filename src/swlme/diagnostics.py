@@ -11,16 +11,17 @@ are normalized by the sum of the absolute values of the combined terms.
 check_total_energy_identity walks a batch once, in blocks of _BLOCK
 samples, and returns the largest per-block defect of every identity at
 every gravity, so the memory it needs beyond the sample itself does not
-grow with the batch size.  A block builds its gravity-free stacks once;
-only the stacks that read g are built per gravity.
+grow with the batch size.  A block builds its gravity-free terms and its
+moment equations once; only the equations that read g are built per
+gravity.
 
-Term stacks are term-major: the term axis comes first and the batch axes
-are contiguous behind it, so each term is one contiguous row.  Every sum
-over the term axis (_term_sum) adds whole rows in the order numpy's
-pairwise summation uses along a contiguous axis: the defects are bitwise
-those of stack.sum(axis=-1) on the trailing-axis layout, at a fraction of
-its cost, since numpy reduces a trailing axis with one inner-loop call per
-batch entry.
+Every equation is a plain list of equally shaped term arrays, combined by
+list concatenation and scaled term by term; a moment equation joins a
+scalar one as moment-major views of its terms, so no term is copied into a
+stack.  _term_sum adds whole arrays in the order numpy's pairwise
+summation uses along a contiguous axis: the defects are bitwise those of
+stack.sum(axis=-1) over the terms stacked on a trailing axis, without
+numpy's inner-loop call per batch entry.
 
 Also here: the finite-difference check that the entropy variables are the
 energy gradient, the exact wet-bed dam-break reference solution, and the
@@ -29,10 +30,8 @@ convergence study of solver runs.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from swlme.solver import Scenario, run
 _TINY = np.finfo(float).tiny
 _BLOCK = 4096  # samples per block of the identity checks
 _MOMENT_FIELDS = ("u", "dt_u", "dx_u")
-_GRAVITY_FREE = ("T", "dxT", "dtT", "continuity")  # the scalar stacks that do not read g
 
 
 @dataclass
@@ -96,248 +94,175 @@ class FreeSample:
         )
 
 
-def _stack(*terms) -> np.ndarray:
-    """Stack expanded terms on a new leading term axis (broadcasting them first)."""
-    return np.stack(np.broadcast_arrays(*terms))
-
-
-def _plus(*stacks) -> np.ndarray:
-    """Combine equations by concatenating their term stacks."""
-    return np.concatenate(stacks)
-
-
-def _term_sum(stack: np.ndarray, absolute: bool = False) -> np.ndarray:
-    """Sum a term-major stack over its term axis in numpy's pairwise order.
+def _term_sum(terms, absolute: bool = False) -> np.ndarray:
+    """Sum a sequence of equally shaped term arrays in numpy's pairwise order.
 
     np.add.reduce along a contiguous axis of n terms adds them in sequence
     for n < 8; for n <= 128 in eight partial sums r0..r7 of every eighth
     term, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and then the
     n % 8 remaining terms in order; for larger n it splits at n//2 rounded
     down to a multiple of 8 and recurses.  The same adds are done here one
-    whole row at a time, so the result is bitwise equal to the trailing-axis
-    sum without numpy's inner-loop call per batch entry.  Accumulators
-    start from +0.0 (numpy's identity), which turns only an all-zero -0.0
-    sum into +0.0, as the reduction does.  absolute=True sums |terms|,
-    taking each row's absolute value into one reused row buffer.
+    whole term at a time, so the result is bitwise equal to the sum of the
+    terms stacked on a trailing axis, without numpy's inner-loop call per
+    batch entry.  Accumulators start from +0.0 (numpy's identity), which
+    turns only an all-zero -0.0 sum into +0.0, as the reduction does.
+    absolute=True sums |terms|, taking each into one reused buffer.
     """
-    n = len(stack)
+    n = len(terms)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _term_sum(stack[:half], absolute) + _term_sum(stack[half:], absolute)
-    buf = np.empty(stack.shape[1:]) if absolute else None
+        return _term_sum(terms[:half], absolute) + _term_sum(terms[half:], absolute)
+    buf = np.empty(terms[0].shape) if absolute else None
 
     def term(i: int) -> np.ndarray:
-        return np.abs(stack[i], out=buf) if absolute else stack[i]
+        return np.abs(terms[i], out=buf) if absolute else terms[i]
 
     full = n - n % 8 if n >= 8 else 0  # terms that go through the eight partial sums
     if full:
-        r = np.abs(stack[:8]) if absolute else stack[:8] + 0.0
+        r = [np.abs(t) if absolute else t + 0.0 for t in terms[:8]]
         for i in range(8, full):
             r[i % 8] += term(i)
-        r[0::2] += r[1::2]
-        r[0::4] += r[2::4]
-        total = r[0] + r[4]  # a fresh row, so r is freed on return
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[i] += r[j]
+        total = r[0]
     else:
-        total = np.zeros(stack.shape[1:])
+        total = np.zeros(terms[0].shape)
     for i in range(full, n):
         total += term(i)
     return total
 
 
-def _defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
+def _defect(lhs, rhs) -> float:
     """Max relative defect: |sum lhs - sum rhs| over the summed |terms|."""
     num = np.abs(_term_sum(lhs) - _term_sum(rhs))
     den = _term_sum(lhs, absolute=True) + _term_sum(rhs, absolute=True)
     return float(np.max(num / np.maximum(den, _TINY))) if num.size else 0.0
 
 
-def _flatten_moments(terms: np.ndarray) -> np.ndarray:
-    """Merge the moment axis of a per-moment equation into its term axis, moment-major."""
-    n_terms = terms.shape[-1] * len(terms)
-    return np.moveaxis(terms, -1, 0).reshape((n_terms,) + terms.shape[1:-1])
-
-
 class _Expansions:
-    """Product-rule term stacks of every displayed equation, on one sample.
+    """Product-rule terms of every displayed equation, on one sample.
 
-    Stacks are term-major and C-contiguous: scalar equations have shape
-    (terms,) + batch and the per-moment equations (terms,) + batch + (N,),
-    so one term is one row that _term_sum adds with a single vector
-    operation.  Each scalar stack is built lazily, on its first read, and
-    then kept, so a caller pays only for the equations it compares.  The
-    per-moment stacks do not read g; they are built on every read, so a
-    caller frees one by dropping its reference.  An expansion built
-    without g serves the gravity-free stacks, and at_gravity(g) copies it
-    for one gravity.
+    Each equation is a list of equally shaped term arrays, batch-shaped or,
+    for the per-moment equations, batch + (N,).  T, dxT, dtT and the
+    continuity terms do not read g and are built here, once; every other
+    equation is built afresh by its method, of g or of no argument.
     """
 
-    def __init__(self, s: FreeSample, g: float | None = None):
-        self.s, self.g = s, g
+    def __init__(self, s: FreeSample):
+        self.s, self.w = s, moment_weights(s.n_moments)
+        self.T = _moment_sum(s.u)
+        self.dxT = 2.0 * ((s.u * s.dx_u) @ self.w) if s.n_moments else np.zeros(np.shape(s.dx_h))
+        self.dtT = 2.0 * ((s.u * s.dt_u) @ self.w) if s.n_moments else np.zeros(np.shape(s.dt_h))
+        self.continuity = [s.dt_h, s.dx_h * s.um, s.h * s.dx_um]
+        # h, u_m, dt_h, dx_h and dx_um as columns that broadcast over the moments
+        self.cols = tuple(a[..., None] for a in (s.h, s.um, s.dt_h, s.dx_h, s.dx_um))
 
-    def at_gravity(self, g: float) -> _Expansions:
-        """This expansion at gravity g; it shares the _GRAVITY_FREE stacks, built here first.
-
-        Only for an expansion built without g, whose kept stacks are then all gravity-free.
-        """
-        for name in _GRAVITY_FREE:
-            getattr(self, name)
-        out = copy.copy(self)
-        out.g = g
-        return out
-
-    @cached_property
-    def T(self) -> np.ndarray:
-        return _moment_sum(self.s.u)
-
-    @cached_property
-    def dxT(self) -> np.ndarray:
-        s = self.s
-        return 2.0 * ((s.u * s.dx_u) @ moment_weights(s.n_moments)) if s.n_moments \
-            else np.zeros(np.shape(s.dx_h))
-
-    @cached_property
-    def dtT(self) -> np.ndarray:
-        s = self.s
-        return 2.0 * ((s.u * s.dt_u) @ moment_weights(s.n_moments)) if s.n_moments \
-            else np.zeros(np.shape(s.dt_h))
-
-    @property
-    def _moment_cols(self) -> tuple:
-        """h, u_m, dt_h, dx_h and dx_um as columns that broadcast over the moments."""
-        s = self.s
-        return (s.h[..., None], s.um[..., None], s.dt_h[..., None], s.dx_h[..., None],
-                s.dx_um[..., None])
-
-    @cached_property
-    def continuity(self) -> np.ndarray:
-        s = self.s
-        return _stack(s.dt_h, s.dx_h * s.um, s.h * s.dx_um)
-
-    @cached_property
-    def momentum(self) -> np.ndarray:
-        s, g, h, um = self.s, self.g, self.s.h, self.s.um
-        return _stack(
+    def momentum(self, g: float) -> list:
+        s, h, um = self.s, self.s.h, self.s.um
+        return [
             s.dt_h * um, h * s.dt_um,
             s.dx_h * um**2, 2.0 * h * um * s.dx_um,
             s.dx_h * self.T, h * self.dxT,
             g * h * s.dx_h, g * h * s.dx_b,
-        )
+        ]
 
-    @cached_property
-    def momentum_split(self) -> np.ndarray:
+    def momentum_split(self, g: float) -> list:
         """The momentum balance with the pressure gradient grouped as g h dx(h + b)."""
-        s, g, h, um = self.s, self.g, self.s.h, self.s.um
-        return _stack(
-            s.dt_h * um, h * s.dt_um,
-            s.dx_h * um**2, 2.0 * h * um * s.dx_um,
-            s.dx_h * self.T, h * self.dxT,
-            g * h * (s.dx_h + s.dx_b),
-        )
+        s = self.s
+        return self.momentum(g)[:6] + [g * s.h * (s.dx_h + s.dx_b)]
 
-    @cached_property
-    def momentum_advective(self) -> np.ndarray:
-        s, g, h, um = self.s, self.g, self.s.h, self.s.um
-        return _stack(
+    def momentum_advective(self, g: float) -> list:
+        s, h, um = self.s, self.s.h, self.s.um
+        return [
             h * s.dt_um, h * um * s.dx_um, g * h * (s.dx_h + s.dx_b),
             s.dx_h * self.T, h * self.dxT,
-        )
+        ]
 
-    @cached_property
-    def momentum_skew(self) -> np.ndarray:
-        s, g, h, um = self.s, self.g, self.s.h, self.s.um
-        return _stack(
+    def momentum_skew(self, g: float) -> list:
+        s, h, um = self.s, self.s.h, self.s.um
+        return [
             0.5 * s.dt_h * um, 0.5 * h * s.dt_um, 0.5 * h * s.dt_um,
             0.5 * s.dx_h * um**2, h * um * s.dx_um, 0.5 * h * um * s.dx_um,
             g * h * (s.dx_h + s.dx_b), s.dx_h * self.T, h * self.dxT,
-        )
+        ]
 
-    @cached_property
-    def kinetic(self) -> np.ndarray:
-        s, g, h, um = self.s, self.g, self.s.h, self.s.um
-        return _stack(
+    def kinetic(self, g: float) -> list:
+        s, h, um = self.s, self.s.h, self.s.um
+        return [
             0.5 * s.dt_h * um**2, h * um * s.dt_um,
             0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
             g * h * um * (s.dx_h + s.dx_b), um * s.dx_h * self.T, um * h * self.dxT,
-        )
+        ]
 
-    @cached_property
-    def potential(self) -> np.ndarray:
-        s, g, h, um, b = self.s, self.g, self.s.h, self.s.um, self.s.b
-        return _stack(
+    def potential(self, g: float) -> list:
+        s, h, um, b = self.s, self.s.h, self.s.um, self.s.b
+        return [
             g * h * s.dt_h, g * b * s.dt_h,
             g * (h + b) * s.dx_h * um, g * (h + b) * h * s.dx_um,
-        )
+        ]
 
-    @cached_property
-    def total_kinetic(self) -> np.ndarray:
-        s, g, h, um, T = self.s, self.g, self.s.h, self.s.um, self.T
-        return _stack(
+    def total_kinetic(self, g: float) -> list:
+        s, h, um, T = self.s, self.s.h, self.s.um, self.T
+        return [
             0.5 * s.dt_h * um**2, h * um * s.dt_um, 0.5 * s.dt_h * T, 0.5 * h * self.dtT,
             0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
             g * h * um * (s.dx_h + s.dx_b),
             1.5 * s.dx_h * um * T, 1.5 * h * s.dx_um * T, 1.5 * h * um * self.dxT,
-        )
+        ]
 
     # the energy balance: dt(e) terms, then dx(f) terms
-    @cached_property
-    def energy_time(self) -> np.ndarray:
-        s, g, h, um, b = self.s, self.g, self.s.h, self.s.um, self.s.b
-        return _stack(
+    def energy_time(self, g: float) -> list:
+        s, h, um, b = self.s, self.s.h, self.s.um, self.s.b
+        return [
             0.5 * s.dt_h * um**2, h * um * s.dt_um, 0.5 * s.dt_h * self.T, 0.5 * h * self.dtT,
             g * h * s.dt_h, g * b * s.dt_h,
-        )
+        ]
 
-    @cached_property
-    def energy_flux(self) -> np.ndarray:
-        s, g, h, um, b, T = self.s, self.g, self.s.h, self.s.um, self.s.b, self.T
-        return _stack(
+    def energy_flux(self, g: float) -> list:
+        s, h, um, b, T = self.s, self.s.h, self.s.um, self.s.b, self.T
+        return [
             0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
             1.5 * s.dx_h * um * T, 1.5 * h * s.dx_um * T, 1.5 * h * um * self.dxT,
             g * s.dx_h * um * (h + b), g * h * s.dx_um * (h + b),
             g * h * um * s.dx_h, g * h * um * s.dx_b,
-        )
+        ]
 
-    @property
-    def moment(self) -> np.ndarray:
-        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
-        return _stack(
+    def moment(self) -> list:
+        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self.cols
+        return [
             dth_ * uu, h_ * self.s.dt_u,
             2.0 * dxh_ * um_ * uu, 2.0 * h_ * dxum_ * uu, 2.0 * h_ * um_ * self.s.dx_u,
             -um_ * dxh_ * uu, -um_ * h_ * self.s.dx_u,
-        )
+        ]
 
-    @property
-    def moment_split(self) -> np.ndarray:
-        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
-        return _stack(
+    def moment_split(self) -> list:
+        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self.cols
+        return [
             dth_ * uu, h_ * self.s.dt_u,
             dxh_ * um_ * uu, h_ * dxum_ * uu, h_ * um_ * self.s.dx_u,
             h_ * uu * dxum_,
-        )
+        ]
 
-    @property
-    def moment_advective(self) -> np.ndarray:
-        uu, (h_, um_, _, _, dxum_) = self.s.u, self._moment_cols
-        return _stack(h_ * self.s.dt_u, h_ * um_ * self.s.dx_u, h_ * uu * dxum_)
+    def moment_advective(self) -> list:
+        uu, (h_, um_, _, _, dxum_) = self.s.u, self.cols
+        return [h_ * self.s.dt_u, h_ * um_ * self.s.dx_u, h_ * uu * dxum_]
 
-    @property
-    def moment_skew(self) -> np.ndarray:
-        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
-        return _stack(
+    def moment_skew(self) -> list:
+        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self.cols
+        return [
             0.5 * dth_ * uu, 0.5 * h_ * self.s.dt_u, 0.5 * h_ * self.s.dt_u,
             0.5 * dxh_ * um_ * uu, 0.5 * h_ * dxum_ * uu,
             0.5 * h_ * um_ * self.s.dx_u, 0.5 * h_ * um_ * self.s.dx_u,
             h_ * uu * dxum_,
-        )
+        ]
 
-    @property
-    def moment_kinetic(self) -> np.ndarray:
-        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self._moment_cols
-        return moment_weights(self.s.n_moments) * _stack(
+    def moment_kinetic(self) -> list:
+        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self.cols
+        return [self.w * t for t in (
             0.5 * dth_ * uu**2, h_ * uu * self.s.dt_u,
             0.5 * dxh_ * um_ * uu**2, 0.5 * h_ * dxum_ * uu**2, h_ * um_ * uu * self.s.dx_u,
             h_ * uu**2 * dxum_,
-        )
+        )]
 
 
 def _blocks(s: FreeSample):
@@ -361,40 +286,44 @@ def _blocks(s: FreeSample):
 
 
 def _block_defects(s: FreeSample, gravities) -> dict:
-    """{g: {identity: defect}} of one block, its gravity-free stacks built once."""
-    ex = _Expansions(s)
+    """{g: {identity: defect}} of one block, from one expansion of it."""
+    ex, n = _Expansions(s), s.n_moments
+    cont = ex.continuity
     W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
-    moment, split, advective = ex.moment, ex.moment_split, ex.moment_advective
-    skew, kinetic = ex.moment_skew, ex.moment_kinetic
+    moment, split, advective = ex.moment(), ex.moment_split(), ex.moment_advective()
+    skew, kinetic = ex.moment_skew(), ex.moment_kinetic()
+    wu = ex.w * s.u
     moment_defects = {
         "moment_rewrite": _defect(split, moment),
-        "moment_advective": _defect(advective, _plus(split, -s.u * ex.continuity[..., None])),
-        "moment_skew_average": _defect(skew, _plus(0.5 * advective, 0.5 * split)),
-        "moment_kinetic_energy": _defect(kinetic, moment_weights(s.n_moments) * s.u * skew),
-    } if s.n_moments else {}
+        "moment_advective": _defect(advective, split + [-s.u * t[..., None] for t in cont]),
+        "moment_skew_average": _defect(skew, [0.5 * t for t in advective + split]),
+        "moment_kinetic_energy": _defect(kinetic, [wu * t for t in skew]),
+    } if n else {}
     q_u = entropy_vars(W, s.b, 0.0).q_u  # does not read g
-    moment_energy, moment_kinetic = _flatten_moments(q_u * moment), _flatten_moments(kinetic)
-    del moment, split, advective, skew, kinetic  # the gravity loop reads only the two products
+    q_moment = [q_u * t for t in moment]
+    # the gravity loop reads the per-moment terms as moment-major views
+    moment_energy = [t[..., m] for m in range(n) for t in q_moment]
+    moment_kinetic = [t[..., m] for m in range(n) for t in kinetic]
+    del moment, split, advective, skew
     out = {}
     for g in gravities:
-        gx = ex.at_gravity(g)
         q = entropy_vars(W, s.b, g)
-        energy_terms = _plus(gx.energy_time, gx.energy_flux)
-        lhs = _plus(q.q1 * gx.continuity, q.q2 * gx.momentum, moment_energy)
+        momentum, m_split, m_adv = ex.momentum(g), ex.momentum_split(g), ex.momentum_advective(g)
+        m_skew, m_kinetic = ex.momentum_skew(g), ex.kinetic(g)
+        potential, total_kinetic = ex.potential(g), ex.total_kinetic(g)
+        energy = ex.energy_time(g) + ex.energy_flux(g)
+        lhs = [q.q1 * t for t in cont] + [q.q2 * t for t in momentum] + moment_energy
+        ghb = g * (s.h + s.b)
         out[g] = {
-            "total energy identity": _defect(lhs, energy_terms),
-            "potential_energy": _defect(gx.potential, g * (s.h + s.b) * gx.continuity),
-            "momentum_rewrite": _defect(gx.momentum_split, gx.momentum),
-            "momentum_advective": _defect(
-                gx.momentum_advective, _plus(gx.momentum_split, -s.um * gx.continuity)
-            ),
-            "momentum_skew_average": _defect(
-                gx.momentum_skew, _plus(0.5 * gx.momentum_advective, 0.5 * gx.momentum_split)
-            ),
-            "kinetic_energy": _defect(gx.kinetic, s.um * gx.momentum_skew),
+            "total energy identity": _defect(lhs, energy),
+            "potential_energy": _defect(potential, [ghb * t for t in cont]),
+            "momentum_rewrite": _defect(m_split, momentum),
+            "momentum_advective": _defect(m_adv, m_split + [-s.um * t for t in cont]),
+            "momentum_skew_average": _defect(m_skew, [0.5 * t for t in m_adv + m_split]),
+            "kinetic_energy": _defect(m_kinetic, [s.um * t for t in m_skew]),
             **moment_defects,
-            "total_kinetic_energy": _defect(gx.total_kinetic, _plus(gx.kinetic, moment_kinetic)),
-            "total_energy_sum": _defect(energy_terms, _plus(gx.total_kinetic, gx.potential)),
+            "total_kinetic_energy": _defect(total_kinetic, m_kinetic + moment_kinetic),
+            "total_energy_sum": _defect(energy, total_kinetic + potential),
         }
     return out
 
@@ -530,6 +459,17 @@ def _restrict(h_fine: np.ndarray, coarse_cells: int) -> np.ndarray:
     return h_fine.reshape(coarse_cells, ratio).mean(axis=1)
 
 
+class _FinalState:
+    """A run sink that keeps only the last snapshot, the state at t_end of a run that succeeds."""
+
+    def record(self, row, U, W, e) -> None:
+        if U is not None:
+            self.U = U
+
+    def finish(self, failure: str | None):
+        return self.U, failure
+
+
 def convergence_study(scenario: Scenario, meshes) -> list:
     """L1(h) errors and observed orders across a list of cell counts.
 
@@ -551,10 +491,10 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     )
 
     def final_h(cells: int) -> np.ndarray:
-        traj = run(scenario.with_cells(cells))
-        if traj.failure:
-            raise RuntimeError(f"run on {cells} cells failed: {traj.failure}")
-        return traj.snapshots[-1][:, 0]
+        U, failure = run(scenario.with_cells(cells), _FinalState())
+        if failure:
+            raise RuntimeError(f"run on {cells} cells failed: {failure}")
+        return U[:, 0]
 
     errors = []
     if exact:

@@ -47,6 +47,14 @@ class DryStateError(RuntimeError):
         self.index = index
 
 
+class ParameterError(ValueError):
+    """A rejected constructor argument; field is the name of the argument."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class WaveSpeedBoundWarning(UserWarning):
     """The analytic wave-speed bound was exceeded by the numeric spectral radius."""
 
@@ -73,9 +81,9 @@ class ModelParams:
 
     def __post_init__(self):
         if not np.isfinite(self.g) or self.g <= 0:
-            raise ValueError(f"gravity must be positive and finite, got {self.g}")
+            raise ParameterError("g", f"gravity must be positive and finite, got {self.g}")
         if not 0 <= self.N <= N_MAX:
-            raise ValueError(f"moment order must be in 0..{N_MAX}, got {self.N}")
+            raise ParameterError("N", f"moment order must be in 0..{N_MAX}, got {self.N}")
         object.__setattr__(self, "tensors", compute_tensors(self.N, self.variant))
 
     @property

@@ -49,6 +49,7 @@ import numpy as np
 from swlme.model import (
     DryStateError,
     ModelParams,
+    ParameterError,
     Topography,
     Variant,
     _energy_density,
@@ -89,8 +90,8 @@ def _preset(section: str, name: str, params: Mapping) -> dict:
     """
     defaults = _PRESETS[section].get(name)
     if defaults is None:
-        raise ValueError(f"unknown {_PRESET_KIND[section]} '{name}' "
-                         f"(known: {', '.join(_PRESETS[section])})")
+        raise ParameterError(f"{section}_name", f"unknown {_PRESET_KIND[section]} '{name}' "
+                                                f"(known: {', '.join(_PRESETS[section])})")
     return {key: float(params.get(key, default)) for key, default in defaults.items()}
 
 
@@ -103,12 +104,14 @@ class Grid1D:
     cells: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
+        for name in ("x_min", "x_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(
+                    name, f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise ParameterError("x_max", "x_max must exceed x_min")
         if self.cells < 2:
-            raise ValueError(f"need at least 2 cells, got {self.cells}")
+            raise ParameterError("cells", f"need at least 2 cells, got {self.cells}")
 
     @property
     def dx(self) -> float:
@@ -160,7 +163,7 @@ def initial_condition(name: str, params: Mapping, grid: Grid1D, n_moments: int,
         U[:, 1] = h * p["um"]
         U[:, 2:] = h * p["u"]
     if np.any(U[:, 0] <= 0.0):
-        raise ValueError(f"initial condition '{name}' produces non-positive depth")
+        raise ParameterError("ic_name", f"initial condition '{name}' produces non-positive depth")
     return U
 
 
@@ -187,13 +190,15 @@ class Scenario:
 
     def __post_init__(self):
         if self.boundary not in BOUNDARY_KINDS:
-            raise ValueError(f"unknown boundary kind '{self.boundary}' (known: {', '.join(BOUNDARY_KINDS)})")
+            raise ParameterError("boundary", f"unknown boundary kind '{self.boundary}' "
+                                             f"(known: {', '.join(BOUNDARY_KINDS)})")
         if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
+            raise ParameterError("cfl", f"cfl must be in (0, 1], got {self.cfl}")
         if not np.isfinite(self.t_end) or self.t_end < 0.0:
-            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if self.output_every_steps < 0 or self.output_snapshots < 0:
-            raise ValueError("output cadences must be >= 0")
+            raise ParameterError("t_end", f"t_end must be finite and >= 0, got {self.t_end}")
+        for name in ("output_every_steps", "output_snapshots"):
+            if getattr(self, name) < 0:
+                raise ParameterError(name, f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "ic_params",
                            MappingProxyType(_preset("ic", self.ic_name, self.ic_params)))
         object.__setattr__(self, "topo_params",

@@ -154,6 +154,26 @@ class TestBuildScenario:
         with pytest.raises(ConfigError, match=f"'model.N'.*0..{N_MAX}, got {n}$"):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("grid.cells", "1", "grid.cells"),
+        ("grid.xmax", "-5.0", "grid.xmax"),
+        ("time.cfl", "2", "time.cfl"),
+        ("time.t_end", "-1", "time.t_end"),
+        ("model.g", "-1", "model.g"),
+        ("model.N", "-1", "model.N"),
+        ("output.every_steps", "-1", "output.every_steps"),
+        ("output.snapshots", "-1", "output.snapshots"),
+        ("bc.kind", "closed", "bc.kind"),
+        ("ic.name", "tsunami", "ic.name"),
+        ("topo.name", "reef", "topo.name"),
+        ("ic.surface", "0.1", "ic.name"),  # the preset then gives a non-positive depth
+    ])
+    def test_constraint_error_names_key(self, tmp_path, key, value, named):
+        cfg = self.valid(tmp_path)
+        cfg[key] = value
+        with pytest.raises(ConfigError, match=f"^key '{named}': "):
+            build_scenario(cfg)
+
     def test_drowned_surface(self, tmp_path):
         cfg = self.valid(tmp_path)
         cfg["ic.surface"] = "0.1"  # below the bump crest
@@ -781,6 +801,14 @@ class TestConvergeCommand:
         assert main(["converge", str(cfg), "--meshes", "20,a"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: --meshes ")
+
+    def test_too_few_cells_names_meshes(self, tmp_path, capsys):
+        cfg = tmp_path / "dam.cfg"
+        cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
+        assert main(["converge", str(cfg), "--meshes", "1,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --meshes: need at least 2 cells, got 1\n"
 
     def test_time_step_underflow_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("swlme.solver.cfl_dt", lambda *args: 0.0)
