@@ -5,14 +5,14 @@ runtime failures (for example a dry state, a time-step underflow or a
 failed write mid-run).
 
 `run` opens its output files before the first step and streams into them:
-solver.run hands every summary row and snapshot to a _CsvSink, which
-writes it (in _write_outputs) and keeps only the last summary row, so the
-command's memory does not grow with the number of steps or snapshots.  A
-run with snapshots between t = 0 and t_end forks one writer process that
-owns snapshots.csv, where os.fork exists; _write_outputs sends it each
-snapshot's block, and the writer formats the rows while the run steps on.
-Otherwise _write_outputs formats them itself, with the same
-_write_snapshot.
+solver.run hands the StateRecord of every state to a _CsvSink, which writes
+it (in _write_outputs) and keeps only the last summary, so the command's
+memory does not grow with the number of steps or snapshots; summary.csv's
+columns and the final line follow solver.SUMMARY_FIELDS.  A run with
+snapshots between t = 0 and t_end forks one writer process that owns
+snapshots.csv, where os.fork exists; _write_outputs sends it each snapshot's
+block, and the writer formats the rows while the run steps on.  Otherwise
+_write_outputs formats them itself, with the same _write_snapshot.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from swlme.basis import Variant, compute_tensors
-from swlme.config import ConfigError, build_scenario, format_config, load_config
+from swlme.config import ConfigError, build_scenario, config_key, format_config, load_config
 from swlme.diagnostics import (
     FreeSample,
     check_total_energy_identity,
@@ -35,7 +35,7 @@ from swlme.diagnostics import (
     gradient_check_entropy,
 )
 from swlme.model import N_MAX, ParameterError
-from swlme.solver import run
+from swlme.solver import SUMMARY_FIELDS, StateRecord, run
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -179,9 +179,9 @@ class _CsvSink:
     """The run sink of `swlme run`: appends each record to the CSV files as it arrives.
 
     Opening it creates output.path and both files, with their headers, so an
-    unwritable path fails before the first step.  Only the last summary row
-    is kept.  If forked, one writer process owns snapshots.csv: each
-    snapshot's block goes to it through a pipe, one pickled message per
+    unwritable path fails before the first step.  Only the last summary is
+    kept, without arrays.  If forked, one writer process owns snapshots.csv:
+    each snapshot's block goes to it through a pipe, one pickled message per
     os.write, and it formats the rows while the run takes its next steps; a
     full pipe holds back one message, so memory does not grow with the
     snapshots.  finish, and __exit__ on an exception, close the pipe and
@@ -203,7 +203,7 @@ class _CsvSink:
             self.summary = files.enter_context(
                 open(os.path.join(path, "summary.csv"), "w", encoding="utf-8"))
             self.snapshots.write(",".join(cols) + "\n")
-            self.summary.write("t,mass,momentum,total_energy\n")
+            self.summary.write(",".join(SUMMARY_FIELDS) + "\n")
             if fork:
                 self.snapshots.flush()  # else the writer would inherit the header, unwritten
                 self._start_writer()
@@ -282,9 +282,9 @@ class _CsvSink:
         finally:
             self._files.close()
 
-    def record(self, row: list, U, W, e) -> None:
-        _write_outputs(self, row, W, e)
-        self.last = row
+    def record(self, state: StateRecord) -> None:
+        _write_outputs(self, state)
+        self.last = state.summary
 
     def finish(self, failure):
         self._stop_writer()
@@ -306,21 +306,19 @@ def _write_snapshot(out, t: float, block: np.ndarray, x_texts: list) -> None:
                                       block[start:start + CSV_CHUNK_ROWS].tolist()))
 
 
-def _write_outputs(out: _CsvSink, row: list, W, e) -> None:
-    """Append a summary row and, if W is given, its snapshot, as shortest round-trip floats.
+def _write_outputs(out: _CsvSink, state: StateRecord) -> None:
+    """Append a state's summary row and, for a snapshot, its rows, as shortest round-trip floats.
 
-    W holds the snapshot's primitive states, as solver.run validated them,
-    and e the energy density its summary row summed.  The snapshot block
-    goes to the writer process if there is one, else it is formatted here.
+    A snapshot's rows are its validated primitives W and energy density e.
+    They go to the writer process if there is one, else are formatted here.
     """
-    out.summary.write(",".join(map(repr, row)) + "\n")
-    if W is None:
-        return
-    block = np.column_stack([W, e])
-    if out.writer is None:
-        _write_snapshot(out.snapshots, row[0], block, out.x_texts)
-    else:
-        out.send(row[0], block)
+    out.summary.write(",".join(map(repr, state.summary)) + "\n")
+    if state.U is not None:
+        block = np.column_stack([state.W, state.e])
+        if out.writer is None:
+            _write_snapshot(out.snapshots, state.t, block, out.x_texts)
+        else:
+            out.send(state.t, block)
 
 
 def cmd_run(args) -> int:
@@ -353,10 +351,7 @@ def cmd_run(args) -> int:
         print(f"error: writing output.path {path!r} failed: {err}; partial output written "
               f"to {path}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(
-        f"t={_fmt(final[0])} mass={_fmt(final[1])} momentum={_fmt(final[2])} "
-        f"total_energy={_fmt(final[3])}"
-    )
+    print(" ".join(f"{name}={_fmt(value)}" for name, value in zip(SUMMARY_FIELDS, final)))
     if scenario.params.variant is Variant.SWME:
         print("note: energy columns use the linearized-closure energy pair; for the "
               "full closure they are monitored, not certified")
@@ -386,8 +381,9 @@ def cmd_converge(args) -> int:
         return EXIT_FAIL
     try:
         rows = convergence_study(scenario, meshes)
-    except ParameterError as err:  # the scenario is valid, so a mesh made it invalid
-        print(f"error: --meshes: {err}", file=sys.stderr)
+    except ParameterError as err:  # grid.cells was valid, so a cell count came from --meshes
+        source = "--meshes" if err.field == "cells" else f"key '{config_key(err.field)}'"
+        print(f"error: {source}: {err}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

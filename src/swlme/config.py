@@ -37,6 +37,11 @@ _ARGUMENT_KEYS = {
 }
 
 
+def config_key(field: str) -> str:
+    """The key of the argument a ParameterError names; `section_param` is `section.param`."""
+    return _ARGUMENT_KEYS.get(field) or field.replace("_", ".", 1)
+
+
 def parse_config(text: str) -> dict:
     """Parse config text into an ordered key -> raw string value mapping."""
     out: dict[str, str] = {}
@@ -97,7 +102,7 @@ def build_scenario(cfg: dict) -> Scenario:
     try:
         return _scenario(cfg)
     except ParameterError as err:
-        raise ConfigError(f"key '{_ARGUMENT_KEYS[err.field]}': {err}") from err
+        raise ConfigError(f"key '{config_key(err.field)}': {err}") from err
     except ConfigError:
         raise
     except ValueError as err:  # not a constraint, e.g. a grid too large for numpy

@@ -35,8 +35,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from swlme.model import _energy_density, _moment_sum, entropy_vars, moment_weights, to_primitive
-from swlme.solver import Scenario, run
+from swlme.model import (
+    ParameterError,
+    _energy_density,
+    _moment_sum,
+    entropy_vars,
+    moment_weights,
+    to_primitive,
+)
+from swlme.solver import Scenario, StateRecord, run
 
 _TINY = np.finfo(float).tiny
 _BLOCK = 4096  # samples per block of the identity checks
@@ -462,9 +469,9 @@ def _restrict(h_fine: np.ndarray, coarse_cells: int) -> np.ndarray:
 class _FinalState:
     """A run sink that keeps only the last snapshot, the state at t_end of a run that succeeds."""
 
-    def record(self, row, U, W, e) -> None:
-        if U is not None:
-            self.U = U
+    def record(self, state: StateRecord) -> None:
+        if state.U is not None:
+            self.U = state.U
 
     def finish(self, failure: str | None):
         return self.U, failure
@@ -478,20 +485,29 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     scenario is compared against its own finest mesh, restricted by block
     averaging onto the coarser (dyadically nested) meshes; the finest mesh
     then serves as the reference and gets no row.  Returns rows of
-    (cells, l1_error, observed_order-or-None).
+    (cells, l1_error, observed_order-or-None).  Every mesh, and in exact mode
+    the dam break, is validated before the first run; ParameterError names
+    the scenario argument or preset parameter (`ic_h_l`) at fault.
     """
     meshes = [int(m) for m in meshes]
     if not meshes:
         raise ValueError("need at least one mesh")
+    on_mesh = {m: scenario.with_cells(m) for m in meshes}
 
     exact = (
         scenario.ic_name == "dam_break"
         and scenario.params.N == 0
         and not np.any(scenario.topography.b)
     )
+    ic = scenario.ic_params  # every preset parameter, defaults filled in
+    if exact and not ic["h_l"] > ic["h_r"] > 0.0:
+        raise ParameterError("ic_h_l", f"the exact dam break needs h_l > h_r > 0 (ic.h_r = "
+                                       f"{ic['h_r']}), got {ic['h_l']}")
+    if exact and not scenario.t_end > 0.0:
+        raise ParameterError("t_end", f"the exact dam break needs t_end > 0, got {scenario.t_end}")
 
     def final_h(cells: int) -> np.ndarray:
-        U, failure = run(scenario.with_cells(cells), _FinalState())
+        U, failure = run(on_mesh[cells], _FinalState())
         if failure:
             raise RuntimeError(f"run on {cells} cells failed: {failure}")
         return U[:, 0]
@@ -499,12 +515,11 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     errors = []
     if exact:
         rows_meshes = meshes
-        ic = scenario.ic_params  # every dam_break parameter, defaults filled in
         for m in rows_meshes:
-            sc = scenario.with_cells(m)
+            grid = on_mesh[m].grid
             h_ref = stoker_dam_break(ic["h_l"], ic["h_r"], scenario.params.g,
-                                     sc.grid.centers - ic["x0"], scenario.t_end)[:, 0]
-            errors.append(float(np.abs(final_h(m) - h_ref).sum() * sc.grid.dx))
+                                     grid.centers - ic["x0"], scenario.t_end)[:, 0]
+            errors.append(float(np.abs(final_h(m) - h_ref).sum() * grid.dx))
     else:
         if len(meshes) < 2:
             raise ValueError("self-reference mode needs at least two meshes")
@@ -514,8 +529,8 @@ def convergence_study(scenario: Scenario, meshes) -> list:
         rows_meshes = meshes[:-1]
         h_ref_fine = final_h(meshes[-1])
         for m in rows_meshes:
-            dx = (scenario.grid.x_max - scenario.grid.x_min) / m
-            errors.append(float(np.abs(final_h(m) - _restrict(h_ref_fine, m)).sum() * dx))
+            errors.append(float(np.abs(final_h(m) - _restrict(h_ref_fine, m)).sum()
+                                * on_mesh[m].grid.dx))
 
     rows = []
     for k, (m, err) in enumerate(zip(rows_meshes, errors)):

@@ -27,13 +27,13 @@ once, as the cached Scenario.interface_bottom.
 Validation: semi_discrete_rhs checks the depths on both sides of every
 interface and in every cell, once per call; step checks each stage's result
 for non-finite components, then dry depths; run checks each new state once,
-for its summary row and the next time step, and stops after MAX_STEPS steps.
+for its record and the next time step, and stops after MAX_STEPS steps.
 
-Output: run hands each summary row, and each snapshot it is asked for, to a
-sink as soon as it produces it, and keeps neither itself, so its memory does
-not depend on the number of steps or snapshots.  The default sink,
-TrajectorySink, keeps them all and returns a Trajectory; the CLI's sink
-writes them to CSV files instead.
+Output: run hands each state it produces to a sink as one StateRecord, its
+summary (t, mass, momentum, total_energy) plus, for a snapshot only, the state
+arrays, and keeps none itself, so its memory does not depend on the number of
+steps or snapshots.  The default sink, Trajectory, keeps every summary and
+snapshot; the CLI's sink writes them to CSV files instead.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,10 @@ from swlme.model import (
 BOUNDARY_KINDS = ("periodic", "outflow", "reflective")
 # steps one run may take; the largest benchmark mesh takes about 900
 MAX_STEPS = 10**7
+# bytes of one state array, cells x (N+2) floats.  A run's peak is about 14
+# times that under SWLME and 3 (N+2) times under SWME, whose validated wave
+# speed forms an (N+2) x (N+2) matrix per cell: at most about 3.2 GiB, at N = 64
+MAX_STATE_BYTES = 1 << 24
 
 # config section -> preset name -> parameter -> default
 _PRESETS = {
@@ -123,15 +128,24 @@ class Grid1D:
 
 
 def make_topography(name: str, params: Mapping, grid: Grid1D) -> Topography:
-    """Sample a bottom-elevation preset at the cell centers (read-only samples)."""
+    """Sample a bottom-elevation preset at the cell centers (read-only samples).
+
+    Raises, naming the parameter that can make it so, on a non-finite sample.
+    """
     p = _preset("topo", name, params)
     x = grid.centers
-    if name == "flat":
-        b = np.zeros_like(x)
-    elif name == "gaussian":
-        b = p["height"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2))
-    else:  # slope
-        b = p["grade"] * (x - grid.x_min)
+    with np.errstate(all="ignore"):  # a non-finite sample is reported below
+        if name == "flat":
+            b = np.zeros_like(x)
+        elif name == "gaussian":
+            b = p["height"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2))
+        else:  # slope
+            b = p["grade"] * (x - grid.x_min)
+    if not np.isfinite(b).all():
+        cell = int(np.argmin(np.isfinite(b)))
+        param = "width" if name == "gaussian" else "grade"  # flat is always finite
+        raise ParameterError(f"topo_{param}", f"topography '{name}' gives b = {b[cell]} at "
+                                              f"cell {cell}; check its {param}")
     b.setflags(write=False)
     return Topography(b=b)
 
@@ -162,7 +176,7 @@ def initial_condition(name: str, params: Mapping, grid: Grid1D, n_moments: int,
         U[:, 0] = h
         U[:, 1] = h * p["um"]
         U[:, 2:] = h * p["u"]
-    if np.any(U[:, 0] <= 0.0):
+    if not np.all(U[:, 0] > 0.0):  # also catches a NaN depth
         raise ParameterError("ic_name", f"initial condition '{name}' produces non-positive depth")
     return U
 
@@ -199,6 +213,12 @@ class Scenario:
         for name in ("output_every_steps", "output_snapshots"):
             if getattr(self, name) < 0:
                 raise ParameterError(name, f"{name} must be >= 0, got {getattr(self, name)}")
+        cell_bytes = 8 * (self.params.N + 2)
+        if self.grid.cells * cell_bytes > MAX_STATE_BYTES:
+            raise ParameterError("cells", f"{self.grid.cells} cells exceed "
+                                          f"{MAX_STATE_BYTES // cell_bytes} at N={self.params.N}: "
+                                          f"a state takes {cell_bytes} bytes a cell, and at most "
+                                          f"{MAX_STATE_BYTES} bytes")
         object.__setattr__(self, "ic_params",
                            MappingProxyType(_preset("ic", self.ic_name, self.ic_params)))
         object.__setattr__(self, "topo_params",
@@ -230,40 +250,53 @@ class Scenario:
         return dataclasses.replace(self, grid=dataclasses.replace(self.grid, cells=cells))
 
 
-@dataclass
-class Trajectory:
-    """Snapshots plus per-step scalar summaries of a run."""
+class StateRecord(NamedTuple):
+    """One state of a run, as run hands it to sink.record.
 
-    times: list          # snapshot times, strictly increasing
-    snapshots: list      # conserved state arrays, one per time
-    steps: np.ndarray    # rows (t, mass, momentum, total_energy), one per step plus t=0
-    failure: str | None = None
-
-
-class TrajectorySink:
-    """The default sink of run: keeps every summary row and snapshot, and returns a Trajectory.
-
-    A sink has two methods.  record(row, U, W, e) takes the summary row
-    (t, mass, momentum, total_energy) of each state, t = 0 first, and, if it
-    is a snapshot, that state's conserved and validated primitive arrays and
-    the energy density the row summed, else None three times; run never
-    writes them afterwards.  finish(failure) is called once, after the last
-    record, and what it returns, run returns.
+    A snapshot also carries its conserved states U, validated primitives W
+    and the energy density e that total_energy sums; run never writes them.
     """
 
-    def __init__(self):
-        self.times, self.snapshots, self.rows = [], [], []
+    t: float
+    mass: float
+    momentum: float
+    total_energy: float
+    U: np.ndarray | None = None
+    W: np.ndarray | None = None
+    e: np.ndarray | None = None
 
-    def record(self, row: list, U: np.ndarray | None, W: np.ndarray | None,
-               e: np.ndarray | None) -> None:
-        self.rows.append(row)
-        if U is not None:
-            self.times.append(row[0])
-            self.snapshots.append(U)
+    @property
+    def summary(self) -> tuple:
+        """The values of SUMMARY_FIELDS, without the arrays."""
+        return self[:4]
+
+
+SUMMARY_FIELDS = StateRecord._fields[:4]  # the columns of summary.csv
+
+
+@dataclass
+class Trajectory:
+    """Snapshots plus per-step scalar summaries of a run; the default sink of run.
+
+    A sink's record(state) takes each StateRecord, t = 0 first, and its
+    finish(failure) is called once, after the last; run returns what finish
+    returns.  A Trajectory keeps every summary and snapshot, and returns itself.
+    """
+
+    times: list = field(default_factory=list)  # snapshot times, strictly increasing
+    snapshots: list = field(default_factory=list)  # conserved states, one per time
+    steps: list = field(default_factory=list)  # summaries, t=0 first; an array once finished
+    failure: str | None = None
+
+    def record(self, state: StateRecord) -> None:
+        self.steps.append(state.summary)
+        if state.U is not None:
+            self.times.append(state.t)
+            self.snapshots.append(state.U)
 
     def finish(self, failure: str | None) -> Trajectory:
-        return Trajectory(times=self.times, snapshots=self.snapshots,
-                          steps=np.array(self.rows), failure=failure)
+        self.steps, self.failure = np.array(self.steps), failure
+        return self
 
 
 def apply_boundary(X: np.ndarray, kind: str) -> np.ndarray:
@@ -458,29 +491,24 @@ def step(U: np.ndarray, dt: float, scenario: Scenario) -> np.ndarray:
 
 
 def _summary_row(t: float, U: np.ndarray, W: np.ndarray, b: np.ndarray, g: float,
-                 dx: float) -> tuple:
-    """Row (t, mass, momentum, total energy) of states U (primitive W), and the e it sums.
-
-    e is the energy density of each cell, which a snapshot also writes.
-    """
+                 dx: float, snapshot: bool) -> StateRecord:
+    """The record of states U (primitive W) at time t, with its arrays if it is a snapshot."""
     e = _energy_density(W, b, g)
-    return [float(t), float(U[:, 0].sum() * dx), float(U[:, 1].sum() * dx),
-            float(e.sum() * dx)], e
+    return StateRecord(float(t), float(U[:, 0].sum() * dx), float(U[:, 1].sum() * dx),
+                       float(e.sum() * dx), *((U, W, e) if snapshot else ()))
 
 
 def run(scenario: Scenario, sink=None):
-    """Advance the scenario to t_end, handing summaries and snapshots to sink.
+    """Advance the scenario to t_end, handing each state's StateRecord to sink.record.
 
-    Each state's summary row, and the state (with its primitives and energy
-    density) when it is a snapshot, go to sink.record as soon as the state
-    is produced (see TrajectorySink, the default, which makes run return a
-    Trajectory); run returns what sink.finish returns.  The step is capped so snapshot times,
-    formed one at a time, and t_end are hit exactly.  On a dry state, a time
-    step that underflows (dt <= 0 or t + dt == t), or MAX_STEPS steps taken
-    before t_end, the run stops and the failure is passed to sink.finish;
-    what was recorded so far stands.
+    Each record goes to the sink as soon as its state is produced; run
+    returns what sink.finish returns (a Trajectory, by default).  The step is
+    capped so snapshot times, formed one at a time, and t_end are hit
+    exactly.  On a dry state, a time step that underflows (dt <= 0 or
+    t + dt == t), or MAX_STEPS steps taken before t_end, the run stops and
+    the failure is passed to sink.finish; what was recorded so far stands.
     """
-    sink = TrajectorySink() if sink is None else sink
+    sink = Trajectory() if sink is None else sink
     p = scenario.params
     grid = scenario.grid
     b = scenario.topography.b
@@ -488,19 +516,18 @@ def run(scenario: Scenario, sink=None):
 
     # interior snapshot times k * spacing, 0 < k < snapshots, one at a time;
     # k = snapshots would be t_end up to roundoff
-    snapshots = scenario.output_snapshots
+    snapshots, every = scenario.output_snapshots, scenario.output_every_steps
     spacing = scenario.t_end / snapshots if snapshots else 0.0
     k = 1 if spacing > 0.0 else snapshots  # index of the next interior snapshot time
 
-    t = 0.0
-    # each state is converted and validated once, for its summary row, snapshot and next step
-    W = to_primitive(U)
-    row, e = _summary_row(t, U, W, b, p.g, grid.dx)
-    sink.record(row, U, W, e)
-    failure = None
-    n_steps = 0
-
-    while t < scenario.t_end:
+    t, n_steps, failure = 0.0, 0, None
+    snap = True  # the initial state is always a snapshot
+    while True:
+        # each state is converted and validated once, for its record and the next step
+        W = to_primitive(U)
+        sink.record(_summary_row(t, U, W, b, p.g, grid.dx, snapshot=snap))
+        if t >= scenario.t_end:
+            break
         if n_steps >= MAX_STEPS:
             failure = f"step limit of {MAX_STEPS} steps reached at t = {t}"
             break
@@ -509,7 +536,7 @@ def run(scenario: Scenario, sink=None):
         next_target = min(k * spacing, scenario.t_end) if k < snapshots else scenario.t_end
         try:
             dt = cfl_dt(W, grid, p, scenario.cfl)
-            del W, e  # the step reads only U; holding them would raise its peak memory
+            del W  # the step reads only U; holding W would raise its peak memory
             landed = t + dt >= next_target
             if landed:
                 dt = next_target - t
@@ -523,11 +550,5 @@ def run(scenario: Scenario, sink=None):
         # t strictly increases, so no state is a snapshot twice
         t = next_target if landed else t + dt
         n_steps += 1
-        W = to_primitive(U)
-        snap = landed or (
-            scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
-        )
-        row, e = _summary_row(t, U, W, b, p.g, grid.dx)
-        sink.record(row, *((U, W, e) if snap else (None, None, None)))
-
+        snap = landed or (every > 0 and n_steps % every == 0)
     return sink.finish(failure)

@@ -13,6 +13,7 @@ from swlme.model import (
     H_MIN,
     DryStateError,
     ModelParams,
+    ParameterError,
     WaveSpeedBoundWarning,
     flux,
     max_wave_speed,
@@ -117,6 +118,17 @@ class TestInitialCondition:
         with pytest.raises(ValueError, match="non-positive"):
             initial_condition("lake_at_rest", {"surface": 1.0}, grid, 0, b)
 
+    @pytest.mark.parametrize("name, params", [("lake_at_rest", {"surface": 1.0}),
+                                              ("constant", {"h": np.nan})])
+    def test_nan_depth(self, name, params):
+        # a NaN fails every comparison, so `depth <= 0` alone let it through
+        grid = Grid1D(-1.0, 1.0, 8)
+        b = np.zeros(8)
+        b[3] = np.nan
+        with pytest.raises(ParameterError, match="non-positive") as err:
+            initial_condition(name, params, grid, 0, b)
+        assert err.value.field == "ic_name"
+
 
 class TestTopography:
     def test_flat(self):
@@ -142,6 +154,17 @@ class TestTopography:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown topography"):
             make_topography("cliff", {}, Grid1D(0.0, 1.0, 8))
+
+    @pytest.mark.parametrize("name, params, field", [
+        ("gaussian", {"width": 0.0}, "topo_width"),  # 0/0 at the centre cell
+        ("slope", {"grade": 1e308}, "topo_grade"),  # overflows to inf
+    ])
+    def test_non_finite_bottom_names_parameter(self, name, params, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"^topography '{name}' gives b = ") as err:
+                make_topography(name, params, Grid1D(-5.0, 5.0, 21))
+        assert err.value.field == field
 
 
 class TestBoundary:
@@ -807,7 +830,7 @@ class TestRun:
     def test_snapshot_count_costs_no_memory(self, monkeypatch):
         """The snapshot times are formed as they are reached, not all before the first step."""
         class Discard:
-            def record(self, row, U, W, e):
+            def record(self, state):
                 pass
 
             def finish(self, failure):
@@ -862,7 +885,7 @@ def reference_run(scenario):
     times = [0.0]
     snapshots = [U.copy()]
     W = to_primitive(U)
-    rows = [_summary_row(t, U, W, b, p.g, grid.dx)[0]]
+    rows = [_summary_row(t, U, W, b, p.g, grid.dx, snapshot=False).summary]
     failure = None
     n_steps = 0
     while t < scenario.t_end:
@@ -882,7 +905,7 @@ def reference_run(scenario):
         t = next_target if landed else t + dt
         n_steps += 1
         W = to_primitive(U)
-        rows.append(_summary_row(t, U, W, b, p.g, grid.dx)[0])
+        rows.append(_summary_row(t, U, W, b, p.g, grid.dx, snapshot=False).summary)
         want_snap = landed or (
             scenario.output_every_steps > 0 and n_steps % scenario.output_every_steps == 0
         )
