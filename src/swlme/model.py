@@ -132,12 +132,16 @@ def check_wet(h: np.ndarray) -> None:
 def _moment_sum(u: np.ndarray) -> np.ndarray:
     """T = sum_i u_i^2 / (2i+1) over the last axis (0.0 when there are no moments).
 
-    The squares are made C-contiguous whatever the layout of u, so the
-    matrix-vector product, and with it the rounding of T, is the same for a
-    transposed view as for a row-major array.
+    The squares are written straight into a fresh C-contiguous array, the
+    layout the matrix-vector product reads, so its rounding is the same for
+    a transposed view as for a row-major array, and no layout copy is made.
     """
     n = u.shape[-1]
-    return np.ascontiguousarray(u * u) @ moment_weights(n) if n else np.zeros(u.shape[:-1])
+    if not n:
+        return np.zeros(u.shape[:-1])
+    sq = np.empty(u.shape)
+    np.multiply(u, u, out=sq)
+    return sq @ moment_weights(n)
 
 
 def _contract(terms: TermTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -165,27 +169,35 @@ def _contract(terms: TermTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _flux_rows(h, um, u, T, p: ModelParams, out: np.ndarray, h_sq) -> None:
-    """Write the flux into out, variable axis first.
+    """Write the flux into out, variable axis first, one row at a time in place.
 
     h, um, T = _moment_sum of the moments and h_sq = h**2 have shape S, the
     moments u shape (N,) + S, and out shape (N+2,) + S; T is not read when
-    there are no moments (it would be all zero).  No wetness check.  The
-    closure term skips the zero entries of A, so for an infinite velocity a
-    row can be +-inf where np.einsum over the dense A gave nan (0 * inf).
-    Both are non-finite, and an overflowing run stops earlier anyway: cfl_dt
-    rejects the non-finite quasilinear matrix of such a state.
+    there are no moments (it would be all zero).  The solver passes one
+    state per distinct reconstructed state: (cells+2,) on a flat bottom,
+    (2, cells+1) on any other.  No wetness check.  The closure term skips
+    the zero entries of A, so for an infinite velocity a row can be +-inf
+    where np.einsum over the dense A gave nan (0 * inf).  Both are
+    non-finite, and an overflowing run stops earlier anyway: cfl_dt rejects
+    the non-finite quasilinear matrix of such a state.
     """
-    out[0] = h * um
-    # h um^2 >= +0.0, so leaving out h T = +0.0 when N = 0 keeps the bits
-    momentum = h * um**2
+    # [i, ...] keeps a row a view when out holds a single state
+    mass, momentum, moments = out[0, ...], out[1, ...], out[2:]
+    np.multiply(h, um, out=mass)
+    # h um^2 + h T + (g / 2) h^2; h um^2 >= +0.0, so leaving out h T = +0.0
+    # when N = 0 keeps the bits
+    np.square(um, out=momentum)
+    np.multiply(h, momentum, out=momentum)
     if p.N > 0:
         momentum += h * T
     momentum += 0.5 * p.g * h_sq
-    out[1] = momentum
     if p.N > 0:
-        out[2:] = 2.0 * h * um * u
+        # h (2 u_m u_i + sum_jk A_ijk u_j u_k)
+        np.multiply(2.0 * h * um, u, out=moments)
         if p.variant is Variant.SWME:
-            out[2:] += h * _contract(p.tensors.A_terms, u, u)
+            closure = _contract(p.tensors.A_terms, u, u)
+            np.multiply(h, closure, out=closure)
+            moments += closure
 
 
 def _path_rows(um, u, du, p: ModelParams) -> np.ndarray:

@@ -18,11 +18,15 @@ State arrays are conserved variables of shape (cells, N+2), stored
 variables-first from initial_condition on: U.T is C-contiguous, one row of
 cells per variable.  apply_boundary, the one ghost rule for states and
 bottom alike, appends a ghost cell per side to such rows.  semi_discrete_rhs
-stacks both sides of every interface into one (N+2, 2, cells+1) array and
-evaluates primitives, flux, wave speed and path term once over that stack,
-so each elementwise operation runs along a row of cells.  The ghost-extended
-bottom and b* = max(b_L, b_R) depend on the scenario alone and are computed
-once, as the cached Scenario.interface_bottom.
+forms the distinct reconstructed states once, as one array with a left and
+a right view, and evaluates primitives, flux, wave speed and path term once
+per state, so each elementwise operation runs along a row of cells.  On a
+flat bottom (every sample exactly zero) the reconstruction keeps each cell's
+state at both its faces, so the states are the (N+2, cells+2) ghost-extended
+cells; on any other bottom they are both sides of every interface, stacked
+into one (N+2, 2, cells+1) array.  The ghost-extended bottom and
+b* = max(b_L, b_R) depend on the scenario alone and are computed once, as the
+cached Scenario.interface_bottom, and so is the flat-bottom test.
 
 Validation: semi_discrete_rhs checks the depths on both sides of every
 interface and in every cell, once per call; step checks each stage's result
@@ -115,6 +119,9 @@ class Grid1D:
                     name, f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
             raise ParameterError("x_max", "x_max must exceed x_min")
+        if not np.isfinite(self.x_max - self.x_min):
+            raise ParameterError("x_max", f"grid span x_max - x_min must be finite, got "
+                                          f"[{self.x_min}, {self.x_max}]")
         if self.cells < 2:
             raise ParameterError("cells", f"need at least 2 cells, got {self.cells}")
 
@@ -156,28 +163,36 @@ def initial_condition(name: str, params: Mapping, grid: Grid1D, n_moments: int,
 
     Presets: dam_break (h_l/h_r split at x0, at rest), lake_at_rest
     (flat surface over the bottom b), smooth_periodic (sinusoidal depth and
-    velocities), constant.  Raises on unknown names or non-positive depth.
+    velocities), constant.  Raises on unknown names, a non-positive depth
+    or a non-finite component.
     """
     p = _preset("ic", name, params)
     x = grid.centers
     U = np.zeros((n_moments + 2, grid.cells)).T  # variables-first, see the module docstring
-    if name == "dam_break":
-        U[:, 0] = np.where(x < p["x0"], p["h_l"], p["h_r"])
-    elif name == "lake_at_rest":
-        U[:, 0] = p["surface"] - b
-    elif name == "smooth_periodic":
-        phase = np.sin(2.0 * np.pi * (x - grid.x_min) / (grid.x_max - grid.x_min))
-        h = p["h0"] + p["h_amp"] * phase
-        U[:, 0] = h
-        U[:, 1] = h * (p["um_amp"] * phase)
-        U[:, 2:] = (h * (p["u_amp"] * phase))[:, None]
-    else:  # constant
-        h = p["h"]
-        U[:, 0] = h
-        U[:, 1] = h * p["um"]
-        U[:, 2:] = h * p["u"]
+    with np.errstate(all="ignore"):  # a non-finite component is reported below
+        if name == "dam_break":
+            U[:, 0] = np.where(x < p["x0"], p["h_l"], p["h_r"])
+        elif name == "lake_at_rest":
+            U[:, 0] = p["surface"] - b
+        elif name == "smooth_periodic":
+            phase = np.sin(2.0 * np.pi * (x - grid.x_min) / (grid.x_max - grid.x_min))
+            h = p["h0"] + p["h_amp"] * phase
+            U[:, 0] = h
+            U[:, 1] = h * (p["um_amp"] * phase)
+            U[:, 2:] = (h * (p["u_amp"] * phase))[:, None]
+        else:  # constant
+            h = p["h"]
+            U[:, 0] = h
+            U[:, 1] = h * p["um"]
+            U[:, 2:] = h * p["u"]
     if not np.all(U[:, 0] > 0.0):  # also catches a NaN depth
         raise ParameterError("ic_name", f"initial condition '{name}' produces non-positive depth")
+    finite = np.isfinite(U)
+    if not finite.all():  # an overflowed depth, momentum or moment
+        cell, col = (int(i) for i in np.argwhere(~finite)[0])
+        what = ("depth", "momentum")[col] if col < 2 else f"moment {col - 1}"
+        raise ParameterError("ic_name", f"initial condition '{name}' produces a non-finite "
+                                        f"{what} = {U[cell, col]} at cell {cell}")
     return U
 
 
@@ -240,6 +255,15 @@ class Scenario:
         b_ext.setflags(write=False)
         b_star.setflags(write=False)
         return b_ext, b_star
+
+    @functools.cached_property
+    def flat_bottom(self) -> bool:
+        """Whether every ghost-extended bottom sample is exactly zero (either sign).
+
+        Then the reconstructed depth h + b - b* is h bit for bit, and both
+        faces of a cell carry the same state.
+        """
+        return not self.interface_bottom[0].any()
 
     def initial_states(self) -> np.ndarray:
         return initial_condition(self.ic_name, self.ic_params, self.grid,
@@ -335,6 +359,24 @@ def cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> floa
     return cfl * grid.dx / float(np.max(speeds))
 
 
+def _check_interface_depths(low: np.ndarray, cells: int, boundary: str) -> None:
+    """check_wet on reconstructed depths, naming the cell whose interface is dry.
+
+    low holds the depths one side of each interface reads: (2, cells+1),
+    side and interface, from _interface_states, or (cells+2,), one per
+    ghost-extended cell, on a flat bottom.  Both layouts list the
+    ghost-extended cells in the same order, so both name the same cell.
+    """
+    try:
+        check_wet(low)
+    except DryStateError as err:
+        # ghost-extended index: interface j + side, or the cell itself; less the left ghost
+        cell = sum(err.index) - 1
+        cell = cell % cells if boundary == "periodic" else min(max(cell, 0), cells - 1)
+        raise DryStateError(f"dry or invalid state at an interface of cell {cell}: "
+                            f"h = {low[err.index]}", index=(cell,)) from None
+
+
 def _interface_states(X: np.ndarray, b_ext: np.ndarray, b_star: np.ndarray,
                       boundary: str) -> np.ndarray:
     """Hydrostatically reconstructed interface states, variable axis first.
@@ -357,67 +399,81 @@ def _interface_states(X: np.ndarray, b_ext: np.ndarray, b_star: np.ndarray,
     low = np.empty_like(hs)
     np.minimum(hs[0], h[:-1], out=low[0])
     np.minimum(hs[1], h[1:], out=low[1])
-    try:
-        check_wet(low)
-    except DryStateError as err:
-        side, j = err.index
-        cell = j + side - 1  # ghost-extended index j + side, less the left ghost
-        cells = n - 1
-        cell = cell % cells if boundary == "periodic" else min(max(cell, 0), cells - 1)
-        raise DryStateError(f"dry or invalid state at an interface of cell {cell}: "
-                            f"h = {low[side, j]}", index=(cell,)) from None
+    _check_interface_depths(low, n - 1, boundary)
     v = X[1:] / h
     np.multiply(v[:, :-1], hs[0], out=Us[1:, 0])
     np.multiply(v[:, 1:], hs[1], out=Us[1:, 1])
     return Us
 
 
-def _hydrostatic_correction(hs_sq: np.ndarray, g: float) -> np.ndarray:
-    """Per-cell momentum correction g (hs_L^2 at the right face - hs_R^2 at the left) / 2.
+def _reconstructed_states(X: np.ndarray, scenario: Scenario) -> tuple:
+    """The distinct reconstructed states S, and the indices of the interface sides in S.
 
-    hs_sq holds the squared interface depths, shape (2, cells+1).
+    X holds the ghost-extended conserved states as rows, (N+2, cells+2).  On
+    a flat bottom (Scenario.flat_bottom) the reconstruction keeps every
+    depth, so both faces of a cell carry one state: S is (N+2, cells+2),
+    formed in X, and the left and right sides of the interfaces are
+    S[..., :-1] and S[..., 1:].  On any other bottom S is _interface_states's
+    (N+2, 2, cells+1), sides S[..., 0, :] and S[..., 1, :].  The states and
+    their validation are those of _interface_states bit for bit, on either
+    bottom.
     """
-    corr = np.subtract(hs_sq[0, 1:], hs_sq[1, :-1])
-    corr *= 0.5 * g
+    if scenario.flat_bottom:
+        h = X[0]
+        _check_interface_depths(h, h.size - 2, scenario.boundary)
+        v = X[1:] / h
+        np.multiply(v, h, out=X[1:])
+        return X, np.s_[..., :-1], np.s_[..., 1:]
+    return (_interface_states(X, *scenario.interface_bottom, scenario.boundary),
+            np.s_[..., 0, :], np.s_[..., 1, :])
+
+
+def _hydrostatic_correction(hs_sq_L: np.ndarray, hs_sq_R: np.ndarray, g: float) -> np.ndarray:
+    """Twice each cell's momentum correction: g (hs_L^2 at its right face - hs_R^2 at its left).
+
+    hs_sq_L and hs_sq_R hold the squared left and right depths of every
+    interface, shape (cells+1,).
+    """
+    corr = np.subtract(hs_sq_L[1:], hs_sq_R[:-1])
+    corr *= g
     return corr
 
 
-def _rusanov_flux(Us: np.ndarray, dUs: np.ndarray, hs_sq: np.ndarray,
+def _rusanov_flux(S: np.ndarray, L: tuple, R: tuple, dUs: np.ndarray, hs_sq: np.ndarray,
                   p: ModelParams) -> np.ndarray:
-    """Rusanov flux (N+2, cells+1) at the interface states Us.
+    """Twice the Rusanov flux, (F_L + F_R) - max(s_L, s_R) dUs, shape (N+2, cells+1).
 
-    dUs = Us_R - Us_L, and hs_sq holds the squared depths Us[0]**2.
+    S holds the distinct reconstructed states and L, R index the left and
+    right state of each interface in S (_reconstructed_states); velocities,
+    moment sum, flux rows and wave speeds are evaluated once per state of S.
+    dUs = S[R] - S[L], and hs_sq holds the squared depths S[0]**2.
     """
-    hs = Us[0]
-    v = Us[1:] / hs
-    T = _moment_sum(v[1:].transpose(1, 2, 0)) if p.N else None
+    hs = S[0]
+    v = S[1:] / hs
+    # the moments with their axis last: _moment_sum squares them into the layout its product reads
+    T = _moment_sum(v[1:].transpose(*range(1, v.ndim), 0)) if p.N else None
     speeds = _wave_speed(hs, v[0], T, p.g)
-    F = np.empty_like(Us)
+    F = np.empty_like(S)
     _flux_rows(hs, v[0], v[1:], T, p, F, hs_sq)
-    # 0.5 (F_L + F_R) - (0.5 max(s_L, s_R)) dUs
-    F_star = np.add(F[:, 0], F[:, 1])
-    F_star *= 0.5
-    s = np.maximum(speeds[0], speeds[1])
-    s *= 0.5
-    F_star -= np.multiply(s, dUs, out=F[:, 0])
+    F_star = np.add(F[L], F[R])
+    s = np.maximum(speeds[L], speeds[R])
+    F_star -= np.multiply(s, dUs, out=F[L])  # F is spent: its left sides take the product
     return F_star
 
 
-def _path_term(Us: np.ndarray, dUs: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Moment rows (N, cells) of the half path terms of each cell's two interfaces.
+def _path_term(S: np.ndarray, L: tuple, R: tuple, dUs: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Moment rows (N, cells): twice the half path terms of each cell's two interfaces.
 
     The path is straight and evaluated at the mean interface state, of which
-    only the rows _path_rows reads are formed: h and q, and the moments
-    under the full closure (the linearized one reads u_m alone).
+    only the rows _path_rows reads are formed, doubled, since only their
+    quotients are read: h and q, and the moments under the full closure
+    (the linearized one reads u_m alone).  S, L, R are as in _rusanov_flux.
     """
-    rows = Us.shape[0] if p.variant is Variant.SWME else 2
-    Um = np.add(Us[:rows, 0], Us[:rows, 1])
-    Um *= 0.5
+    rows = S[:S.shape[0] if p.variant is Variant.SWME else 2]
+    Um = np.add(rows[L], rows[R])
     vm = Um[1:] / Um[0]
     P = _path_rows(vm[0], vm[1:], dUs[2:], p)
-    P_cell = np.add(P[:, 1:], P[:, :-1])
-    P_cell *= 0.5
-    return P_cell
+    return np.add(P[:, 1:], P[:, :-1])
 
 
 def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -425,27 +481,31 @@ def semi_discrete_rhs(U: np.ndarray, scenario: Scenario) -> np.ndarray:
 
     Each interface contributes a Rusanov flux at the reconstructed states
     and half of its path term to both neighbors; each cell adds the
-    hydrostatic momentum correction.  The ghost-extended bottom and b* are
-    the scenario's cached interface_bottom, computed once per scenario.
-    The depths at both sides of every interface and in every cell are
-    validated here, once per call; other components are not checked (step
-    checks each stage's result).  Fresh variables-first output, no aliasing.
+    hydrostatic momentum correction.  Everything is evaluated once per
+    distinct reconstructed state (_reconstructed_states): per ghost-extended
+    cell on a flat bottom, where a cell's two faces share its state, and per
+    interface side on any other, through one code path.  Flux, path term
+    and correction are all formed doubled, each exact scaling by 1/2 left
+    out, and the sum is divided once by 2 dx: away from overflow and
+    subnormal values the bits are those of the halves.  The depths at both
+    sides of every interface and in every cell are validated here, once per
+    call; other components are not checked (step checks each stage's
+    result).  Fresh variables-first output, no aliasing.
     """
     p = scenario.params
-    Us = _interface_states(apply_boundary(U.T, scenario.boundary),
-                           *scenario.interface_bottom, scenario.boundary)
-    hs_sq = np.square(Us[0])
-    dUs = np.subtract(Us[:, 1], Us[:, 0])
-    F_star = _rusanov_flux(Us, dUs, hs_sq, p)
+    S, L, R = _reconstructed_states(apply_boundary(U.T, scenario.boundary), scenario)
+    hs_sq = np.square(S[0])
+    dUs = np.subtract(S[R], S[L])
+    F_star = _rusanov_flux(S, L, R, dUs, hs_sq, p)
+    # each row is x - d for the flux difference d, formed in place.  Row 0
+    # takes x = +0.0, the path term's zero mass row, so a -0.0 there becomes
+    # +0.0; row 1's x, the correction, is a difference of squares, never -0.0
     dU = np.subtract(F_star[:, 1:], F_star[:, :-1])
-    np.negative(dU, out=dU)
-    dU[1] += _hydrostatic_correction(hs_sq, p.g)
-    # the path term's mass and momentum rows are zero; adding them turned a
-    # -0.0 there into +0.0, which the stored bits keep
-    dU[:2] += 0.0
+    np.subtract(0.0, dU[0], out=dU[0])
+    np.subtract(_hydrostatic_correction(hs_sq[L], hs_sq[R], p.g), dU[1], out=dU[1])
     if p.N:
-        dU[2:] += _path_term(Us, dUs, p)
-    dU /= scenario.grid.dx
+        np.subtract(_path_term(S, L, R, dUs, p), dU[2:], out=dU[2:])
+    dU /= 2.0 * scenario.grid.dx
     return dU.T
 
 

@@ -196,6 +196,30 @@ class TestBuildScenario:
                             f"cell \\d+; check its \\w+\n", captured.err), captured.err
         assert not (tmp_path / "o").exists()  # rejected before the output is opened
 
+    @pytest.mark.parametrize("lines, err", [
+        ("grid.xmin = -1e308\ngrid.xmax = 1e308\nic.name = constant",
+         "key 'grid.xmax': grid span x_max - x_min must be finite, got [-1e+308, 1e+308]"),
+        ("grid.xmin = -1\ngrid.xmax = 1\nic.name = constant\nic.h = 10\nic.um = 1e308",
+         "key 'ic.name': initial condition 'constant' produces a non-finite momentum = inf "
+         "at cell 0"),
+        ("grid.xmin = 0\ngrid.xmax = 1\nic.name = smooth_periodic\nic.h0 = 2\n"
+         "ic.u_amp = -1e308", "key 'ic.name': initial condition 'smooth_periodic' produces "
+                              "a non-finite moment 1 = -inf at cell 3"),
+    ], ids=["grid span", "constant momentum", "smooth moment"])
+    def test_overflowing_input_rejected_before_output(self, tmp_path, capsys, lines, err):
+        # every value given is finite; the span, or a product the preset
+        # forms from them, overflows
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"model.N = 1\nmodel.g = 9.81\nmodel.variant = swlme\n"
+                       f"grid.cells = 20\n{lines}\nbc.kind = outflow\ntime.t_end = 0.1\n"
+                       f"time.cfl = 0.9\noutput.path = {tmp_path / 'o'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from the overflow either
+            assert main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+        assert not (tmp_path / "o").exists()  # rejected before the output is opened
+
     def test_grid_over_memory_bound_names_key(self, tmp_path):
         cfg = self.valid(tmp_path)  # N = 1: three floats a cell
         most = MAX_STATE_BYTES // 24

@@ -79,9 +79,15 @@ class TestGrid:
             Grid1D(0.0, 0.0, 10)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 1)
-        for bounds in ((np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        for bounds in ((np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan),
+                       (-1e308, 1e308), (-1.7e308, 1e307)):
             with pytest.raises(ValueError, match="finite"):
                 Grid1D(*bounds, 10)
+        # finite bounds whose difference is inf would make dx inf
+        with pytest.raises(ParameterError, match="span x_max - x_min must be finite") as err:
+            Grid1D(-1e308, 1e308, 10)
+        assert err.value.field == "x_max"
+        assert np.isfinite(Grid1D(-8e307, 8e307, 10).dx)  # the largest spans still pass
 
 
 class TestInitialCondition:
@@ -127,6 +133,22 @@ class TestInitialCondition:
         b[3] = np.nan
         with pytest.raises(ParameterError, match="non-positive") as err:
             initial_condition(name, params, grid, 0, b)
+        assert err.value.field == "ic_name"
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("constant", {"h": 10.0, "um": 1e308}, "momentum = inf at cell 0"),
+        ("constant", {"h": 10.0, "u": -1e308}, "moment 1 = -inf at cell 0"),
+        ("smooth_periodic", {"h0": 1e308, "h_amp": 1e308}, "depth = inf at cell 1"),
+        ("smooth_periodic", {"h0": 2.0, "um_amp": 1e308}, "momentum = inf at cell 1"),
+        ("smooth_periodic", {"h0": 2.0, "u_amp": 1e308}, "moment 1 = inf at cell 1"),
+    ])
+    def test_non_finite_state_rejected(self, name, params, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from the overflow either
+            with pytest.raises(ParameterError) as err:
+                initial_condition(name, params, Grid1D(0.0, 1.0, 8), 2, np.zeros(8))
+        assert str(err.value) == (f"initial condition '{name}' produces a non-finite "
+                                  f"{message}")
         assert err.value.field == "ic_name"
 
 
@@ -365,7 +387,7 @@ class TestWellBalancing:
         for bc in ("periodic", "outflow", "reflective"):
             sc = scenario(n=1, cells=20, bc=bc)
             Us = _interface_states(apply_boundary(U.T, bc), *sc.interface_bottom, bc)
-            assert np.all(_hydrostatic_correction(Us[0] ** 2, 9.81) == 0.0), bc
+            assert np.all(_hydrostatic_correction(Us[0, 0] ** 2, Us[0, 1] ** 2, 9.81) == 0.0), bc
 
     def test_lake_at_rest_is_fixed_point(self):
         sc = scenario(n=1, g=9.812, cells=100, span=(-5.0, 5.0), ic="lake_at_rest",
@@ -471,6 +493,97 @@ def test_kernel_matches_reference_bitwise(variant, n):
                 # variables-first, as every state: contiguous rows of cells
                 assert got.T.flags.c_contiguous and not np.shares_memory(got, U)
             assert np.all(semi_discrete_rhs(zero_moments, sc)[:, 2:] == 0.0)
+
+
+def test_flux_is_evaluated_once_per_distinct_state(monkeypatch):
+    # on a flat bottom both faces of a cell carry its state, so the flux rows
+    # take one state per ghost-extended cell: about half the interface sides
+    shapes = []
+    flux_rows = swlme.solver._flux_rows
+
+    def recording(h, *args):
+        shapes.append(h.shape)
+        return flux_rows(h, *args)
+
+    monkeypatch.setattr(swlme.solver, "_flux_rows", recording)
+    for topo, want in (("flat", (33,)), ("gaussian", (2, 32))):
+        shapes.clear()
+        sc = scenario(n=2, cells=31, span=(-2.0, 2.0), ic_params={"h": 1.0, "um": 0.2},
+                      topo=topo, bc="outflow")
+        semi_discrete_rhs(sc.initial_states(), sc)
+        assert shapes == [want], topo
+
+
+def interface_sides_only(monkeypatch):
+    """Make every new Scenario reconstruct per interface side, as on a non-flat bottom."""
+    monkeypatch.setattr(Scenario, "flat_bottom", False)
+
+
+@pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+@pytest.mark.parametrize("bc", BOUNDARY_KINDS)
+def test_zero_bottoms_run_bitwise_as_flat(monkeypatch, variant, bc):
+    # a preset whose samples are all zero takes the per-cell path by its
+    # samples, not its name; forced onto the per-side path, a flat bottom
+    # keeps every bit of the run
+    def same_run(a, b):
+        return (a.failure is None and b.failure is None and a.times == b.times
+                and a.steps.tobytes() == b.steps.tobytes()
+                and all(x.tobytes() == y.tobytes() for x, y in zip(a.snapshots, b.snapshots)))
+
+    def make(topo, topo_params):
+        return Scenario(params=ModelParams(g=9.81, N=3, variant=variant),
+                        grid=Grid1D(-1.0, 1.0, 60), ic_name="smooth_periodic",
+                        ic_params={"h_amp": 0.2, "um_amp": 0.3, "u_amp": 0.1},
+                        topo_name=topo, topo_params=topo_params, boundary=bc,
+                        t_end=0.15, output_every_steps=3)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+        flat = run(make("flat", {}))
+        assert len(flat.steps) > 10 and len(flat.snapshots) > 3
+        for topo, topo_params in (("gaussian", {"height": 0.0}), ("slope", {"grade": 0.0}),
+                                  ("gaussian", {"height": -0.0})):
+            sc = make(topo, topo_params)
+            assert sc.flat_bottom, (topo, topo_params)
+            assert same_run(run(sc), flat), (topo, topo_params)
+        assert not make("gaussian", {"height": 1e-300}).flat_bottom
+        interface_sides_only(monkeypatch)
+        assert same_run(run(make("flat", {})), flat)
+
+
+@pytest.mark.parametrize("bc", BOUNDARY_KINDS)
+@pytest.mark.parametrize("cells, depth", [((0,), 0.0), ((5,), 1e-11), ((11,), np.nan),
+                                          ((0,), -1.0), ((11,), np.inf), ((3, 8), 0.0)])
+def test_dry_cell_named_alike_on_both_paths(monkeypatch, bc, cells, depth):
+    def failure():
+        sc = scenario(n=2, cells=12, ic_params={"h": 1.0, "um": 0.2, "u": 0.1}, bc=bc)
+        U = sc.initial_states()
+        U[list(cells), 0] = depth
+        with pytest.raises(DryStateError) as info:
+            semi_discrete_rhs(U, sc)
+        return str(info.value), info.value.index
+
+    flat = failure()
+    # the first of equally dry cells, ghosts mapped back to the cell they copy
+    assert flat == (f"dry or invalid state at an interface of cell {cells[0]}: h = {depth}",
+                    (cells[0],))
+    interface_sides_only(monkeypatch)
+    assert failure() == flat
+
+
+@pytest.mark.parametrize("bc", BOUNDARY_KINDS)
+def test_dry_right_side_names_its_cell(bc):
+    # on a falling bottom the right side of an interface is the one lowered:
+    # cell 5's left face reconstructs dry while its own depth and its right
+    # face stay wet, so the cell is told from the interface's right side
+    sc = scenario(n=1, cells=10, span=(0.0, 10.0), ic_params={"h": 1.0}, topo="slope",
+                  topo_params={"grade": -0.1}, bc=bc)
+    U = sc.initial_states()
+    U[5, 0] = 0.05
+    with pytest.raises(DryStateError, match=r"^dry or invalid state at an interface of cell 5: "
+                                            r"h = -0\.0499") as info:
+        semi_discrete_rhs(U, sc)
+    assert info.value.index == (5,)
 
 
 def reference_check_finite(U):
