@@ -1,8 +1,9 @@
 """Command-line front end: closure tables, identity checks, runs, convergence.
 
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
-runtime failures (for example a dry state, a time-step underflow or a
-failed write mid-run).
+runtime failures (for example a dry state, a time-step underflow, a
+failed write mid-run, or a worker process of `check` or `converge` that
+died).
 
 `run` opens its output files before the first step and streams into them:
 solver.run hands the StateRecord of every state to a _CsvSink, which writes
@@ -13,6 +14,10 @@ snapshots between t = 0 and t_end forks one writer process that owns
 snapshots.csv, where os.fork exists; _write_outputs sends it each snapshot's
 block, and the writer formats the rows while the run steps on.  Otherwise
 _write_outputs formats them itself, with the same _write_snapshot.
+
+`check` and `converge` fork no process here: on two CPUs or more,
+swlme.diagnostics runs half of each order's identity blocks, or the largest
+mesh, in a worker it forks and reaps itself, with the same output.
 """
 
 from __future__ import annotations
@@ -157,7 +162,11 @@ def cmd_check(args) -> int:
         print("warning: --samples 0, nothing checked (vacuous pass)")
         return EXIT_OK
 
-    rows = _check_identities(orders, args.samples, seed)
+    try:
+        rows = _check_identities(orders, args.samples, seed)
+    except RuntimeError as err:  # a lost worker process
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
     rows += _check_gradients(orders, min(args.samples, 1000), seed)
 
     failures = []
@@ -382,7 +391,8 @@ def cmd_converge(args) -> int:
     try:
         rows = convergence_study(scenario, meshes)
     except ParameterError as err:  # grid.cells was valid, so a cell count came from --meshes
-        source = "--meshes" if err.field == "cells" else f"key '{config_key(err.field)}'"
+        source = ("--meshes" if err.field in ("cells", "meshes")
+                  else f"key '{config_key(err.field)}'")
         print(f"error: {source}: {err}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as err:

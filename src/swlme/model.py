@@ -37,6 +37,8 @@ from swlme.basis import ClosureTensors, TermTable, Variant, compute_tensors
 
 H_MIN = 1e-10  # dry threshold: a depth at or below it is rejected
 N_MAX = 64  # largest moment order; the tensors take 2 N^3 floats
+# quasilinear matrices max_wave_speed(validate=True) forms at once, in bytes
+SPEED_BLOCK_BYTES = 1 << 21
 
 
 class DryStateError(RuntimeError):
@@ -333,12 +335,22 @@ def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
     read a C-contiguous u, since from N = 8 on einsum's rounding follows the layout.
     """
     W = np.asarray(W, dtype=float)
+    check_wet(W[..., 0])
+    return _quasilinear(W, _moment_sum(W[..., 2:]), p)
+
+
+def _quasilinear(W: np.ndarray, T: np.ndarray, p: ModelParams) -> np.ndarray:
+    """quasilinear_matrix at wet states W, given their T = _moment_sum(W[..., 2:]).
+
+    The matrix-vector product in _moment_sum rounds a state by its position
+    in the batch, so a caller that builds Q a block of states at a time
+    passes the T of the whole batch.
+    """
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
-    check_wet(h)
     n = p.n_vars
     Q = np.zeros(W.shape[:-1] + (n, n))
     Q[..., 0, 1] = 1.0
-    Q[..., 1, 0] = p.g * h - um**2 - _moment_sum(u)
+    Q[..., 1, 0] = p.g * h - um**2 - T
     Q[..., 1, 1] = 2.0 * um
     Q[..., 1, 2:] = 2.0 * u * moment_weights(p.N)
     Q[..., 2:, 0] = -2.0 * um[..., None] * u
@@ -403,30 +415,49 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.
     cert (1 + 1e-10) <= max(s) cannot set the maximum and returns
     max(s, cert).  The others are eigen-solved and keep the plain rule: if
     the numeric radius exceeds s (1 + 1e-12) in any of them, they return
-    max(s, radius) and a WaveSpeedBoundWarning counts the exceeding states;
+    max(s, radius) and one WaveSpeedBoundWarning counts the exceeding states;
     otherwise they return s.  So the maximum differs from that of a full
     eigen-solve only when the radius exceeds the allowance in cleared states
     alone, and then by less than the allowance.  A state whose Q is not
     finite (an overflowed velocity, say) raises DryStateError naming it.
+
+    max(s) is taken over all states first; Q, its finiteness check, the
+    certificate and the eigen-solve then go one block of states at a time,
+    SPEED_BLOCK_BYTES of Q per block, so the memory they take does not grow
+    with the states.  Every state's speed, and the state an error names,
+    are the same as from one block; a call whose Q fits the budget is one.
     """
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
     check_wet(h)
-    s = _wave_speed(h, um, _moment_sum(u), p.g)
+    T = _moment_sum(u)
+    s = _wave_speed(h, um, T, p.g)
     if validate:
-        Q = quasilinear_matrix(W, p).reshape(-1, W.shape[-1], W.shape[-1])
-        finite = np.isfinite(Q).all(axis=(1, 2))
-        if not finite.all():
-            # an overflowed state cannot be eigen-solved; name it instead
-            idx = tuple(int(i) for i in np.unravel_index(np.argmin(finite), W.shape[:-1]))
-            raise DryStateError("invalid state: non-finite quasilinear matrix at cell "
-                                f"{idx[0] if len(idx) == 1 else idx}", index=idx)
+        n = W.shape[-1]
         s = s.reshape(-1)
-        bound = _spectral_bound(Q, np.sqrt(p.g * h).reshape(-1), s)
-        # the negated test keeps a NaN certificate or speed eigen-solved
-        cand = ~(bound * (1.0 + 1e-10) <= np.max(s, initial=0.0))
+        cap = np.max(s, initial=0.0)
+        size = max(1, SPEED_BLOCK_BYTES // (8 * n * n))
+        states, T = W.reshape(-1, n), T.reshape(-1)
+        speeds, cand, radius = np.empty_like(s), [], []
+        for start in range(0, max(len(s), 1), size):
+            block = slice(start, start + size)
+            Q = _quasilinear(states[block], T[block], p)
+            finite = np.isfinite(Q).all(axis=(1, 2))
+            if not finite.all():
+                # an overflowed state cannot be eigen-solved; name it instead
+                idx = tuple(int(i) for i in np.unravel_index(start + int(np.argmin(finite)),
+                                                              W.shape[:-1]))
+                raise DryStateError("invalid state: non-finite quasilinear matrix at cell "
+                                    f"{idx[0] if len(idx) == 1 else idx}", index=idx)
+            bound = _spectral_bound(Q, np.sqrt(p.g * states[block, 0]), s[block])
+            # the negated test keeps a NaN certificate or speed eigen-solved
+            solve = ~(bound * (1.0 + 1e-10) <= cap)
+            cand.append(start + np.flatnonzero(solve))
+            radius.append(np.abs(np.linalg.eigvals(Q[solve])).max(axis=-1))
+            np.maximum(s[block], bound, out=speeds[block])
+        # one rule over the eigen-solved states of every block, as in one block
+        cand, radius = np.concatenate(cand), np.concatenate(radius)
         s_cand = s[cand]
-        radius = np.abs(np.linalg.eigvals(Q[cand])).max(axis=-1)
         # allowance for eigensolve roundoff; the bound is often attained exactly
         exceeded = radius > s_cand * (1.0 + 1e-12)
         if np.any(exceeded):
@@ -437,7 +468,6 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.
                 stacklevel=2,
             )
             s_cand = np.maximum(s_cand, radius)
-        s = np.maximum(s, bound)
-        s[cand] = s_cand
-        s = s.reshape(W.shape[:-1])
+        speeds[cand] = s_cand
+        s = speeds.reshape(W.shape[:-1])
     return float(s) if W.ndim == 1 else s

@@ -5,6 +5,7 @@ import os
 import re
 import signal
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,14 +14,15 @@ import numpy as np
 import pytest
 
 import swlme.cli
+import swlme.diagnostics
 import swlme.solver
 from swlme.basis import Variant, compute_tensors
 from swlme.cli import CHECK_SAMPLE_BYTES, CSV_CHUNK_ROWS, _CsvSink, _fmt, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
-from swlme.diagnostics import FreeSample
+from swlme.diagnostics import _BLOCK, FreeSample
 from swlme.model import N_MAX, WaveSpeedBoundWarning, energy, to_primitive
 from swlme.solver import _PRESETS, MAX_STATE_BYTES, Trajectory, run
-from test_diagnostics import scale_energy_flux
+from test_diagnostics import assert_no_process_left, forks, scale_energy_flux  # noqa: F401
 
 LAKE_CFG = """\
 # lake at rest over a bump
@@ -705,20 +707,6 @@ output.every_steps = 1
 """
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls made in this process."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 def full_disk_after(monkeypatch, snapshots):
     """Make the snapshot formatter raise ENOSPC once it has written `snapshots` snapshots."""
     write = swlme.cli._write_snapshot
@@ -731,11 +719,6 @@ def full_disk_after(monkeypatch, snapshots):
         write(out, *args)
 
     monkeypatch.setattr(swlme.cli, "_write_snapshot", formatter)
-
-
-def assert_no_process_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWriterProcess:
@@ -937,6 +920,147 @@ class TestConvergeCommand:
         assert "dyadic" in capsys.readouterr().err
 
 
+SELF_REF_CFG = """\
+model.N = 1
+model.g = 9.812
+model.variant = swlme
+grid.cells = 32
+grid.xmin = 0.0
+grid.xmax = 1.0
+bc.kind = periodic
+ic.name = smooth_periodic
+ic.h0 = 1.0
+ic.h_amp = 0.1
+ic.um_amp = 0.2
+time.t_end = 0.1
+time.cfl = 0.9
+output.path = {path}
+"""
+
+
+def fails_on(monkeypatch, cells):
+    """Make every convergence run on a mesh in `cells` fail."""
+    real_run = swlme.diagnostics.run
+
+    def run_or_fail(scenario, sink):
+        if scenario.grid.cells in cells:
+            return None, "injected failure"
+        return real_run(scenario, sink)
+
+    monkeypatch.setattr(swlme.diagnostics, "run", run_or_fail)
+
+
+class TestFanOutCommands:
+    """check and converge print the same bytes with a worker process as without, and leave none."""
+
+    @staticmethod
+    def outcome(capsys, monkeypatch, cpus, argv):
+        """(exit code, stdout, stderr) of main(argv) with `cpus` CPUs usable."""
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert_no_process_left()
+        return code, captured.out, captured.err
+
+    def both_paths(self, capsys, monkeypatch, argv):
+        """The outcome with a worker process, checked equal to the outcome without."""
+        fanned = self.outcome(capsys, monkeypatch, 2, argv)
+        assert self.outcome(capsys, monkeypatch, 1, argv) == fanned
+        return fanned
+
+    def converge_argv(self, tmp_path, mode, meshes):
+        cfg = tmp_path / "converge.cfg"
+        cfg.write_text((DAM_CFG if mode == "exact" else SELF_REF_CFG).format(path=tmp_path / "o"))
+        return ["converge", str(cfg), "--meshes", meshes]
+
+    @pytest.mark.parametrize("argv, orders", [
+        (["--seed", "1"], 5), (["--seed", "2"], 5),
+        (["--N", "8,17", "--samples", "20000", "--seed", "1"], 2),
+    ], ids=["seed-1", "seed-2", "N-8-17"])
+    def test_check_stdout(self, capsys, monkeypatch, forks, argv, orders):
+        code, out, err = self.both_paths(capsys, monkeypatch, ["check", *argv])
+        assert code == 0 and err == "" and "all checks passed" in out
+        assert len(forks) == orders  # one worker per order, none without a second CPU
+
+    @pytest.mark.parametrize("mode, meshes", [("exact", "50,100,200"),
+                                              ("self-reference", "16,32,64")])
+    def test_converge_stdout(self, tmp_path, capsys, monkeypatch, forks, mode, meshes):
+        code, out, err = self.both_paths(capsys, monkeypatch,
+                                         self.converge_argv(tmp_path, mode, meshes))
+        assert code == 0 and err == "" and out.startswith("cells,l1_error,observed_order\n")
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("mode, meshes, failing, first", [
+        ("exact", "50,100,200", {100, 200}, 100),
+        ("exact", "50,100,200", {200}, 200),
+        ("exact", "200,50,100", {200, 50}, 200),
+        ("self-reference", "16,32,64", {16, 64}, 64),
+        ("self-reference", "16,32,64", {32}, 32),
+    ], ids=["both-shares", "worker-only", "largest-listed-first", "reference-first",
+            "caller-only"])
+    def test_converge_reports_the_serial_first_error(self, tmp_path, capsys, monkeypatch, mode,
+                                                     meshes, failing, first):
+        fails_on(monkeypatch, failing)
+        assert self.both_paths(capsys, monkeypatch,
+                               self.converge_argv(tmp_path, mode, meshes)) == \
+            (2, "", f"error: run on {first} cells failed: injected failure\n")
+
+    def test_lost_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        parent, real_run = os.getpid(), swlme.diagnostics.run
+        block_defects = swlme.diagnostics._block_defects
+
+        def killed_in_worker(fn):
+            def call(*args):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(swlme.diagnostics, "run", killed_in_worker(real_run))
+        monkeypatch.setattr(swlme.diagnostics, "_block_defects", killed_in_worker(block_defects))
+        lost = f"worker process ended with signal {int(signal.SIGKILL)} after sending 0 bytes\n"
+        assert self.outcome(capsys, monkeypatch, 2, self.converge_argv(tmp_path, "exact",
+                                                                       "50,100")) == \
+            (2, "", f"error: run on 100 cells: {lost}")
+        assert self.outcome(capsys, monkeypatch, 2, ["check", "--N", "2", "--samples",
+                                                      "9000"]) == \
+            (2, "", f"error: identity check at N=2: {lost}")
+
+    def test_caller_interrupt_leaves_no_process(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 2)
+        monkeypatch.setattr(swlme.diagnostics, "run", interrupted)
+        monkeypatch.setattr(swlme.diagnostics, "_block_defects", interrupted)
+        start = time.monotonic()
+        for argv in (self.converge_argv(tmp_path, "exact", "50,100"),
+                     ["check", "--N", "2", "--samples", "9000"]):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+            assert_no_process_left()
+        assert time.monotonic() - start < 30  # the workers were killed, not waited for
+
+    @pytest.mark.parametrize("mode, meshes, message", [
+        ("exact", "", "need at least one mesh"),
+        ("self-reference", "100,300", "self-reference mode needs dyadically nested meshes, "
+                                      "got 100 -> 300"),
+        ("self-reference", "32", "self-reference mode needs at least two meshes, got [32]"),
+    ], ids=["no-mesh", "not-nested", "one-mesh"])
+    def test_mesh_list_errors_name_meshes(self, tmp_path, capsys, monkeypatch, forks, mode,
+                                          meshes, message):
+        runs = []
+        monkeypatch.setattr(swlme.diagnostics, "run", lambda *args: runs.append(args))
+        assert self.outcome(capsys, monkeypatch, 2, self.converge_argv(tmp_path, mode,
+                                                                       meshes)) == \
+            (1, "", f"error: --meshes: {message}\n")
+        assert runs == [] and forks == []
+
+
 def overflowed_swme_config(tmp_path, ic_line):
     """Write a 20-cell SWME N=3 smooth-flow config with the given ic line; its path."""
     cfg = tmp_path / "swme.cfg"
@@ -1016,10 +1140,13 @@ def test_docs_list_exactly_the_preset_table():
 # or stopped calling it through the module, would drop that layer unseen
 BENCHMARK_HOOKS = ("solver.run", "solver.step", "solver._summary_row", "cli._write_outputs",
                    "model.max_wave_speed")
+# the harness ends set-up at the first call of these, so the process that
+# runs main must make that call itself, not only a worker it forks
+SETUP_MARKERS = ("diagnostics.check_total_energy_identity", "solver.step")
 
 
 def test_benchmark_hooks_are_called(tmp_path, capsys, monkeypatch):
-    calls = dict.fromkeys(BENCHMARK_HOOKS, 0)
+    calls = dict.fromkeys(BENCHMARK_HOOKS + SETUP_MARKERS, 0)
 
     def counting(hook, fn):
         def counted(*args, **kwargs):
@@ -1027,7 +1154,7 @@ def test_benchmark_hooks_are_called(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for hook in BENCHMARK_HOOKS:
+    for hook in calls:
         module, name = hook.split(".")
         original = getattr(sys.modules[f"swlme.{module}"], name)
         wrapper = counting(hook, original)
@@ -1045,11 +1172,18 @@ def test_benchmark_hooks_are_called(tmp_path, capsys, monkeypatch):
         assert main(["run", str(cfg)]) == 0
     snapshots = len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) // 40
     assert snapshots > 2  # interior snapshots, so a writer process took them
-    assert all(calls.values()), calls
+    assert all(calls[hook] for hook in BENCHMARK_HOOKS), calls
 
-    calls.update(dict.fromkeys(BENCHMARK_HOOKS, 0))
     dam = tmp_path / "dam.cfg"
     dam.write_text(DAM_CFG.format(path=tmp_path / "d"))
-    assert main(["converge", str(dam), "--meshes", "20,40"]) == 0
-    assert calls["solver.run"] == 2 and calls["solver.step"] > 2, calls
-    assert calls["solver._summary_row"] > calls["solver.step"], calls
+    # with two CPUs a worker runs the 40-cell mesh and this process the 20-cell one
+    for cpus, runs in ((2, 1), (1, 2)):
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["converge", str(dam), "--meshes", "20,40"]) == 0
+        assert calls["solver.run"] == runs and calls["solver.step"] > 2, calls
+        assert calls["solver._summary_row"] > calls["solver.step"], calls
+        # one call per order here, whether or not a worker takes half of its three blocks
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["check", "--N", "0,1", "--samples", str(2 * _BLOCK + 17)]) == 0
+        assert calls["diagnostics.check_total_energy_identity"] == 2, calls

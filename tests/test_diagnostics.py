@@ -1,6 +1,11 @@
 import dataclasses
 import inspect
+import os
+import pickle
+import signal
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from swlme.diagnostics import (
     FreeSample,
     _blocks,
     _Expansions,
+    _fan_out,
+    _fan_out_ok,
     _term_sum,
     check_total_energy_identity,
     convergence_study,
@@ -19,7 +26,14 @@ from swlme.diagnostics import (
     stoker_dam_break,
     stoker_intermediate,
 )
-from swlme.model import ModelParams, energy, entropy_vars, moment_weights, to_primitive
+from swlme.model import (
+    ModelParams,
+    ParameterError,
+    energy,
+    entropy_vars,
+    moment_weights,
+    to_primitive,
+)
 from swlme.solver import Grid1D, Scenario, run
 
 
@@ -332,8 +346,9 @@ class TestBlockedChecks:
         assert corrupted > 1e-9
         assert corrupted == want
 
-    def test_one_expansion_per_block(self, monkeypatch):
-        # every identity at every gravity shares one expansion of each block
+    @staticmethod
+    def expansions(monkeypatch, cpus):
+        """Sizes of the blocks expanded in this process by one check of three blocks."""
         built = []
 
         def counted(s):
@@ -341,9 +356,18 @@ class TestBlockedChecks:
             return _Expansions(s)
 
         monkeypatch.setattr(swlme.diagnostics, "_Expansions", counted)
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
         s = FreeSample.random(np.random.default_rng(49), 2 * _BLOCK + 17, 2)
         check_total_energy_identity(s, (1.0, 9.81))
-        assert built == [_BLOCK, _BLOCK, 17]
+        return built
+
+    def test_one_expansion_per_block(self, monkeypatch):
+        # every identity at every gravity shares one expansion of each block
+        assert self.expansions(monkeypatch, 1) == [_BLOCK, _BLOCK, 17]
+
+    def test_caller_expands_only_its_blocks(self, monkeypatch):
+        # with two CPUs a forked worker expands the second half of the blocks
+        assert self.expansions(monkeypatch, 2) == [_BLOCK]
 
 
 class TestTermSum:
@@ -398,9 +422,11 @@ class TestNanSlot:
         assert "all checks passed" not in out
 
 
-def test_check_memory_stays_bounded():
+def test_check_memory_stays_bounded(monkeypatch):
     # the default check size at its largest order, both gravities in one pass;
-    # unblocked, each gravity's identities peaked near 270 MB
+    # unblocked, each gravity's identities peaked near 270 MB.  One CPU keeps
+    # every block in this process, where tracemalloc sees it.
+    monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 1)
     s = FreeSample.random(np.random.default_rng(46), 100_000, 5)
     tracemalloc.start()
     try:
@@ -520,8 +546,12 @@ class TestConvergence:
         assert 0.4 <= rows[1][2] <= 1.2
         assert rows[1][1] < rows[0][1]
 
-    def test_memory_does_not_grow_with_snapshots(self):
-        # only each mesh's final depth is read, so a per-step snapshot cadence keeps nothing
+    def test_memory_does_not_grow_with_snapshots(self, monkeypatch):
+        # only each mesh's final depth is read, so a per-step snapshot cadence
+        # keeps nothing; one CPU keeps both runs in this process, where
+        # tracemalloc sees them
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 1)
+
         def rows_and_peak(every_steps):
             sc = dataclasses.replace(self.base_dam_break(), output_every_steps=every_steps)
             tracemalloc.start()
@@ -540,22 +570,20 @@ class TestConvergence:
         rows = convergence_study(self.base_dam_break(), [150])
         assert len(rows) == 1 and rows[0][2] is None
 
+    def smooth_periodic(self):
+        return Scenario(params=ModelParams(g=9.812, N=1), grid=Grid1D(0.0, 1.0, 32),
+                        ic_name="smooth_periodic",
+                        ic_params={"h0": 1.0, "h_amp": 0.1, "um_amp": 0.2},
+                        boundary="periodic", t_end=0.1)
+
     def test_self_reference_zero_error_row(self):
-        sc = Scenario(params=ModelParams(g=9.812, N=1), grid=Grid1D(0.0, 1.0, 32),
-                      ic_name="smooth_periodic",
-                      ic_params={"h0": 1.0, "h_amp": 0.1, "um_amp": 0.2},
-                      boundary="periodic", t_end=0.1)
-        rows = convergence_study(sc, [32, 32])
+        rows = convergence_study(self.smooth_periodic(), [32, 32])
         assert len(rows) == 1
         assert rows[0][1] == 0.0 and rows[0][2] is None
 
     def test_self_reference_requires_dyadic_meshes(self):
-        sc = Scenario(params=ModelParams(g=9.812, N=1), grid=Grid1D(0.0, 1.0, 32),
-                      ic_name="smooth_periodic",
-                      ic_params={"h0": 1.0, "h_amp": 0.1, "um_amp": 0.2},
-                      boundary="periodic", t_end=0.1)
         with pytest.raises(ValueError, match="dyadic"):
-            convergence_study(sc, [30, 45])
+            convergence_study(self.smooth_periodic(), [30, 45])
 
     def test_self_reference_smooth_order(self):
         sc = Scenario(params=ModelParams(g=9.812, N=1), grid=Grid1D(0.0, 1.0, 32),
@@ -565,3 +593,207 @@ class TestConvergence:
         rows = convergence_study(sc, [64, 128, 256])
         assert len(rows) == 2
         assert rows[1][2] >= 0.9
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made in this process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_worker(parent: int) -> bool:
+    return os.getpid() != parent
+
+
+class TestFanOut:
+    """_fan_out runs the last share in a forked worker and returns what the serial loop would."""
+
+    def test_results_in_share_order(self, forks):
+        parent = os.getpid()
+        got = _fan_out(lambda share: (share, in_worker(parent)), [[1, 2], [3]], "test")
+        assert got == [([1, 2], False), ([3], True)]
+        assert len(forks) == 1
+        assert_no_process_left()
+
+    def test_one_share_runs_here(self, forks):
+        assert _fan_out(lambda share: share * 2, [[1]], "test") == [[1, 1]]
+        assert forks == []
+
+    def test_failed_fork_runs_every_share_here(self, monkeypatch):
+        def no_process():
+            raise OSError("no process")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        parent = os.getpid()
+        assert _fan_out(lambda share: in_worker(parent), [[1], [2]], "test") == [False, False]
+
+    def test_worker_exception_is_raised_here(self):
+        def work(share):
+            if share == [2]:
+                raise ValueError(f"bad share {share}")
+            return share
+
+        with pytest.raises(ValueError, match=r"^bad share \[2\]$"):
+            _fan_out(work, [[1], [2]], "test")
+        assert_no_process_left()
+
+    def test_first_share_exception_wins(self):
+        def work(share):
+            raise ValueError(f"bad share {share}")
+
+        with pytest.raises(ValueError, match=r"^bad share \[1\]$"):
+            _fan_out(work, [[1], [2]], "test")
+        assert_no_process_left()
+
+    def test_caller_interrupt_kills_the_worker(self):
+        parent = os.getpid()
+
+        def work(share):
+            if in_worker(parent):
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _fan_out(work, [[1], [2]], "test")
+        assert time.monotonic() - start < 30
+        assert_no_process_left()
+
+    def test_killed_worker_raises_runtime_error(self):
+        parent = os.getpid()
+
+        def work(share):
+            if in_worker(parent):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return share
+
+        with pytest.raises(RuntimeError, match=f"^the test share: worker process ended with "
+                                               f"signal {int(signal.SIGKILL)} after sending 0 "
+                                               "bytes$"):
+            _fan_out(work, [[1], [2]], "the test share")
+        assert_no_process_left()
+
+    def test_short_pickle_raises_runtime_error(self, monkeypatch):
+        class Truncating:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+            loads = staticmethod(pickle.loads)
+
+            @staticmethod
+            def dumps(*args):
+                return pickle.dumps(*args)[:7]
+
+        monkeypatch.setattr(swlme.diagnostics, "pickle", Truncating)
+        with pytest.raises(RuntimeError, match="^test: worker process ended with status 0 "
+                                               "after sending 7 bytes$"):
+            _fan_out(lambda share: share, [[1], [2]], "test")
+        assert_no_process_left()
+
+    def test_exception_that_does_not_unpickle(self):
+        def work(share):
+            if share == [2]:
+                raise ParameterError("meshes", "no good")
+            return share
+
+        # ParameterError's two arguments do not survive pickling; the worker says so
+        with pytest.raises(RuntimeError, match=r"^test: ParameterError\('no good'\) does not "
+                                               "pickle: "):
+            _fan_out(work, [[1], [2]], "test")
+        assert_no_process_left()
+
+    def test_worker_warnings_are_issued_here(self):
+        parent = os.getpid()
+
+        def work(share):
+            warnings.warn(f"share {share} in the worker: {in_worker(parent)}", UserWarning)
+            return share
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _fan_out(work, [[1], [2]], "test") == [[1], [2]]
+        assert [str(w.message) for w in caught] == ["share [1] in the worker: False",
+                                                   "share [2] in the worker: True"]
+
+    def test_probe(self, monkeypatch):
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 2)
+        assert _fan_out_ok(2) and not _fan_out_ok(1) and not _fan_out_ok(0)
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 1)
+        assert not _fan_out_ok(2)
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert not _fan_out_ok(2)
+
+    def test_cpu_probe_reads_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            assert not _fan_out_ok(2)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+            assert _fan_out_ok(2)
+
+    @pytest.mark.parametrize("size, cpus, forked", [
+        (_BLOCK, 2, 0), (_BLOCK + 1, 2, 1), (_BLOCK + 1, 1, 0), (0, 2, 0),
+    ], ids=["one-block", "two-blocks", "one-cpu", "empty"])
+    def test_check_forks_only_for_two_blocks_and_cpus(self, monkeypatch, forks, size, cpus,
+                                                      forked):
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        s = FreeSample.random(np.random.default_rng(50), size, 2)
+        check_total_energy_identity(s, (9.81,))
+        assert len(forks) == forked
+
+    def test_check_without_fork(self, monkeypatch):
+        s = FreeSample.random(np.random.default_rng(51), 2 * _BLOCK + 3, 1)
+        want = check_total_energy_identity(s, (1.0, 9.81))
+        monkeypatch.delattr(os, "fork")
+        assert check_total_energy_identity(s, (1.0, 9.81)) == want
+
+    def test_lost_check_worker_names_the_order(self, monkeypatch):
+        parent, block_defects = os.getpid(), swlme.diagnostics._block_defects
+
+        def dying(s, gravities):
+            if in_worker(parent):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return block_defects(s, gravities)
+
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 2)
+        monkeypatch.setattr(swlme.diagnostics, "_block_defects", dying)
+        s = FreeSample.random(np.random.default_rng(52), _BLOCK + 1, 3)
+        with pytest.raises(RuntimeError, match="^identity check at N=3: worker process ended "
+                                               "with signal"):
+            check_total_energy_identity(s, (9.81,))
+        assert_no_process_left()
+
+    @pytest.mark.parametrize("mode, meshes, cpus, forked", [
+        ("exact", [100, 200], 2, 1), ("exact", [100, 200], 1, 0), ("exact", [150], 2, 0),
+        ("self-reference", [32, 32], 2, 0), ("self-reference", [16, 32], 2, 1),
+    ], ids=["two-meshes", "one-cpu", "one-mesh", "repeated-mesh", "self-reference"])
+    def test_converge_forks_only_for_two_meshes_and_cpus(self, monkeypatch, forks, mode, meshes,
+                                                         cpus, forked):
+        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        runs = []
+        real_run = swlme.diagnostics.run
+
+        def counted(scenario, sink):
+            runs.append(scenario.grid.cells)
+            return real_run(scenario, sink)
+
+        monkeypatch.setattr(swlme.diagnostics, "run", counted)
+        sc = (TestConvergence().base_dam_break() if mode == "exact"
+              else TestConvergence().smooth_periodic())
+        rows = convergence_study(sc, meshes)
+        assert len(forks) == forked
+        assert [r[0] for r in rows] == (meshes if mode == "exact" else meshes[:-1])
+        # each distinct mesh runs once, the largest in the worker if there is one
+        distinct = sorted(set(meshes))
+        assert sorted(runs) == distinct[:len(distinct) - forked]

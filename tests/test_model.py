@@ -1,14 +1,17 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legvander
 
+import swlme.model
 from swlme.basis import Variant
 from swlme.model import (
     H_MIN,
     N_MAX,
+    SPEED_BLOCK_BYTES,
     DryStateError,
     ModelParams,
     WaveSpeedBoundWarning,
@@ -582,6 +585,82 @@ class TestValidatedWaveSpeed:
             flat = max_wave_speed(W, p, validate=True)
             np.testing.assert_array_equal(max_wave_speed(W.reshape(3, 4, 5), p, validate=True),
                                           flat.reshape(3, 4))
+
+
+def validated_with_warnings(W, p):
+    """(max_wave_speed(W, p, validate=True), the texts of the warnings it issued)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = max_wave_speed(W, p, validate=True)
+    return s, [str(w.message) for w in caught]
+
+
+def smooth_states(cells, n):
+    """A smooth periodic SWME-like state: most cells are cleared by the certificate."""
+    x = np.linspace(0.0, 1.0, cells, endpoint=False)
+    W = np.empty((cells, n + 2))
+    W[:, 0] = 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
+    W[:, 1] = 0.2 * np.cos(2.0 * np.pi * x)
+    W[:, 2:] = 0.1 * np.sin(2.0 * np.pi * x)[:, None] / np.arange(1, n + 1)
+    return W
+
+
+class TestBlockedWaveSpeed:
+    """The validated speed goes SPEED_BLOCK_BYTES of quasilinear matrices at a time, bit for bit."""
+
+    @staticmethod
+    def states_per_block(monkeypatch, n, states):
+        monkeypatch.setattr(swlme.model, "SPEED_BLOCK_BYTES", 8 * (n + 2) ** 2 * states)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    @pytest.mark.parametrize("states", [1, 3, 4, 7])
+    def test_blocks_give_the_bits_of_one_block(self, monkeypatch, n, states):
+        # moments as large as the mean velocity: many states are eigen-solved
+        # and some exceed the analytic speed, in some blocks and not others
+        p = params(n, g=9.81, variant=Variant.SWME)
+        W = random_primitive(np.random.default_rng(60 + n), 61, n, h_range=(0.1, 3.0),
+                             vel_range=(-2.0, 2.0))
+        for V in (W, np.ascontiguousarray(W.T).T, W[:60].reshape(3, 20, n + 2)):
+            whole, whole_warnings = validated_with_warnings(V, p)
+            with monkeypatch.context() as patch:
+                self.states_per_block(patch, n, states)
+                blocked, blocked_warnings = validated_with_warnings(V, p)
+            assert blocked.tobytes() == whole.tobytes(), V.shape
+            assert blocked_warnings == whole_warnings and len(whole_warnings) <= 1
+        assert whole_warnings  # one warning, with the count over every block
+
+    def test_non_finite_state_in_a_later_block_is_named(self, monkeypatch):
+        p = params(3, variant=Variant.SWME)
+        W = random_primitive(np.random.default_rng(61), 12, 3, vel_range=(-0.5, 0.5))
+        W[9, 1] = 1e200  # u_m^2 overflows in Q
+        self.states_per_block(monkeypatch, 3, 4)
+        for V, cell in ((W, "9"), (W.reshape(3, 4, 5), r"\(2, 1\)")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(DryStateError, match=f"quasilinear matrix at cell {cell}$"):
+                    max_wave_speed(V, p, validate=True)
+
+    def test_benchmark_state_is_one_block(self):
+        # run_swme_smooth: 800 cells at N = 3 take one block, so nothing changes there
+        assert 800 * 8 * (3 + 2) ** 2 <= SPEED_BLOCK_BYTES
+
+    @pytest.mark.parametrize("n, cells", [(16, 4000), (64, 600)])
+    def test_memory_does_not_grow_with_the_states(self, n, cells):
+        # formed whole, Q and the certificate's two matrix buffers took 30 MiB
+        # at N = 16 and 100 MiB at N = 64 (1000 cells)
+        p = params(n, g=9.81, variant=Variant.SWME)
+        W = smooth_states(cells, n)
+        assert cells * 8 * (n + 2) ** 2 > 4 * SPEED_BLOCK_BYTES
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            max_wave_speed(W, p, validate=True)  # the closure tables are built outside the trace
+            tracemalloc.start()
+            try:
+                max_wave_speed(W, p, validate=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 5 * SPEED_BLOCK_BYTES + 4 * W.nbytes, f"{peak / 2**20:.1f} MiB"
 
 
 class TestMomentNullity:
