@@ -2,22 +2,15 @@
 
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
 runtime failures (for example a dry state, a time-step underflow, a
-failed write mid-run, or a worker process of `check` or `converge` that
-died).
+failed write mid-run, or a lost worker process).
 
 `run` opens its output files before the first step and streams into them:
 solver.run hands the StateRecord of every state to a _CsvSink, which writes
 it (in _write_outputs) and keeps only the last summary, so the command's
 memory does not grow with the number of steps or snapshots; summary.csv's
-columns and the final line follow solver.SUMMARY_FIELDS.  A run with
-snapshots between t = 0 and t_end forks one writer process that owns
-snapshots.csv, where os.fork exists; _write_outputs sends it each snapshot's
-block, and the writer formats the rows while the run steps on.  Otherwise
-_write_outputs formats them itself, with the same _write_snapshot.
-
-`check` and `converge` fork no process here: on two CPUs or more,
-swlme.diagnostics runs half of each order's identity blocks, or the largest
-mesh, in a worker it forks and reaps itself, with the same output.
+columns and the final line follow solver.SUMMARY_FIELDS.  Snapshots between
+t = 0 and t_end are formatted in a writer process, as `check` and `converge`
+share their work with one; swlme._worker forks and reaps every such worker.
 """
 
 from __future__ import annotations
@@ -31,6 +24,7 @@ import sys
 
 import numpy as np
 
+from swlme._worker import start
 from swlme.basis import Variant, compute_tensors
 from swlme.config import ConfigError, build_scenario, config_key, format_config, load_config
 from swlme.diagnostics import (
@@ -189,23 +183,24 @@ class _CsvSink:
 
     Opening it creates output.path and both files, with their headers, so an
     unwritable path fails before the first step.  Only the last summary is
-    kept, without arrays.  If forked, one writer process owns snapshots.csv:
-    each snapshot's block goes to it through a pipe, one pickled message per
+    kept, without arrays.  If the scenario has snapshots between t = 0 and
+    t_end, a writer process (swlme._worker.start) owns snapshots.csv: each
+    snapshot's block goes to it through a pipe, one pickled message per
     os.write, and it formats the rows while the run takes its next steps; a
     full pipe holds back one message, so memory does not grow with the
-    snapshots.  finish, and __exit__ on an exception, close the pipe and
-    reap the writer; a writer that failed or died raises OSError there, or
-    at the next snapshot.  Used as a context manager, which closes the files.
+    snapshots.  finish and __exit__ close the pipe and reap the writer, and
+    raise what it raised there or at the next snapshot (RuntimeError if it
+    was lost).  Used as a context manager, which closes the files.
     """
 
-    def __init__(self, scenario, path: str, fork: bool = False):
+    def __init__(self, scenario, path: str):
         os.makedirs(path, exist_ok=True)
         n = scenario.params.N
         cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
         # the x column is the same every snapshot
         self.x_texts = [_fmt(x) + "," for x in scenario.grid.centers.tolist()]
         self.last = None
-        self.writer = None  # (pid, message pipe, error pipe) of the writer process
+        self.writer = None  # the writer process, if there is one
         with contextlib.ExitStack() as files:
             self.snapshots = files.enter_context(
                 open(os.path.join(path, "snapshots.csv"), "w", encoding="utf-8"))
@@ -213,68 +208,43 @@ class _CsvSink:
                 open(os.path.join(path, "summary.csv"), "w", encoding="utf-8"))
             self.snapshots.write(",".join(cols) + "\n")
             self.summary.write(",".join(SUMMARY_FIELDS) + "\n")
-            if fork:
+            # only snapshots between t = 0 and t_end overlap their formatting with the
+            # steps; for the two end snapshots alone, a fork costs more than it saves
+            if scenario.output_every_steps > 0 or scenario.output_snapshots >= 2:
                 self.snapshots.flush()  # else the writer would inherit the header, unwritten
-                self._start_writer()
+                r, self.pipe = os.pipe()
+                self.writer = start(lambda: self._drain(r), "snapshot writer")
+                os.close(r)
+                if self.writer is None:  # the snapshots are formatted in-process
+                    os.close(self.pipe)
+                else:
+                    self.snapshots.close()
             self._files = files.pop_all()
 
-    def _start_writer(self) -> None:
-        """Fork the process that writes snapshots.csv from the blocks sent to it."""
-        r, w = os.pipe()
-        err_r, err_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: the snapshots are formatted in-process
-            for fd in (r, w, err_r, err_w):
-                os.close(fd)
-            return
-        if pid == 0:
-            # the writer only unpickles and formats: no numpy arithmetic, so no
-            # lock a thread of the parent held at the fork is ever taken here
-            status = 1
-            try:
-                os.close(w)
-                os.close(err_r)
-                with open(r, "rb") as pipe, self.snapshots:
-                    while True:
-                        try:
-                            t, block = pickle.load(pipe)
-                        except EOFError:
-                            break
-                        _write_snapshot(self.snapshots, t, block, self.x_texts)
-                status = 0
-            except Exception as err:
-                reason = str(err) if isinstance(err, OSError) else f"{type(err).__name__}: {err}"
-                os.write(err_w, reason.encode("utf-8", "replace")[:4096])
-            finally:
-                os._exit(status)
-        os.close(r)
-        os.close(err_w)
-        self.writer = (pid, w, err_r)
-        self.snapshots.close()
+    def _drain(self, r: int) -> None:
+        """Write the snapshots sent through the pipe until it closes; runs in the writer."""
+        os.close(self.pipe)
+        with open(r, "rb") as pipe, self.snapshots:
+            while True:
+                try:
+                    t, block = pickle.load(pipe)
+                except EOFError:
+                    return
+                _write_snapshot(self.snapshots, t, block, self.x_texts)
 
     def _stop_writer(self) -> None:
-        """Close the pipe and reap the writer; OSError if it failed or died."""
-        if self.writer is None:
-            return
-        pid, w, err_r = self.writer
-        self.writer = None
-        os.close(w)
-        # the writer holds its end of the error pipe until it exits
-        with open(err_r, "rb") as fh:
-            reason = fh.read().decode("utf-8", "replace")
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code:
-            raise OSError(reason or f"snapshot writer process ended with "
-                          f"{f'signal {-code}' if code < 0 else f'status {code}'}")
+        """Close the pipe to the writer and reap it; raises what it raised."""
+        writer, self.writer = self.writer, None
+        if writer is not None:
+            os.close(self.pipe)
+            writer.result()
 
     def send(self, t: float, block: np.ndarray) -> None:
         """Hand a snapshot to the writer process, all of it in one os.write if it can."""
         view = memoryview(pickle.dumps((t, block), pickle.HIGHEST_PROTOCOL))
-        pipe = self.writer[1]
         try:
             while view:
-                view = view[os.write(pipe, view):]
+                view = view[os.write(self.pipe, view):]
         except BrokenPipeError:
             self._stop_writer()  # raises the writer's own reason
             raise
@@ -285,7 +255,7 @@ class _CsvSink:
     def __exit__(self, exc_type, *exc):
         try:
             self._stop_writer()
-        except OSError:
+        except Exception:
             if exc_type is None:  # else the exception already on its way is the one to report
                 raise
         finally:
@@ -341,12 +311,8 @@ def cmd_run(args) -> int:
         sys.stdout.write(format_config(cfg))
         return EXIT_OK
     path = cfg["output.path"]
-    # only snapshots between t = 0 and t_end overlap their formatting with the
-    # steps; for the two end snapshots alone, a fork costs more than it saves
-    fork = hasattr(os, "fork") and (scenario.output_every_steps > 0
-                                    or scenario.output_snapshots >= 2)
     try:
-        sink = _CsvSink(scenario, path, fork)
+        sink = _CsvSink(scenario, path)
     except OSError as err:
         print(f"error: output.path {path!r} cannot be written: {err}", file=sys.stderr)
         return EXIT_FAIL
@@ -359,6 +325,9 @@ def cmd_run(args) -> int:
     except OSError as err:
         print(f"error: writing output.path {path!r} failed: {err}; partial output written "
               f"to {path}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except RuntimeError as err:  # a lost writer process
+        print(f"error: {err}; partial output written to {path}", file=sys.stderr)
         return EXIT_RUNTIME
     print(" ".join(f"{name}={_fmt(value)}" for name, value in zip(SUMMARY_FIELDS, final)))
     if scenario.params.variant is Variant.SWME:
@@ -383,10 +352,6 @@ def cmd_converge(args) -> int:
     except ValueError:
         print(f"error: --meshes must be comma-separated integers, got {args.meshes!r}",
               file=sys.stderr)
-        return EXIT_FAIL
-    if len(set(meshes)) != len(meshes):
-        print("error: repeated mesh in --meshes; self-reference comparison would be "
-              "degenerate (zero error)", file=sys.stderr)
         return EXIT_FAIL
     try:
         rows = convergence_study(scenario, meshes)

@@ -25,27 +25,20 @@ numpy's inner-loop call per batch entry.
 
 Also here: the finite-difference check that the entropy variables are the
 energy gradient, the exact wet-bed dam-break reference solution, and the
-convergence study of solver runs.
-
-The identity blocks and the meshes of a convergence study are independent
-work, so both fan out through _fan_out: where os.fork exists and this
-process may use two CPUs or more, a forked worker takes one share (the
-second half of the blocks, or the largest mesh) while the caller runs the
-rest, and the results are merged as the serial loop would merge them.
-Results, exceptions and the first error reported are the same either way;
-only counters kept in the caller's memory see the caller's share alone.
+convergence study of solver runs.  The identity blocks and the meshes of a
+study are independent work, shared out by swlme._worker._fan_out: results,
+exceptions and the first error are the serial loop's, and only counters in
+the caller's memory see the caller's share alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from swlme._worker import _fan_out, _fan_out_ok
 from swlme.model import (
     ParameterError,
     _energy_density,
@@ -346,87 +339,6 @@ def _block_defects(s: FreeSample, gravities) -> dict:
     return out
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _fan_out_ok(pieces: int) -> bool:
-    """Whether work in `pieces` independent pieces gains from a forked worker."""
-    return pieces >= 2 and hasattr(os, "fork") and _cpus() >= 2
-
-
-def _fan_out(work, shares: list, what: str) -> list:
-    """[work(share) for share in shares], the last of two or more shares in a forked worker.
-
-    The caller runs the other shares, in order, while the worker runs the
-    last one.  The worker sends back its result, or the exception it raised,
-    pickled through a pipe, together with the warnings it caught, which the
-    caller issues again; it always ends with os._exit.  The caller reaps it
-    on every path, and kills it first if its own shares raise
-    (KeyboardInterrupt included); an exception from the worker is raised
-    after the caller's shares are done, so the first share's wins, as in
-    the serial loop.  A worker that died, was killed or sent back a short
-    pickle raises RuntimeError naming `what`.  With one share, or if no
-    process can be forked, every share runs here, in order.
-    """
-    if len(shares) < 2:
-        return [work(share) for share in shares]
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(r)
-        os.close(w)
-        return [work(share) for share in shares]
-    if pid == 0:
-        # the worker runs numpy, BLAS included: OpenBLAS stops its own threads
-        # around a fork (pthread_atfork), and swlme starts none
-        status = 1
-        try:
-            os.close(r)
-            with warnings.catch_warnings(record=True) as caught:
-                try:
-                    outcome = (True, work(shares[-1]))
-                except Exception as err:
-                    outcome = (False, err)
-            try:
-                data = pickle.dumps((outcome, [(c.message, c.category, c.filename, c.lineno)
-                                               for c in caught]), pickle.HIGHEST_PROTOCOL)
-                pickle.loads(data)  # an exception whose arguments do not round-trip, say
-            except Exception as err:
-                data = pickle.dumps(((False, RuntimeError(f"{what}: {outcome[1]!r} does not "
-                                                          f"pickle: {err!r}")), []))
-            with open(w, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    try:
-        with open(r, "rb") as pipe:
-            results = [work(share) for share in shares[:-1]]
-            data = pipe.read()
-    except BaseException:
-        from signal import SIGKILL  # not at import: the signal module adds 0.3 MiB to every command
-        os.kill(pid, SIGKILL)
-        raise
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    try:
-        (ok, value), caught = pickle.loads(data)
-    except Exception:
-        ended = f"signal {-code}" if code < 0 else f"status {code}"
-        raise RuntimeError(f"{what}: worker process ended with {ended} after sending "
-                           f"{len(data)} bytes") from None
-    for message, category, filename, lineno in caught:
-        warnings.warn_explicit(message, category, filename, lineno)
-    if not ok:
-        raise value
-    return results + [value]
-
-
 def check_total_energy_identity(s: FreeSample, gravities) -> dict:
     """Max relative defect of the energy derivation, per gravity: {g: {identity: defect}}.
 
@@ -588,17 +500,19 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     (cells, l1_error, observed_order-or-None).  Every mesh, and in exact mode
     the dam break, is validated before the first run; ParameterError names
     the scenario argument or preset parameter (`ic_h_l`, or `meshes` for
-    the list itself) at fault.
+    the list itself, empty or with a repeated mesh) at fault.
 
-    Each distinct mesh runs once.  With two distinct meshes or more, a
-    forked worker runs the largest while the caller runs the others
-    (_fan_out).  The error raised is the one the serial order meets first:
-    the meshes as listed, or in self-reference mode the finest mesh first;
-    a lost worker counts as a failure of the largest mesh.
+    Each mesh runs once.  With two meshes or more, a forked worker runs
+    the largest while the caller runs the others (_fan_out).  The error
+    raised is the one the serial order meets first: the meshes as listed,
+    or in self-reference mode the finest mesh first; a lost worker counts
+    as a failure of the largest mesh.
     """
     meshes = [int(m) for m in meshes]
     if not meshes:
         raise ParameterError("meshes", "need at least one mesh")
+    if len(set(meshes)) < len(meshes):
+        raise ParameterError("meshes", f"repeated mesh in {meshes}")
     on_mesh = {m: scenario.with_cells(m) for m in meshes}
 
     exact = (
@@ -622,7 +536,7 @@ def convergence_study(scenario: Scenario, meshes) -> list:
                                                f"meshes, got {prev} -> {nxt}")
 
     # the order a serial study runs the meshes in: the reference first
-    serial = list(dict.fromkeys(meshes if exact else meshes[-1:] + meshes))
+    serial = meshes if exact else meshes[-1:] + meshes[:-1]
     finest = max(serial)
     found = {}  # cells -> final depths, or the exception its run raised
 

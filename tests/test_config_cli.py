@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swlme._worker
 import swlme.cli
 import swlme.diagnostics
 import swlme.solver
@@ -22,7 +23,8 @@ from swlme.config import ConfigError, build_scenario, format_config, parse_confi
 from swlme.diagnostics import _BLOCK, FreeSample
 from swlme.model import N_MAX, WaveSpeedBoundWarning, energy, to_primitive
 from swlme.solver import _PRESETS, MAX_STATE_BYTES, Trajectory, run
-from test_diagnostics import assert_no_process_left, forks, scale_energy_flux  # noqa: F401
+from conftest import assert_no_process_left
+from test_diagnostics import scale_energy_flux
 
 LAKE_CFG = """\
 # lake at rest over a bump
@@ -480,7 +482,7 @@ def as_trajectory(records):
                                       for state in records]))
 
 
-def special_values_case(tmp_path, fork):
+def special_values_case(tmp_path):
     """Records of a run with special values written in, through _CsvSink and the reference."""
     scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "new")))
     records = run(scenario, Recorder())
@@ -498,7 +500,7 @@ def special_values_case(tmp_path, fork):
     W = to_primitive(U)
     b, g = scenario.topography.b, scenario.params.g
     special[last] = special[last]._replace(U=U, W=W, e=energy(W, b, g).e)
-    with _CsvSink(scenario, str(tmp_path / "new"), fork) as sink:
+    with _CsvSink(scenario, str(tmp_path / "new")) as sink:
         for state in special:
             sink.record(state)
         sink.finish(None)
@@ -511,8 +513,9 @@ def special_values_case(tmp_path, fork):
 
 
 class TestRunCommand:
-    def test_writer_matches_row_wise_reference_on_special_values(self, tmp_path):
-        special_values_case(tmp_path, fork=False)
+    def test_writer_matches_row_wise_reference_on_special_values(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)  # every snapshot formatted in-process
+        special_values_case(tmp_path)
 
     def test_run_hands_the_sink_its_validated_primitives(self, tmp_path):
         scenario = build_scenario(parse_config(SMOOTH_CFG.format(path=tmp_path / "o")))
@@ -737,7 +740,7 @@ class TestWriterProcess:
 
     def test_writer_process_matches_row_wise_reference_on_special_values(self, tmp_path,
                                                                           forks):
-        special_values_case(tmp_path, fork=True)
+        special_values_case(tmp_path)
         assert len(forks) == 1
         assert_no_process_left()
 
@@ -810,8 +813,8 @@ class TestWriterProcess:
         assert self.run_case(tmp_path, DAM_CFG.format(path=out) + "output.every_steps = 1\n") == 2
         assert len(forks) == 1
         assert capsys.readouterr().err == (
-            f"error: writing output.path '{out}' failed: snapshot writer process ended with "
-            f"signal {int(signal.SIGKILL)}; partial output written to {out}\n")
+            f"error: snapshot writer: worker process ended with signal {int(signal.SIGKILL)} "
+            f"after sending 0 bytes; partial output written to {out}\n")
         assert (out / "snapshots.csv").read_text().startswith("t,x,h,u_m,e\n")
         assert_no_process_left()
 
@@ -826,6 +829,24 @@ class TestWriterProcess:
         if case == "dry-state":
             assert "dry or invalid state" in capsys.readouterr().err
         assert_no_process_left()
+
+    def test_interrupted_run_reaps_the_writer(self, tmp_path, monkeypatch, forks):
+        steps, step = [], swlme.solver.step
+
+        def interrupted(*args):
+            steps.append(None)
+            if len(steps) > 5:
+                raise KeyboardInterrupt
+            return step(*args)
+
+        monkeypatch.setattr(swlme.solver, "step", interrupted)
+        out = tmp_path / "o"
+        with pytest.raises(KeyboardInterrupt):
+            self.run_case(tmp_path, DAM_CFG.format(path=out) + "output.every_steps = 1\n")
+        assert len(forks) == 1
+        assert_no_process_left()
+        # the writer wrote every snapshot sent to it: the initial state and five steps
+        assert len((out / "snapshots.csv").read_text().splitlines()) == 1 + 6 * 100
 
 
 class TestConvergeCommand:
@@ -956,7 +977,7 @@ class TestFanOutCommands:
     @staticmethod
     def outcome(capsys, monkeypatch, cpus, argv):
         """(exit code, stdout, stderr) of main(argv) with `cpus` CPUs usable."""
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
         code = main(argv)
         captured = capsys.readouterr()
         assert_no_process_left()
@@ -1034,7 +1055,7 @@ class TestFanOutCommands:
                 time.sleep(60)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 2)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
         monkeypatch.setattr(swlme.diagnostics, "run", interrupted)
         monkeypatch.setattr(swlme.diagnostics, "_block_defects", interrupted)
         start = time.monotonic()
@@ -1050,7 +1071,8 @@ class TestFanOutCommands:
         ("self-reference", "100,300", "self-reference mode needs dyadically nested meshes, "
                                       "got 100 -> 300"),
         ("self-reference", "32", "self-reference mode needs at least two meshes, got [32]"),
-    ], ids=["no-mesh", "not-nested", "one-mesh"])
+        ("exact", "100,100", "repeated mesh in [100, 100]"),
+    ], ids=["no-mesh", "not-nested", "one-mesh", "repeated-mesh"])
     def test_mesh_list_errors_name_meshes(self, tmp_path, capsys, monkeypatch, forks, mode,
                                           meshes, message):
         runs = []
@@ -1178,7 +1200,7 @@ def test_benchmark_hooks_are_called(tmp_path, capsys, monkeypatch):
     dam.write_text(DAM_CFG.format(path=tmp_path / "d"))
     # with two CPUs a worker runs the 40-cell mesh and this process the 20-cell one
     for cpus, runs in ((2, 1), (1, 2)):
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
         calls.update(dict.fromkeys(calls, 0))
         assert main(["converge", str(dam), "--meshes", "20,40"]) == 0
         assert calls["solver.run"] == runs and calls["solver.step"] > 2, calls

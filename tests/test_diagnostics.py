@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import os
@@ -6,19 +7,20 @@ import signal
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swlme._worker
 import swlme.diagnostics
+from swlme._worker import _fan_out, _fan_out_ok
 from swlme.cli import main
 from swlme.diagnostics import (
     _BLOCK,
     FreeSample,
     _blocks,
     _Expansions,
-    _fan_out,
-    _fan_out_ok,
     _term_sum,
     check_total_energy_identity,
     convergence_study,
@@ -35,6 +37,7 @@ from swlme.model import (
     to_primitive,
 )
 from swlme.solver import Grid1D, Scenario, run
+from conftest import assert_no_process_left, in_worker
 
 
 def zero_sample(n, size=4, h=1.0):
@@ -356,7 +359,7 @@ class TestBlockedChecks:
             return _Expansions(s)
 
         monkeypatch.setattr(swlme.diagnostics, "_Expansions", counted)
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
         s = FreeSample.random(np.random.default_rng(49), 2 * _BLOCK + 17, 2)
         check_total_energy_identity(s, (1.0, 9.81))
         return built
@@ -426,7 +429,7 @@ def test_check_memory_stays_bounded(monkeypatch):
     # the default check size at its largest order, both gravities in one pass;
     # unblocked, each gravity's identities peaked near 270 MB.  One CPU keeps
     # every block in this process, where tracemalloc sees it.
-    monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 1)
+    monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
     s = FreeSample.random(np.random.default_rng(46), 100_000, 5)
     tracemalloc.start()
     try:
@@ -550,7 +553,7 @@ class TestConvergence:
         # only each mesh's final depth is read, so a per-step snapshot cadence
         # keeps nothing; one CPU keeps both runs in this process, where
         # tracemalloc sees them
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 1)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
 
         def rows_and_peak(every_steps):
             sc = dataclasses.replace(self.base_dam_break(), output_every_steps=every_steps)
@@ -577,9 +580,10 @@ class TestConvergence:
                         boundary="periodic", t_end=0.1)
 
     def test_self_reference_zero_error_row(self):
-        rows = convergence_study(self.smooth_periodic(), [32, 32])
-        assert len(rows) == 1
-        assert rows[0][1] == 0.0 and rows[0][2] is None
+        # water at rest is the same on every mesh: zero errors, and no order from them
+        still = dataclasses.replace(self.smooth_periodic(),
+                                    ic_params={"h0": 1.0, "h_amp": 0.0, "um_amp": 0.0})
+        assert convergence_study(still, [16, 32, 64]) == [(16, 0.0, None), (32, 0.0, None)]
 
     def test_self_reference_requires_dyadic_meshes(self):
         with pytest.raises(ValueError, match="dyadic"):
@@ -595,27 +599,17 @@ class TestConvergence:
         assert rows[1][2] >= 0.9
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls made in this process."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-def assert_no_process_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def in_worker(parent: int) -> bool:
-    return os.getpid() != parent
+def test_only_the_worker_module_forks_kills_or_reaps():
+    process_calls = {"fork", "_exit", "waitpid", "kill"}
+    found = set()
+    for path in Path(swlme._worker.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and node.attr in process_calls):
+                found.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.update((path.name, a.name) for a in node.names if a.name in process_calls)
+    assert found == {("_worker.py", name) for name in process_calls}
 
 
 class TestFanOut:
@@ -638,7 +632,10 @@ class TestFanOut:
 
         monkeypatch.setattr(os, "fork", no_process)
         parent = os.getpid()
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
         assert _fan_out(lambda share: in_worker(parent), [[1], [2]], "test") == [False, False]
+        if fds is not None:  # the result pipe was closed again
+            assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_worker_exception_is_raised_here(self):
         def work(share):
@@ -695,7 +692,7 @@ class TestFanOut:
             def dumps(*args):
                 return pickle.dumps(*args)[:7]
 
-        monkeypatch.setattr(swlme.diagnostics, "pickle", Truncating)
+        monkeypatch.setattr(swlme._worker, "pickle", Truncating)
         with pytest.raises(RuntimeError, match="^test: worker process ended with status 0 "
                                                "after sending 7 bytes$"):
             _fan_out(lambda share: share, [[1], [2]], "test")
@@ -727,11 +724,11 @@ class TestFanOut:
                                                    "share [2] in the worker: True"]
 
     def test_probe(self, monkeypatch):
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 2)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
         assert _fan_out_ok(2) and not _fan_out_ok(1) and not _fan_out_ok(0)
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 1)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
         assert not _fan_out_ok(2)
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 2)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
         assert not _fan_out_ok(2)
 
@@ -747,7 +744,7 @@ class TestFanOut:
     ], ids=["one-block", "two-blocks", "one-cpu", "empty"])
     def test_check_forks_only_for_two_blocks_and_cpus(self, monkeypatch, forks, size, cpus,
                                                       forked):
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
         s = FreeSample.random(np.random.default_rng(50), size, 2)
         check_total_energy_identity(s, (9.81,))
         assert len(forks) == forked
@@ -766,7 +763,7 @@ class TestFanOut:
                 os.kill(os.getpid(), signal.SIGKILL)
             return block_defects(s, gravities)
 
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: 2)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
         monkeypatch.setattr(swlme.diagnostics, "_block_defects", dying)
         s = FreeSample.random(np.random.default_rng(52), _BLOCK + 1, 3)
         with pytest.raises(RuntimeError, match="^identity check at N=3: worker process ended "
@@ -776,11 +773,11 @@ class TestFanOut:
 
     @pytest.mark.parametrize("mode, meshes, cpus, forked", [
         ("exact", [100, 200], 2, 1), ("exact", [100, 200], 1, 0), ("exact", [150], 2, 0),
-        ("self-reference", [32, 32], 2, 0), ("self-reference", [16, 32], 2, 1),
+        ("exact", [100, 100], 2, None), ("self-reference", [16, 32], 2, 1),
     ], ids=["two-meshes", "one-cpu", "one-mesh", "repeated-mesh", "self-reference"])
     def test_converge_forks_only_for_two_meshes_and_cpus(self, monkeypatch, forks, mode, meshes,
                                                          cpus, forked):
-        monkeypatch.setattr(swlme.diagnostics, "_cpus", lambda: cpus)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
         runs = []
         real_run = swlme.diagnostics.run
 
@@ -791,9 +788,13 @@ class TestFanOut:
         monkeypatch.setattr(swlme.diagnostics, "run", counted)
         sc = (TestConvergence().base_dam_break() if mode == "exact"
               else TestConvergence().smooth_periodic())
+        if forked is None:  # rejected before any run or fork
+            with pytest.raises(ParameterError, match=r"^repeated mesh in \[100, 100\]$") as err:
+                convergence_study(sc, meshes)
+            assert err.value.field == "meshes" and runs == [] and forks == []
+            return
         rows = convergence_study(sc, meshes)
         assert len(forks) == forked
         assert [r[0] for r in rows] == (meshes if mode == "exact" else meshes[:-1])
-        # each distinct mesh runs once, the largest in the worker if there is one
-        distinct = sorted(set(meshes))
-        assert sorted(runs) == distinct[:len(distinct) - forked]
+        # each mesh runs once, the largest in the worker if there is one
+        assert sorted(runs) == sorted(meshes)[:len(meshes) - forked]
