@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from swlme.basis import Variant
 from swlme.model import ModelParams, ParameterError
 from swlme.solver import Grid1D, Scenario, _preset
 
@@ -29,7 +28,7 @@ REQUIRED_KEYS = (
 OPTIONAL_KEYS = ("topo.name", "output.every_steps", "output.snapshots")
 # the key of each constructor argument a ParameterError can name
 _ARGUMENT_KEYS = {
-    "g": "model.g", "N": "model.N",
+    "g": "model.g", "N": "model.N", "variant": "model.variant",
     "x_min": "grid.xmin", "x_max": "grid.xmax", "cells": "grid.cells",
     "ic_name": "ic.name", "topo_name": "topo.name", "boundary": "bc.kind",
     "t_end": "time.t_end", "cfl": "time.cfl",
@@ -120,21 +119,13 @@ def _scenario(cfg: dict) -> Scenario:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}'")
 
-    variant_raw = cfg["model.variant"].lower()
-    try:
-        variant = Variant(variant_raw)
-    except ValueError:
-        raise ConfigError(
-            f"key 'model.variant': expected 'swlme' or 'swme', got '{cfg['model.variant']}'"
-        ) from None
-
     ic_params = {key.split(".", 1)[1]: _get(cfg, key, float)
                  for key in ic_keys if key in cfg}
     topo_params = {key.split(".", 1)[1]: _get(cfg, key, float)
                    for key in topo_keys if key in cfg}
     scenario = Scenario(
         params=ModelParams(g=_get(cfg, "model.g", float), N=_get(cfg, "model.N", int),
-                           variant=variant),
+                           variant=cfg["model.variant"].lower()),
         grid=Grid1D(x_min=_get(cfg, "grid.xmin", float), x_max=_get(cfg, "grid.xmax", float),
                     cells=_get(cfg, "grid.cells", int)),
         ic_name=ic_name, ic_params=ic_params,

@@ -27,6 +27,7 @@ whose gradient with respect to (h, q, r_i) gives the entropy variables.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -39,6 +40,8 @@ H_MIN = 1e-10  # dry threshold: a depth at or below it is rejected
 N_MAX = 64  # largest moment order; the tensors take 2 N^3 floats
 # quasilinear matrices max_wave_speed(validate=True) forms at once, in bytes
 SPEED_BLOCK_BYTES = 1 << 21
+# closure terms _contract forms at once, in bytes per buffer
+CONTRACT_BLOCK_BYTES = 1 << 21
 
 
 class DryStateError(RuntimeError):
@@ -55,6 +58,13 @@ class ParameterError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def as_count(field: str, value) -> int:
+    """value as an int if it is an integer (a numpy integer too); else ParameterError naming field."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ParameterError(field, f"{field} must be an integer, got {value!r}")
 
 
 class WaveSpeedBoundWarning(UserWarning):
@@ -74,7 +84,11 @@ class EntropyVars(NamedTuple):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Gravity, moment order and closure variant; the tensors are computed from them."""
+    """Gravity, moment order and closure variant; the tensors are computed from them.
+
+    The variant may be given as a Variant or its value ("swlme", "swme");
+    it is stored as the Variant.
+    """
 
     g: float
     N: int
@@ -84,8 +98,14 @@ class ModelParams:
     def __post_init__(self):
         if not np.isfinite(self.g) or self.g <= 0:
             raise ParameterError("g", f"gravity must be positive and finite, got {self.g}")
+        object.__setattr__(self, "N", as_count("N", self.N))
         if not 0 <= self.N <= N_MAX:
             raise ParameterError("N", f"moment order must be in 0..{N_MAX}, got {self.N}")
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError:
+            raise ParameterError("variant", f"unknown closure variant {self.variant!r} (known: "
+                                            f"{', '.join(v.value for v in Variant)})") from None
         object.__setattr__(self, "tensors", compute_tensors(self.N, self.variant))
 
     @property
@@ -137,12 +157,21 @@ def _moment_sum(u: np.ndarray) -> np.ndarray:
     The squares are written straight into a fresh C-contiguous array, the
     layout the matrix-vector product reads, so its rounding is the same for
     a transposed view as for a row-major array, and no layout copy is made.
+    When the moment axis is not contiguous (the solver's variables-first
+    views), the squares go in one moment at a time, each multiply reading a
+    contiguous row; a single multiply between the two layouts would step
+    through memory one element at a time.  Each square is exact, so the
+    buffer, and the product, are the same bits either way.
     """
     n = u.shape[-1]
     if not n:
         return np.zeros(u.shape[:-1])
     sq = np.empty(u.shape)
-    np.multiply(u, u, out=sq)
+    if u.strides[-1] == u.itemsize:
+        np.multiply(u, u, out=sq)
+    else:
+        for i in range(n):
+            np.multiply(u[..., i], u[..., i], out=sq[..., i])
     return sq @ moment_weights(n)
 
 
@@ -154,19 +183,35 @@ def _contract(terms: TermTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     starts each output at +0.0 and adds (T_ijk x) y term by term, j outer
     and k inner, and the table keeps the nonzero terms in that order.  A
     skipped or padded zero term would add +-0.0, which leaves a sum that
-    started at +0.0 unchanged.  One (N,) + S accumulator takes the terms one
-    table row at a time, through two preallocated buffers.
+    started at +0.0 unchanged.
+
+    The terms are formed a chunk of table rows at a time, each operand
+    gathered by one take into a (rows, N) + S buffer: (x coef) y, as one
+    term at a time would round it.  Slot 0 of the term buffer holds the
+    running sum, +0.0 at first, and np.add.reduce over the term axis adds
+    the slots one after the other, in table order: the term axis is an
+    outer axis of a C-contiguous buffer whose slots hold N >= 2 elements
+    when the table has a term (N = 1 has none), and numpy sums pairwise only
+    along the inner axis.  A chunk takes at most CONTRACT_BLOCK_BYTES per
+    buffer (one table row if a row is larger), so the memory does not grow
+    with the table.
     """
+    rows = len(terms.coef)
+    chunk = max(1, min(rows, CONTRACT_BLOCK_BYTES // max(1, x.nbytes)))
     coef = terms.coef.reshape(terms.coef.shape + (1,) * (x.ndim - 1))
     out = np.zeros(x.shape)
-    term, y_rows = np.empty(x.shape), np.empty(x.shape)
-    for c, i, j in zip(coef, terms.xrow, terms.yrow):
+    acc = np.empty((chunk + 1,) + x.shape)
+    y_rows = np.empty((chunk,) + x.shape)
+    for start in range(0, rows, chunk):
+        k = min(chunk, rows - start)
+        term, y_k = acc[1:k + 1], y_rows[:k]
         # the rows are in range; mode="clip" lets take write into out= unbuffered
-        x.take(i, axis=0, out=term, mode="clip")
-        term *= c
-        y.take(j, axis=0, out=y_rows, mode="clip")
-        term *= y_rows
-        out += term
+        x.take(terms.xrow[start:start + k], axis=0, out=term, mode="clip")
+        term *= coef[start:start + k]
+        y.take(terms.yrow[start:start + k], axis=0, out=y_k, mode="clip")
+        term *= y_k
+        acc[0] = out
+        np.add.reduce(acc[:k + 1], axis=0, out=out)
     return out
 
 

@@ -62,6 +62,7 @@ from swlme.model import (
     _moment_sum,
     _path_rows,
     _wave_speed,
+    as_count,
     check_wet,
     max_wave_speed,
     to_primitive,
@@ -122,6 +123,7 @@ class Grid1D:
         if not np.isfinite(self.x_max - self.x_min):
             raise ParameterError("x_max", f"grid span x_max - x_min must be finite, got "
                                           f"[{self.x_min}, {self.x_max}]")
+        object.__setattr__(self, "cells", as_count("cells", self.cells))
         if self.cells < 2:
             raise ParameterError("cells", f"need at least 2 cells, got {self.cells}")
 
@@ -226,6 +228,7 @@ class Scenario:
         if not np.isfinite(self.t_end) or self.t_end < 0.0:
             raise ParameterError("t_end", f"t_end must be finite and >= 0, got {self.t_end}")
         for name in ("output_every_steps", "output_snapshots"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
             if getattr(self, name) < 0:
                 raise ParameterError(name, f"{name} must be >= 0, got {getattr(self, name)}")
         cell_bytes = 8 * (self.params.N + 2)
@@ -450,7 +453,8 @@ def _rusanov_flux(S: np.ndarray, L: tuple, R: tuple, dUs: np.ndarray, hs_sq: np.
     """
     hs = S[0]
     v = S[1:] / hs
-    # the moments with their axis last: _moment_sum squares them into the layout its product reads
+    # the moments with their axis last, a view whose moment axis is not contiguous:
+    # _moment_sum squares one contiguous moment row at a time into the layout its product reads
     T = _moment_sum(v[1:].transpose(*range(1, v.ndim), 0)) if p.N else None
     speeds = _wave_speed(hs, v[0], T, p.g)
     F = np.empty_like(S)

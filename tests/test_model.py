@@ -9,11 +9,13 @@ from numpy.polynomial.legendre import legvander
 import swlme.model
 from swlme.basis import Variant
 from swlme.model import (
+    CONTRACT_BLOCK_BYTES,
     H_MIN,
     N_MAX,
     SPEED_BLOCK_BYTES,
     DryStateError,
     ModelParams,
+    ParameterError,
     WaveSpeedBoundWarning,
     _contract,
     _flux_rows,
@@ -337,6 +339,69 @@ def signed_rows(rng, shape):
     return x
 
 
+# _moment_sum and _contract as they were before they wrote their squares a
+# moment row at a time and gathered their terms a chunk of table rows at a
+# time; both must keep these bits
+def reference_moment_sum(u):
+    n = u.shape[-1]
+    if not n:
+        return np.zeros(u.shape[:-1])
+    sq = np.empty(u.shape)
+    np.multiply(u, u, out=sq)
+    return sq @ moment_weights(n)
+
+
+def reference_contract(terms, x, y):
+    coef = terms.coef.reshape(terms.coef.shape + (1,) * (x.ndim - 1))
+    out = np.zeros(x.shape)
+    term, y_rows = np.empty(x.shape), np.empty(x.shape)
+    for c, i, j in zip(coef, terms.xrow, terms.yrow):
+        x.take(i, axis=0, out=term, mode="clip")
+        term *= c
+        y.take(j, axis=0, out=y_rows, mode="clip")
+        term *= y_rows
+        out += term
+    return out
+
+
+def edge_rows(rng, shape):
+    """signed_rows with subnormals and infinities of both signs mixed in."""
+    x = signed_rows(rng, shape)
+    pick = rng.random(shape)
+    x[pick < 0.05] = rng.choice([5e-324, -5e-324, 2.0**-1060, -(2.0**-1060)], (pick < 0.05).sum())
+    x[pick > 0.98] = rng.choice([np.inf, -np.inf], (pick > 0.98).sum())
+    return x
+
+
+def solver_moment_rows(rng, n, cells=40):
+    """Moment rows (N,) + S in every layout the solver and check hand the kernels."""
+    v = edge_rows(rng, (n + 1, 2, cells + 1))  # velocities of both sides of every interface
+    flat = edge_rows(rng, (n + 1, cells + 2))  # velocities of the ghost-extended cells
+    W = np.zeros((n + 2, cells)).T  # a variables-first (cells, N+2) state
+    W[:] = edge_rows(rng, (cells, n + 2))
+    C = edge_rows(rng, (cells, n + 2))  # a block of row-major states
+    return {"bump": v[1:], "flat": flat[1:], "F-order": W[:, 2:].T, "C block": C[:, 2:].T,
+            "C rows": np.ascontiguousarray(C[:, 2:].T), "single": edge_rows(rng, (n,))}
+
+
+MOMENT_ORDERS = [*range(1, 9), 16, 64]
+
+
+class TestMomentSum:
+    @pytest.mark.parametrize("n", MOMENT_ORDERS)
+    def test_bitwise_against_reference_on_every_layout(self, n):
+        rng = np.random.default_rng(70 + n)
+        for name, rows in solver_moment_rows(rng, n).items():
+            u = np.moveaxis(rows, 0, -1)  # moments last, as every caller passes them
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = _moment_sum(u), reference_moment_sum(u)
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_no_moments(self):
+        for u in (np.empty((7, 0)), np.empty((5, 0)).T[:0].T, np.empty(0)):
+            assert _moment_sum(u).tobytes() == np.zeros(u.shape[:-1]).tobytes()
+
+
 class TestClosureContraction:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bitwise_against_einsum(self, n):
@@ -368,6 +433,51 @@ class TestClosureContraction:
             du = signed_rows(rng, u.shape)
             assert (_path_rows(um, u, du, p).tobytes()
                     == reference_path_rows(um, u, du, p).tobytes()), n
+
+    @pytest.mark.parametrize("n", MOMENT_ORDERS)
+    def test_bitwise_against_reference_on_every_layout(self, n):
+        rng = np.random.default_rng(80 + n)
+        t = params(n, variant=Variant.SWME).tensors
+        layouts = solver_moment_rows(rng, n)
+        for name, u in layouts.items():
+            du = edge_rows(rng, u.shape)
+            for table, x, y in ((t.A_terms, u, u), (t.B_terms, u, du)):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got, want = _contract(table, x, y), reference_contract(table, x, y)
+                assert got.tobytes() == want.tobytes(), name
+
+    def test_benchmark_shape_is_bitwise(self):
+        # run_swme_smooth's order on the bump dam break's interface sides
+        rng = np.random.default_rng(89)
+        t = params(3, variant=Variant.SWME).tensors
+        u, du = signed_rows(rng, (3, 2, 2001)), signed_rows(rng, (3, 2, 2001))
+        for table, y in ((t.A_terms, u), (t.B_terms, du)):
+            assert _contract(table, u, y).tobytes() == reference_contract(table, u, y).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 3 * 8 * 16 * 5, CONTRACT_BLOCK_BYTES])
+    def test_chunks_give_the_bits_of_one_pass(self, monkeypatch, budget):
+        # one table row per chunk, a few rows per chunk, and every row in one chunk
+        monkeypatch.setattr(swlme.model, "CONTRACT_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(90)
+        t = params(16, variant=Variant.SWME).tensors
+        u, du = signed_rows(rng, (16, 5)), signed_rows(rng, (16, 5))
+        for table, y in ((t.A_terms, u), (t.B_terms, du)):
+            assert _contract(table, u, y).tobytes() == reference_contract(table, u, y).tobytes()
+
+    @pytest.mark.parametrize("cells", [100, 4000])
+    def test_memory_is_bounded_by_the_chunk_budget(self, cells):
+        # gathered whole, the 1,428 table rows at N = 64 would take 1428 x 2 MiB
+        # over 4000 cells; chunked, the terms take one budget (one row if larger)
+        t = params(64, variant=Variant.SWME).tensors
+        u = smooth_states(cells, 64)[:, 2:].T
+        assert len(t.A_terms.coef) * u.nbytes > 16 * CONTRACT_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            _contract(t.A_terms, u, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * CONTRACT_BLOCK_BYTES + 3 * u.nbytes, f"{peak / 2**20:.1f} MiB"
 
     def test_infinite_velocity_skips_zero_coefficients(self):
         # the library-level difference from the dense einsum: 0 * inf is not taken
@@ -690,6 +800,43 @@ def test_params_validation():
     # the tensors always follow N and the variant: they are not an argument
     with pytest.raises(TypeError):
         ModelParams(g=9.81, N=2, tensors=p.tensors)
+
+
+def test_variant_value_is_the_variant():
+    # a string variant once stayed a string: the full closure's tensors were
+    # built, but every `is Variant.SWME` test read False, so the linearized
+    # closure's physics ran
+    W = np.array([1.0, 0.3, 0.2, 0.1, 0.05])
+    dU = np.array([0.0, 0.0, 0.4, -0.3, 0.2])
+    for full in (Variant.SWME, Variant.SWLME):
+        by_value = ModelParams(9.81, 3, full.value)
+        p = ModelParams(9.81, 3, full)
+        assert by_value.variant is full and by_value == p
+        for got, want in ((flux(W, by_value), flux(W, p)),
+                          (nonconservative_rhs(W, dU, by_value), nonconservative_rhs(W, dU, p)),
+                          (quasilinear_matrix(W, by_value), quasilinear_matrix(W, p))):
+            assert got.tobytes() == want.tobytes()
+    assert flux(W, ModelParams(9.81, 3, "swme"))[2] == pytest.approx(0.1386, abs=5e-5)
+    assert flux(W, ModelParams(9.81, 3, "swlme"))[2] == pytest.approx(0.12, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["classic", "SWME", None, 3])
+def test_unknown_variant_names_the_field(variant):
+    with pytest.raises(ParameterError, match="known: swlme, swme") as info:
+        ModelParams(9.81, 3, variant)
+    assert info.value.field == "variant"
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, "2", True, None])
+def test_non_integral_order_names_the_field(n):
+    with pytest.raises(ParameterError, match="N must be an integer") as info:
+        ModelParams(9.81, n)
+    assert info.value.field == "N"
+
+
+def test_numpy_integer_order_is_accepted():
+    p = ModelParams(9.81, np.int64(3), Variant.SWME)
+    assert type(p.N) is int and p == ModelParams(9.81, 3, Variant.SWME)
 
 
 def test_params_compare_by_gravity_order_and_variant():

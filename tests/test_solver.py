@@ -1043,6 +1043,42 @@ def test_scenario_validation():
             scenario(cfl=bad)
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("cells", {"cells": 10.5}),
+    ("cells", {"cells": 10.0}),
+    ("output_every_steps", {"output_every_steps": 1.5}),
+    ("output_snapshots", {"output_snapshots": 2.5}),
+    ("output_snapshots", {"output_snapshots": "4"}),
+])
+def test_non_integral_counts_name_their_field(field, kw):
+    # 10.5 cells once gave 11 centres at dx = 1/10.5, 1.5 a snapshot every
+    # third step and 2.5 snapshots four
+    with pytest.raises(ParameterError, match=f"{field} must be an integer") as info:
+        scenario(**kw)
+    assert info.value.field == field
+
+
+def test_numpy_integer_counts_are_accepted():
+    sc = scenario(cells=np.int64(12), output_every_steps=np.int32(2),
+                  output_snapshots=np.uint8(3))
+    assert (sc.grid.cells, sc.output_every_steps, sc.output_snapshots) == (12, 2, 3)
+    assert all(type(v) is int for v in (sc.grid.cells, sc.output_every_steps,
+                                        sc.output_snapshots))
+
+
+def test_variant_value_runs_the_full_closure():
+    # a string variant once ran the linearized closure's physics
+    def final(variant):
+        sc = Scenario(params=ModelParams(9.81, 3, variant), grid=Grid1D(0.0, 1.0, 32),
+                      ic_name="smooth_periodic", ic_params={"um_amp": 0.2, "u_amp": 0.1},
+                      t_end=0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            return run(sc).steps
+    assert final("swme").tobytes() == final(Variant.SWME).tobytes()
+    assert final("swme").tobytes() != final(Variant.SWLME).tobytes()
+
+
 def test_with_cells_resamples_topography():
     sc = scenario(cells=50, ic="lake_at_rest", ic_params={"surface": 1.0},
                   topo="gaussian", topo_params={"height": 0.2}, bc="outflow")
