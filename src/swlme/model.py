@@ -324,12 +324,15 @@ def nonconservative_rhs(W: np.ndarray, dUdx: np.ndarray, p: ModelParams) -> np.n
     return out
 
 
-def _energy_density(W: np.ndarray, b, g: float) -> np.ndarray:
-    """Total energy density e at primitive states W (an array, also for one state)."""
+def _energy_density(W: np.ndarray, b, g: float, T=None) -> np.ndarray:
+    """Total energy density e at primitive states W (an array, also for one state).
+
+    T, if given, is _moment_sum(W[..., 2:]).
+    """
     h, um = W[..., 0], W[..., 1]
     e = 0.5 * h * um**2
     if W.shape[-1] > 2:  # with no moments, 0.5 h T = +0.0 leaves e >= +0.0 unchanged
-        e += 0.5 * h * _moment_sum(W[..., 2:])
+        e += 0.5 * h * (_moment_sum(W[..., 2:]) if T is None else T)
     return e + 0.5 * g * h**2 + g * h * np.asarray(b, dtype=float)
 
 
@@ -438,7 +441,64 @@ def _spectral_bound(Q: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         return s * np.einsum("...ii->...", G) ** (1.0 / 32.0)
 
 
-def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.ndarray | float:
+@functools.lru_cache(maxsize=None)
+def _norm_factors(n: int, variant: Variant) -> tuple[np.ndarray, np.ndarray]:
+    """(F, E) with ((W @ F)**2 @ E)[:, g] = y_g^2 for the moment norms y_g of each state W.
+
+    The norms, of the moments u = W[2:], are ||u||, ||u w|| (w the moment
+    weights), ||R_A u|| and ||R u||.  R^T R is the Gram matrix
+    G_kl = <C_k, C_l>_F of C_k = (A + A^T + B)[:, :, k] (A^T swaps the last
+    two axes), so ||R u|| = ||sum_k u_k C_k||_F; R_A is the same for A.
+    Each R is the triangular factor of the (N^2, N) matrix whose column k is
+    C_k (or A[:, :, k]) flattened, so a norm is a sum of squares, never the
+    root of a negative rounding.  The rows of h and u_m in F are zero, and
+    E sums the squares of each norm's N columns.
+    """
+    t = compute_tensors(n, variant)
+    F = np.zeros((n + 2, 4, n))
+    F[2:, 0] = np.eye(n)
+    F[2:, 1] = np.diag(moment_weights(n))
+    F[2:, 2], F[2:, 3] = (np.linalg.qr(X.reshape(n * n, n), mode="r").T
+                          for X in (t.A, t.A + t.A.transpose(0, 2, 1) + t.B))
+    factors = F.reshape(n + 2, 4 * n), np.repeat(np.eye(4), n, axis=0)
+    for a in factors:
+        a.setflags(write=False)
+    return factors
+
+
+def _norm_bound(states: np.ndarray, T: np.ndarray, c: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Upper bound |u_m| + ||D (Q - u_m I) D^-1||_2 on the spectral radius of Q, without Q.
+
+    states has shape (M, N+2), and T = _moment_sum and c = sqrt(g h) of its
+    states shape (M,); D = diag(c, 1, ..., 1).  The matrix splits into the
+    (h, q) block [[-u_m, c], [l, u_m]], l = (g h - u_m^2 - T) / c, its moment
+    row (0, 2 u w), its moment column ((-2 u_m u - a) / c, 2 u) with
+    a_i = sum_jk A_ijk u_j u_k, and the moment block sum_k u_k C_k.  Its
+    2-norm is at most that of the 2 x 2 matrix of the block norms: the
+    (h, q) block's in closed form, the row's 2-norm, the column's Frobenius
+    norm with ||a|| <= ||R_A u|| ||u||, and the moment block's Frobenius norm
+    ||R u|| (see _norm_factors).  O(N^2) per state.  An overflow gives inf
+    or NaN, as does a NaN state.
+    """
+    F, E = _norm_factors(p.N, p.variant)
+    h, um = states[:, 0], states[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one C-contiguous operand: the product rounds the same for every layout
+        Y = np.ascontiguousarray(states) @ F
+        np.multiply(Y, Y, out=Y)
+        u_norm, uw_norm, a_norm, block = np.sqrt(E.T @ Y.T)
+        um_abs = np.abs(um)
+        low = (p.g * h - um * um - T) / c
+        # the 2-norm of [[a, b], [e, d]] is (|(a + d, e - b)| + |(a - d, e + b)|) / 2
+        hq = 0.5 * (np.abs(low - c) + np.sqrt(4.0 * um * um + (low + c) ** 2))
+        row = 2.0 * uw_norm
+        col = np.sqrt(((2.0 * um_abs + a_norm) * u_norm / c) ** 2 + 4.0 * u_norm * u_norm)
+        return um_abs + 0.5 * (np.sqrt((hq + block) ** 2 + (col - row) ** 2)
+                               + np.sqrt((hq - block) ** 2 + (col + row) ** 2))
+
+
+def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False, *,
+                   T: np.ndarray | None = None) -> np.ndarray | float:
     """Upper bound |u_m| + sqrt(g h + 3 T) on the characteristic speeds.
 
     For the linearized closure the eigenvalues of the quasilinear matrix Q
@@ -446,60 +506,74 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False) -> np.
     For the full closure it can fail once N >= 2.  With validate=True every
     state gets a speed at least its numeric spectral radius (up to a 1e-12
     allowance for eigen-solve roundoff), while only the states that could
-    set the maximum are eigen-solved.
+    set the maximum are eigen-solved.  T, if given, is _moment_sum of the
+    moments W[..., 2:], as a caller that already formed it passes it on.
 
-    A certificate clears most states without an eigen-solve.  It holds for
-    complex eigenvalues too, where the full closure has lost hyperbolicity:
+    Three tiers clear the states that cannot set the maximum; a state goes
+    to the next tier only if the cheaper one cannot clear it.  Both bounds
+    hold for complex eigenvalues too, where the full closure has lost
+    hyperbolicity:
 
-    - the similarity B = D Q D^-1 / s, D = diag(sqrt(g h), 1, ..., 1),
-      leaves the spectrum unchanged;
-    - the spectral radius is at most the 2-norm, rho(B) <= ||B||_2;
-    - for the PSD matrix M = B^T B, lambda_max(M)^16 <= trace(M^16).
+    1. every state: the norm bound cheap = |u_m| + ||D (Q - u_m I) D^-1||_2,
+       D = diag(sqrt(g h), 1, ..., 1), bounded by the 2-norm of the 2 x 2
+       matrix of its block norms (see _norm_bound).  It needs no Q and costs
+       O(N^2) per state.  A state with a finite cheap (1 + 1e-10) <= max(s)
+       cannot set the maximum and returns max(s, cheap).
+    2. the states left: Q is built and checked, and the certificate
+       cert = s trace(M^16)^(1/32), M = B^T B with B = D Q D^-1 / s, bounds
+       s ||B||_2 >= rho(Q).  A state with cert (1 + 1e-10) <= max(s) returns
+       max(s, cert).
+    3. the states left are eigen-solved and keep the plain rule: if the
+       numeric radius exceeds s (1 + 1e-12) in any of them, they return
+       max(s, radius) and one WaveSpeedBoundWarning counts the exceeding
+       states; otherwise they return s.
 
-    So cert = s trace(M^16)^(1/32) >= s ||B||_2 >= rho(Q).  A state with
-    cert (1 + 1e-10) <= max(s) cannot set the maximum and returns
-    max(s, cert).  The others are eigen-solved and keep the plain rule: if
-    the numeric radius exceeds s (1 + 1e-12) in any of them, they return
-    max(s, radius) and one WaveSpeedBoundWarning counts the exceeding states;
-    otherwise they return s.  So the maximum differs from that of a full
-    eigen-solve only when the radius exceeds the allowance in cleared states
-    alone, and then by less than the allowance.  A state whose Q is not
-    finite (an overflowed velocity, say) raises DryStateError naming it.
+    So the maximum differs from that of a full eigen-solve only when the
+    radius exceeds the allowance in cleared states alone, and then by less
+    than the allowance.  A NaN bound or speed clears nothing.  A state whose
+    Q is not finite (an overflowed velocity, say) has an infinite or NaN
+    cheap bound, so it reaches tier 2, which raises DryStateError naming it.
 
-    max(s) is taken over all states first; Q, its finiteness check, the
-    certificate and the eigen-solve then go one block of states at a time,
-    SPEED_BLOCK_BYTES of Q per block, so the memory they take does not grow
-    with the states.  Every state's speed, and the state an error names,
-    are the same as from one block; a call whose Q fits the budget is one.
+    max(s) and the cheap bound are taken over all states first; Q, its
+    finiteness check, the certificate and the eigen-solve then go one block
+    of the states tier 1 leaves at a time, SPEED_BLOCK_BYTES of Q per block,
+    so the memory they take does not grow with the states.  Every state's
+    speed, and the state an error names, are the same as from one block; a
+    call whose Q fits the budget is one.
     """
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
     check_wet(h)
-    T = _moment_sum(u)
+    if T is None:
+        T = _moment_sum(u)
     s = _wave_speed(h, um, T, p.g)
     if validate:
         n = W.shape[-1]
         s = s.reshape(-1)
         cap = np.max(s, initial=0.0)
-        size = max(1, SPEED_BLOCK_BYTES // (8 * n * n))
         states, T = W.reshape(-1, n), T.reshape(-1)
-        speeds, cand, radius = np.empty_like(s), [], []
-        for start in range(0, max(len(s), 1), size):
-            block = slice(start, start + size)
+        c = np.sqrt(p.g * states[:, 0])
+        cheap = _norm_bound(states, T, c, p)
+        speeds = np.maximum(s, cheap)
+        # the negated test keeps a NaN bound or speed; an infinite bound may have a non-finite Q
+        left = np.flatnonzero(~((cheap * (1.0 + 1e-10) <= cap) & (cheap < np.inf)))
+        size = max(1, SPEED_BLOCK_BYTES // (8 * n * n))
+        cand, radius = [left[:0]], [np.empty(0)]
+        for start in range(0, len(left), size):
+            block = left[start:start + size]
             Q = _quasilinear(states[block], T[block], p)
             finite = np.isfinite(Q).all(axis=(1, 2))
             if not finite.all():
                 # an overflowed state cannot be eigen-solved; name it instead
-                idx = tuple(int(i) for i in np.unravel_index(start + int(np.argmin(finite)),
+                idx = tuple(int(i) for i in np.unravel_index(block[np.argmin(finite)],
                                                               W.shape[:-1]))
                 raise DryStateError("invalid state: non-finite quasilinear matrix at cell "
                                     f"{idx[0] if len(idx) == 1 else idx}", index=idx)
-            bound = _spectral_bound(Q, np.sqrt(p.g * states[block, 0]), s[block])
-            # the negated test keeps a NaN certificate or speed eigen-solved
+            bound = _spectral_bound(Q, c[block], s[block])
             solve = ~(bound * (1.0 + 1e-10) <= cap)
-            cand.append(start + np.flatnonzero(solve))
+            cand.append(block[solve])
             radius.append(np.abs(np.linalg.eigvals(Q[solve])).max(axis=-1))
-            np.maximum(s[block], bound, out=speeds[block])
+            speeds[block] = np.maximum(s[block], bound)
         # one rule over the eigen-solved states of every block, as in one block
         cand, radius = np.concatenate(cand), np.concatenate(radius)
         s_cand = s[cand]

@@ -346,19 +346,22 @@ def apply_boundary(X: np.ndarray, kind: str) -> np.ndarray:
     return ext
 
 
-def cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float) -> float:
+def cfl_dt(W: np.ndarray, grid: Grid1D, params: ModelParams, cfl: float, *,
+           T: np.ndarray | None = None) -> float:
     """Time step cfl * dx / (largest wave-speed bound over the cells).
 
-    W holds validated primitive states, as to_primitive returns them.
+    W holds validated primitive states, as to_primitive returns them; T, if
+    given, is their _moment_sum(W[:, 2:]).
     """
+    if T is None and params.N:
+        T = _moment_sum(W[:, 2:])
     if params.variant is Variant.SWME:
         # the analytic bound can fail for the full closure; it is validated
         # against the spectrum where it could set the maximum
-        speeds = max_wave_speed(W, params, validate=True)
+        speeds = max_wave_speed(W, params, validate=True, T=T)
     else:
         # the analytic bound is exact for the linearized closure
-        speeds = _wave_speed(W[:, 0], W[:, 1], _moment_sum(W[:, 2:]) if params.N else None,
-                             params.g)
+        speeds = _wave_speed(W[:, 0], W[:, 1], T if params.N else None, params.g)
     return cfl * grid.dx / float(np.max(speeds))
 
 
@@ -555,9 +558,12 @@ def step(U: np.ndarray, dt: float, scenario: Scenario) -> np.ndarray:
 
 
 def _summary_row(t: float, U: np.ndarray, W: np.ndarray, b: np.ndarray, g: float,
-                 dx: float, snapshot: bool) -> StateRecord:
-    """The record of states U (primitive W) at time t, with its arrays if it is a snapshot."""
-    e = _energy_density(W, b, g)
+                 dx: float, snapshot: bool, T: np.ndarray | None = None) -> StateRecord:
+    """The record of states U at time t, with its arrays if it is a snapshot.
+
+    W is the primitive of U and T, if given, its _moment_sum(W[:, 2:]).
+    """
+    e = _energy_density(W, b, g, T)
     return StateRecord(float(t), float(U[:, 0].sum() * dx), float(U[:, 1].sum() * dx),
                        float(e.sum() * dx), *((U, W, e) if snapshot else ()))
 
@@ -587,9 +593,11 @@ def run(scenario: Scenario, sink=None):
     t, n_steps, failure = 0.0, 0, None
     snap = True  # the initial state is always a snapshot
     while True:
-        # each state is converted and validated once, for its record and the next step
+        # each state is converted and validated once, and its moment sum formed
+        # once, for its record and the next step
         W = to_primitive(U)
-        sink.record(_summary_row(t, U, W, b, p.g, grid.dx, snapshot=snap))
+        T = _moment_sum(W[:, 2:]) if p.N else None
+        sink.record(_summary_row(t, U, W, b, p.g, grid.dx, snapshot=snap, T=T))
         if t >= scenario.t_end:
             break
         if n_steps >= MAX_STEPS:
@@ -599,8 +607,8 @@ def run(scenario: Scenario, sink=None):
             k += 1
         next_target = min(k * spacing, scenario.t_end) if k < snapshots else scenario.t_end
         try:
-            dt = cfl_dt(W, grid, p, scenario.cfl)
-            del W  # the step reads only U; holding W would raise its peak memory
+            dt = cfl_dt(W, grid, p, scenario.cfl, T=T)
+            del W, T  # the step reads only U; holding W would raise its peak memory
             landed = t + dt >= next_target
             if landed:
                 dt = next_target - t

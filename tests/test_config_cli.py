@@ -665,7 +665,7 @@ class TestRunCommand:
         assert (tmp_path / "o" / "summary.csv").exists()
 
     def test_time_step_underflow_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("swlme.solver.cfl_dt", lambda *args: 0.0)
+        monkeypatch.setattr("swlme.solver.cfl_dt", lambda *args, **kwargs: 0.0)
         path = self.write(tmp_path, DAM_CFG.format(path=tmp_path / "o"))
         assert main(["run", path]) == 2
         err = capsys.readouterr().err
@@ -912,7 +912,7 @@ class TestConvergeCommand:
         assert captured.out == "" and captured.err == message
 
     def test_time_step_underflow_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("swlme.solver.cfl_dt", lambda *args: 0.0)
+        monkeypatch.setattr("swlme.solver.cfl_dt", lambda *args, **kwargs: 0.0)
         cfg = tmp_path / "dam.cfg"
         cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
         assert main(["converge", str(cfg), "--meshes", "50,100"]) == 2

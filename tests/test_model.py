@@ -20,7 +20,11 @@ from swlme.model import (
     _contract,
     _flux_rows,
     _moment_sum,
+    _norm_bound,
     _path_rows,
+    _quasilinear,
+    _spectral_bound,
+    _wave_speed,
     boussinesq_beta,
     check_wet,
     energy,
@@ -647,6 +651,62 @@ def full_eigen_wave_speed(W, p):
     return float(s) if W.ndim == 1 else s
 
 
+def certified_wave_speed_reference(W, p):
+    """max_wave_speed(W, p, validate=True) as it was before the norm bound: Q and the certificate
+    formed for every state, a block at a time, and only the uncertified states eigen-solved."""
+    W = np.asarray(W, dtype=float)
+    h, um, u = W[..., 0], W[..., 1], W[..., 2:]
+    check_wet(h)
+    T = _moment_sum(u)
+    s = _wave_speed(h, um, T, p.g).reshape(-1)
+    n = W.shape[-1]
+    cap = np.max(s, initial=0.0)
+    size = max(1, swlme.model.SPEED_BLOCK_BYTES // (8 * n * n))
+    states, T = W.reshape(-1, n), T.reshape(-1)
+    speeds, cand, radius = np.empty_like(s), [], []
+    for start in range(0, max(len(s), 1), size):
+        block = slice(start, start + size)
+        Q = _quasilinear(states[block], T[block], p)
+        finite = np.isfinite(Q).all(axis=(1, 2))
+        if not finite.all():
+            idx = tuple(int(i) for i in np.unravel_index(start + int(np.argmin(finite)),
+                                                          W.shape[:-1]))
+            raise DryStateError("invalid state: non-finite quasilinear matrix at cell "
+                                f"{idx[0] if len(idx) == 1 else idx}", index=idx)
+        bound = _spectral_bound(Q, np.sqrt(p.g * states[block, 0]), s[block])
+        solve = ~(bound * (1.0 + 1e-10) <= cap)
+        cand.append(start + np.flatnonzero(solve))
+        radius.append(np.abs(np.linalg.eigvals(Q[solve])).max(axis=-1))
+        np.maximum(s[block], bound, out=speeds[block])
+    cand, radius = np.concatenate(cand), np.concatenate(radius)
+    s_cand = s[cand]
+    exceeded = radius > s_cand * (1.0 + 1e-12)
+    if np.any(exceeded):
+        warnings.warn(f"analytic wave-speed bound exceeded at {int(np.count_nonzero(exceeded))} "
+                      "state(s); using the numeric spectral radius", WaveSpeedBoundWarning)
+        s_cand = np.maximum(s_cand, radius)
+    speeds[cand] = s_cand
+    s = speeds.reshape(W.shape[:-1])
+    return float(s) if W.ndim == 1 else s
+
+
+def eigen_solved_states(monkeypatch, fn, *args):
+    """(fn(*args), its warning texts, the number of states it handed np.linalg.eigvals)."""
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        solved.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
+        return eigvals(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn(*args)
+    return out, [str(w.message) for w in caught], sum(solved)
+
+
 class TestValidatedWaveSpeed:
     def test_certified_bound_and_maximum_on_random_states(self):
         # moments as large as the mean velocity make the full closure lose
@@ -661,11 +721,27 @@ class TestValidatedWaveSpeed:
                     warnings.simplefilter("ignore", WaveSpeedBoundWarning)
                     s = max_wave_speed(W, p, validate=True)
                     reference = full_eigen_wave_speed(W, p)
+                    certified = certified_wave_speed_reference(W, p)
                 lam = np.linalg.eigvals(quasilinear_matrix(W, p))
                 complex_states += np.count_nonzero(np.any(lam.imag != 0.0, axis=-1))
                 assert np.all(s >= np.abs(lam).max(axis=-1) * (1.0 - 1e-12))
                 assert np.max(s).tobytes() == np.max(reference).tobytes()
+                assert np.max(s).tobytes() == np.max(certified).tobytes()
         assert complex_states > 5000
+
+    def test_tiers_keep_the_warnings_of_the_certified_body(self, monkeypatch):
+        # the norm bound clears a state before its Q is built; what it clears
+        # the certificate cleared too, or the state could not set the maximum
+        rng = np.random.default_rng(22)
+        for n in (2, 3, 5, 8):
+            p = params(n, g=9.81, variant=Variant.SWME)
+            for vel in (0.3, 2.0):
+                W = random_primitive(rng, 200, n, h_range=(0.1, 3.0), vel_range=(-vel, vel))
+                s, texts, solved = eigen_solved_states(monkeypatch, max_wave_speed, W, p, True)
+                ref, ref_texts, ref_solved = eigen_solved_states(
+                    monkeypatch, certified_wave_speed_reference, W, p)
+                assert np.max(s).tobytes() == np.max(ref).tobytes(), (n, vel)
+                assert texts == ref_texts and solved <= ref_solved, (n, vel)
 
     def test_warning_counts_eigen_solved_states(self):
         p = params(2, variant=Variant.SWME)
@@ -695,6 +771,74 @@ class TestValidatedWaveSpeed:
             flat = max_wave_speed(W, p, validate=True)
             np.testing.assert_array_equal(max_wave_speed(W.reshape(3, 4, 5), p, validate=True),
                                           flat.reshape(3, 4))
+
+
+def spectral_radius(W, p):
+    """Each state's largest |eigenvalue| of Q, and whether any of its eigenvalues is complex."""
+    lam = np.linalg.eigvals(quasilinear_matrix(W, p))
+    return np.abs(lam).max(axis=-1), np.any(lam.imag != 0.0, axis=-1)
+
+
+def norm_bound(W, p):
+    """_norm_bound of states W, shape (M, N+2), as max_wave_speed forms it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm_bound(W, _moment_sum(W[:, 2:]), np.sqrt(p.g * W[:, 0]), p)
+
+
+class TestNormBound:
+    """The norm bound |u_m| + ||D (Q - u_m I) D^-1||_2 needs no Q and bounds the spectral radius."""
+
+    @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 16])
+    def test_bounds_the_spectral_radius(self, n, variant):
+        rng = np.random.default_rng(70 + n)
+        p = params(n, g=9.81, variant=variant)
+        # subcritical, moments up to the mean velocity's scale
+        W = random_primitive(rng, 600, n, h_range=(0.1, 3.0), vel_range=(-2.0, 2.0))
+        # supercritical, Froude number up to about 300, moments up to a tenth of u_m
+        V = np.empty((400, n + 2))
+        V[:, 0] = 10.0 ** rng.uniform(-2.0, 0.5, 400)
+        froude = 10.0 ** rng.uniform(0.0, 2.5, 400)
+        V[:, 1] = rng.choice([-1.0, 1.0], 400) * froude * np.sqrt(p.g * V[:, 0])
+        V[:, 2:] = 0.1 * V[:, 1:2] * rng.uniform(-1.0, 1.0, (400, n))
+        V[0, :2] = [1.0, 1000.0]
+        W = np.concatenate([W, V])
+        assert np.max(np.abs(W[:, 1]) / np.sqrt(p.g * W[:, 0])) > 250.0
+        radius, complex_ = spectral_radius(W, p)
+        cheap = norm_bound(W, p)
+        assert np.all(cheap >= radius * (1.0 - 1e-12)), np.min(cheap / radius)
+        if variant is Variant.SWME and n >= 3:
+            assert np.count_nonzero(complex_[:600]) > 60  # hyperbolicity lost in a good share
+
+    def test_rest_state_is_sharp(self):
+        # no velocity: Q - u_m I is [[0, 1], [g h, 0]], whose balanced 2-norm is sqrt(g h)
+        p = params(3, g=9.81, variant=Variant.SWME)
+        W = np.array([[2.0, 0.0, 0.0, 0.0, 0.0]])
+        assert norm_bound(W, p)[0] == pytest.approx(np.sqrt(9.81 * 2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("state", [[1.0, 1e200, 0.1, 0.0, 0.2], [1.0, 0.3, 1e200, 0.0, 0.2],
+                                       [1.0, 1e154, 1e154, 0.0, 0.0], [1.0, np.inf, 0.1, 0.0, 0.2]])
+    def test_overflowing_state_is_never_cleared(self, state):
+        # a non-finite Q gives a non-finite norm bound, so max_wave_speed builds
+        # that state's Q and names it
+        p = params(3, variant=Variant.SWME)
+        W = np.array([state])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_quasilinear(W, _moment_sum(W[:, 2:]), p)).all()
+        assert not np.isfinite(norm_bound(W, p)[0])
+
+    def test_first_overflowed_state_is_named_beside_an_infinite_speed(self):
+        # an infinite velocity makes max(s) inf; only a finite norm bound may
+        # clear a state then, so cell 2, whose bound is inf, is still named first
+        p = params(3, variant=Variant.SWME)
+        W = random_primitive(np.random.default_rng(71), 10, 3)
+        W[2, 1], W[6, 1] = 1e200, np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for call in (lambda: max_wave_speed(W, p, validate=True),
+                         lambda: certified_wave_speed_reference(W, p)):
+                with pytest.raises(DryStateError, match="non-finite quasilinear matrix at cell 2$"):
+                    call()
 
 
 def validated_with_warnings(W, p):

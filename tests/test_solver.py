@@ -37,6 +37,8 @@ from swlme.solver import (
     step,
 )
 from test_model import (
+    certified_wave_speed_reference,
+    eigen_solved_states,
     full_eigen_wave_speed,
     outcome,
     reference_check_wet,
@@ -297,13 +299,51 @@ class TestCflDt:
         assert dt > 0.0 and len(solved) == 1
         assert sum(solved) < 0.1 * sc.grid.cells
 
+    def test_full_closure_builds_few_quasilinear_matrices(self, monkeypatch):
+        # regression guard on the norm bound: counts states, not seconds, on
+        # the states cfl_dt sees in the first steps of the benchmark's flow
+        sc = swme_smooth_scenario(cells=800, t_end=0.005)
+        seen = []
+        real_cfl_dt = swlme.solver.cfl_dt
+
+        def recorded(W, *args, **kwargs):
+            seen.append(W.copy())
+            return real_cfl_dt(W, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(swlme.solver, "cfl_dt", recorded)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+                assert run(sc).failure is None
+        assert len(seen) > 10
+        built = []
+        quasilinear = swlme.model._quasilinear
+
+        def counted(W, T, p):
+            built.append(len(W))
+            return quasilinear(W, T, p)
+
+        for W in seen:
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(swlme.model, "_quasilinear", counted)
+                s, texts, solved = eigen_solved_states(monkeypatch, max_wave_speed, W, sc.params,
+                                                       True)
+            assert sum(built) < 0.15 * sc.grid.cells
+            # against the certified body it replaced: the same maximum and warning,
+            # and no more eigen-solved states
+            ref, ref_texts, ref_solved = eigen_solved_states(
+                monkeypatch, certified_wave_speed_reference, W, sc.params)
+            assert np.max(s).tobytes() == np.max(ref).tobytes()
+            assert texts == ref_texts and solved <= ref_solved
+
     def test_full_closure_run_matches_full_eigen_solve(self, monkeypatch):
         sc = swme_smooth_scenario(cells=100, t_end=0.05, output_snapshots=4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WaveSpeedBoundWarning)
             pruned = run(sc)
             monkeypatch.setattr(swlme.solver, "max_wave_speed",
-                                lambda W, p, validate=False: full_eigen_wave_speed(W, p))
+                                lambda W, p, validate=False, T=None: full_eigen_wave_speed(W, p))
             reference = run(sc)
         assert pruned.failure is None and len(pruned.steps) > 10
         assert pruned.times == reference.times
@@ -839,6 +879,30 @@ SNAPSHOT_CASES = [pytest.param(400, 7, 0.6, id="400-7"), pytest.param(5, 0, 0.6,
 
 
 class TestRun:
+    @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+    def test_moment_sum_formed_once_per_state(self, monkeypatch, variant):
+        # the energy summary and cfl_dt share each state's moment sum; the
+        # kernel's sums are over (cells+2, N) views, so they are not counted
+        sc = Scenario(params=ModelParams(g=9.81, N=3, variant=variant),
+                      grid=Grid1D(0.0, 1.0, 40), ic_name="smooth_periodic",
+                      ic_params={"h0": 1.0, "h_amp": 0.1, "um_amp": 0.2, "u_amp": 0.1},
+                      boundary="periodic", t_end=0.05)
+        per_state = []
+        moment_sum = swlme.model._moment_sum
+
+        def counted(u):
+            if u.shape == (40, 3):
+                per_state.append(None)
+            return moment_sum(u)
+
+        for module in (swlme.model, swlme.solver):
+            monkeypatch.setattr(module, "_moment_sum", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            traj = run(sc)
+        assert traj.failure is None and len(traj.steps) > 5
+        assert len(per_state) == len(traj.steps)
+
     def test_zero_time(self):
         sc = scenario(cells=10, ic_params={"h": 1.0}, t_end=0.0)
         traj = run(sc)
@@ -900,7 +964,7 @@ class TestRun:
         assert len(traj.snapshots) >= 1 and len(traj.steps) >= 1
 
     def test_time_step_underflow_returns_partial_trajectory(self, monkeypatch):
-        monkeypatch.setattr(swlme.solver, "cfl_dt", lambda *args: 0.0)
+        monkeypatch.setattr(swlme.solver, "cfl_dt", lambda *args, **kwargs: 0.0)
         sc = scenario(cells=10, ic_params={"h": 1.0}, t_end=1.0)
         traj = run(sc)
         assert traj.failure == "time step underflow at t = 0.0"
