@@ -29,6 +29,7 @@ from swlme.basis import Variant, compute_tensors
 from swlme.config import ConfigError, build_scenario, config_key, format_config, load_config
 from swlme.diagnostics import (
     FreeSample,
+    SampleStream,
     check_total_energy_identity,
     convergence_study,
     gradient_check_entropy,
@@ -44,7 +45,8 @@ IDENTITY_TOL = 1e-12
 GRADIENT_TOL = 1e-6
 GRAVITIES = (1.0, 9.81)
 CSV_CHUNK_ROWS = 256
-# `check` draws each order's whole sample up front; this bounds the largest one
+# bounds the work one `check` order may ask for: the bytes its sample would take if
+# drawn whole.  It is drawn block by block, so memory is bounded by diagnostics._BLOCK.
 CHECK_SAMPLE_BYTES = 1 << 30
 
 
@@ -85,11 +87,10 @@ def _check_identities(orders, samples, seed):
     """Worst defects of every identity per moment order; list of result rows."""
     rows = []
     for n in orders:
-        rng = np.random.default_rng(seed)
-        sample = FreeSample.random(rng, samples, n)
+        # FreeSample.random(default_rng(seed), samples, n), drawn block by block as checked
+        sample = SampleStream(seed, samples, n)
         for g, defects in check_total_energy_identity(sample, GRAVITIES).items():
             rows += [(n, g, name, defect, IDENTITY_TOL) for name, defect in defects.items()]
-        del sample  # not held while the next order's sample is drawn
     return rows
 
 

@@ -11,9 +11,11 @@ are normalized by the sum of the absolute values of the combined terms.
 check_total_energy_identity walks a batch once, in blocks of _BLOCK
 samples, and returns the largest per-block defect of every identity at
 every gravity, so the memory it needs beyond the sample itself does not
-grow with the batch size.  A block builds its gravity-free terms and its
-moment equations once; only the equations that read g are built per
-gravity.
+grow with the batch size.  A SampleStream has no sample to hold: each block
+draws its own slice of the seeded random sample, so a check of a
+SampleStream needs memory bounded by _BLOCK alone.  A block builds its
+gravity-free terms and its moment equations once; only the equations that
+read g are built per gravity.
 
 Every equation is a plain list of equally shaped term arrays, combined by
 list concatenation and scaled term by term; a moment equation joins a
@@ -92,17 +94,52 @@ class FreeSample:
 
     @classmethod
     def random(cls, rng: np.random.Generator, size: int, n_moments: int):
-        """Batch of samples: h in [0.1, 3], b in [0, 1], every other value in [-2, 2]."""
-        def scalars():
-            return rng.uniform(-2.0, 2.0, size)
-        def moments():
-            return rng.uniform(-2.0, 2.0, (size, n_moments))
-        return cls(
-            h=rng.uniform(0.1, 3.0, size), um=scalars(), u=moments(),
-            b=rng.uniform(0.0, 1.0, size),
-            dt_h=scalars(), dx_h=scalars(), dt_um=scalars(), dx_um=scalars(),
-            dt_u=moments(), dx_u=moments(), dx_b=scalars(),
-        )
+        """Batch of samples: h in [0.1, 3], b in [0, 1], every other value in [-2, 2].
+
+        The fields are drawn in _RANDOM_FIELDS order, each whole, moment
+        fields row-major; SampleStream draws the same values block by block.
+        """
+        return cls(**{name: rng.uniform(low, high, (size, n_moments) if name in _MOMENT_FIELDS
+                                        else size)
+                      for name, low, high in _RANDOM_FIELDS})
+
+
+# the fields FreeSample.random draws, in its order, with their bounds
+_RANDOM_FIELDS = (
+    ("h", 0.1, 3.0), ("um", -2.0, 2.0), ("u", -2.0, 2.0), ("b", 0.0, 1.0),
+    ("dt_h", -2.0, 2.0), ("dx_h", -2.0, 2.0), ("dt_um", -2.0, 2.0), ("dx_um", -2.0, 2.0),
+    ("dt_u", -2.0, 2.0), ("dx_u", -2.0, 2.0), ("dx_b", -2.0, 2.0),
+)
+
+
+class SampleStream:
+    """FreeSample.random(np.random.default_rng(seed), size, n_moments), one block at a time.
+
+    block(start, stop) is bitwise the [start:stop] slice of every field of
+    that sample, and draws nothing else.  Generator.uniform takes one 64-bit
+    output of PCG64 per double, and PCG64 jumps ahead exactly, so each
+    field's slice is drawn from PCG64(seed) advanced past the fields drawn
+    before it (size x width outputs each, width N for a moment field and 1
+    otherwise) and past the slice's first `start` rows.  A block does not
+    depend on any other having been drawn, so a forked worker draws its own
+    blocks, and a walk over the blocks holds one block, whatever the size.
+    """
+
+    def __init__(self, seed: int, size: int, n_moments: int):
+        self.size, self.n_moments = size, n_moments
+        self._bits = np.random.PCG64(seed)
+        self._start_state, self._rng = self._bits.state, np.random.Generator(self._bits)
+
+    def block(self, start: int, stop: int) -> FreeSample:
+        drawn, offset = {}, 0  # offset: outputs the fields before this one take
+        for name, low, high in _RANDOM_FIELDS:
+            tail = (self.n_moments,) if name in _MOMENT_FIELDS else ()
+            width = math.prod(tail)
+            self._bits.state = self._start_state
+            self._bits.advance(offset + start * width)
+            drawn[name] = self._rng.uniform(low, high, (stop - start,) + tail)
+            offset += self.size * width
+        return FreeSample(**drawn)
 
 
 def _term_sum(terms, absolute: bool = False) -> np.ndarray:
@@ -276,24 +313,40 @@ class _Expansions:
         )]
 
 
-def _blocks(s: FreeSample):
-    """Consecutive FreeSample slices of at most _BLOCK samples.
+class _FlatSample:
+    """A FreeSample's fields broadcast to its batch shape and flattened, sliced like SampleStream.
 
-    Every field is broadcast to the common batch shape and flattened, so
-    scalar fields and batches of any rank give 1-D blocks.  An empty batch
-    yields one empty block, on which every defect is 0.0.
+    Scalar fields and batches of any rank give 1-D blocks.
     """
-    n = s.n_moments
-    arrays = {f.name: getattr(s, f.name) for f in fields(s)}
-    batch = np.broadcast_shapes(*(a.shape[:-1] if name in _MOMENT_FIELDS else a.shape
-                                  for name, a in arrays.items()))
-    size = math.prod(batch)
-    flat = {}
-    for name, a in arrays.items():
-        tail = (n,) if name in _MOMENT_FIELDS else ()
-        flat[name] = np.broadcast_to(a, batch + tail).reshape((size,) + tail)
-    for start in range(0, max(size, 1), _BLOCK):
-        yield FreeSample(**{name: a[start:start + _BLOCK] for name, a in flat.items()})
+
+    def __init__(self, s: FreeSample):
+        self.n_moments = n = s.n_moments
+        arrays = {f.name: getattr(s, f.name) for f in fields(s)}
+        batch = np.broadcast_shapes(*(a.shape[:-1] if name in _MOMENT_FIELDS else a.shape
+                                      for name, a in arrays.items()))
+        self.size = math.prod(batch)
+        self.flat = {}
+        for name, a in arrays.items():
+            tail = (n,) if name in _MOMENT_FIELDS else ()
+            self.flat[name] = np.broadcast_to(a, batch + tail).reshape((self.size,) + tail)
+
+    def block(self, start: int, stop: int) -> FreeSample:
+        return FreeSample(**{name: a[start:stop] for name, a in self.flat.items()})
+
+
+def _block_ranges(size: int) -> list:
+    """(start, stop) of consecutive blocks of at most _BLOCK samples; 0 samples make one empty block."""
+    return [(start, min(start + _BLOCK, size)) for start in range(0, max(size, 1), _BLOCK)]
+
+
+def _blocks(s, ranges=None):
+    """FreeSample blocks of s, a FreeSample or a SampleStream, over `ranges` (default: every block).
+
+    An empty batch yields one empty block, on which every defect is 0.0.
+    """
+    src = _FlatSample(s) if isinstance(s, FreeSample) else s
+    for start, stop in _block_ranges(src.size) if ranges is None else ranges:
+        yield src.block(start, stop)
 
 
 def _block_defects(s: FreeSample, gravities) -> dict:
@@ -339,11 +392,12 @@ def _block_defects(s: FreeSample, gravities) -> dict:
     return out
 
 
-def check_total_energy_identity(s: FreeSample, gravities) -> dict:
+def check_total_energy_identity(s, gravities) -> dict:
     """Max relative defect of the energy derivation, per gravity: {g: {identity: defect}}.
 
-    "total energy identity" comes first: contracting the balance residuals
-    with the entropy variables must reproduce the energy residual,
+    s is a FreeSample, or a SampleStream that draws each block as it is
+    checked.  "total energy identity" comes first: contracting the balance
+    residuals with the entropy variables must reproduce the energy residual,
     q1 R_C + q2 R_M + sum_i q_ui R_ui = R_E, for arbitrary slot values.
     The intermediate steps follow.  Each compares an independently
     expanded form of one displayed equation against the stated combination
@@ -354,16 +408,19 @@ def check_total_energy_identity(s: FreeSample, gravities) -> dict:
     is the total kinetic plus potential energy.  The moment-equation steps
     exist for N >= 1 only.  Every identity at every gravity is evaluated in
     one walk over the blocks (_blocks); with two blocks or more, a forked
-    worker takes the second half of them (_fan_out).  RuntimeError names the
+    worker takes the second half of the block ranges (_fan_out), and a
+    SampleStream's worker draws its blocks itself.  RuntimeError names the
     order if the worker is lost.
     """
-    def defects(share):
-        return [_block_defects(blk, gravities) for blk in share]
+    src = _FlatSample(s) if isinstance(s, FreeSample) else s
 
-    blocks = list(_blocks(s))
-    half = len(blocks) // 2
-    shares = [blocks[:half], blocks[half:]] if _fan_out_ok(len(blocks)) else [blocks]
-    per_block = sum(_fan_out(defects, shares, f"identity check at N={s.n_moments}"), [])
+    def defects(share):
+        return [_block_defects(blk, gravities) for blk in _blocks(src, share)]
+
+    ranges = _block_ranges(src.size)
+    half = len(ranges) // 2
+    shares = [ranges[:half], ranges[half:]] if _fan_out_ok(len(ranges)) else [ranges]
+    per_block = sum(_fan_out(defects, shares, f"identity check at N={src.n_moments}"), [])
     return {g: {name: float(np.max([d[g][name] for d in per_block])) for name in per_block[0][g]}
             for g in gravities}
 

@@ -379,7 +379,8 @@ class TestCheckCommand:
     @pytest.mark.parametrize("argv", [["--N", "5", "--samples", "20000000"],
                                       ["--N", "0,64", "--samples", "671089"]])
     def test_rejects_samples_over_memory_budget(self, capsys, monkeypatch, argv):
-        # the sample is drawn whole, (8 + 3N) floats each, before any block is checked
+        # the cap bounds the work asked for: the sample's bytes, (8 + 3N) floats each, if it
+        # were drawn whole; it is drawn block by block, so memory is bounded by the block
         self.rejected(capsys, monkeypatch, argv, "--samples")
 
     @pytest.mark.parametrize("argv", [["--N", "64"], ["--N", "64", "--samples", "671088"]])

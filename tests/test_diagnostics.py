@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import swlme._worker
+import swlme.cli
 import swlme.diagnostics
 from swlme._worker import _fan_out, _fan_out_ok
 from swlme.cli import main
 from swlme.diagnostics import (
     _BLOCK,
     FreeSample,
+    SampleStream,
     _blocks,
     _Expansions,
     _term_sum,
@@ -373,6 +375,81 @@ class TestBlockedChecks:
         assert self.expansions(monkeypatch, 2) == [_BLOCK]
 
 
+class TestSampleStream:
+    """SampleStream blocks are bitwise slices of FreeSample.random(default_rng(seed), ...)."""
+
+    @staticmethod
+    def assert_bitwise(got: FreeSample, want: FreeSample):
+        for f in dataclasses.fields(FreeSample):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.shape == b.shape, f.name
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), f.name
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17])
+    @pytest.mark.parametrize("n", [0, 1, 5])  # at N = 0 the moment fields take no draws
+    def test_blocks_are_slices_of_the_whole_sample(self, size, n):
+        want = FreeSample.random(np.random.default_rng(53), size, n)
+        stream, flat = SampleStream(53, size, n), swlme.diagnostics._FlatSample(want)
+        assert (stream.size, stream.n_moments) == (size, n)
+        # last block first: a worker's first block does not need the earlier ones drawn
+        for start, stop in reversed(swlme.diagnostics._block_ranges(size)):
+            self.assert_bitwise(stream.block(start, stop), flat.block(start, stop))
+
+    def test_unaligned_ranges(self):
+        want = swlme.diagnostics._FlatSample(FreeSample.random(np.random.default_rng(54), 500, 3))
+        stream = SampleStream(54, 500, 3)
+        for start, stop in [(499, 500), (7, 300), (0, 1), (250, 250), (0, 500), (123, 124)]:
+            self.assert_bitwise(stream.block(start, stop), want.block(start, stop))
+
+    def test_random_draws_the_fields_in_order(self):
+        # FreeSample.random's body before its draws were tabled, as the reference
+        rng, size, n = np.random.default_rng(55), 37, 2
+
+        def scalars():
+            return rng.uniform(-2.0, 2.0, size)
+
+        def moments():
+            return rng.uniform(-2.0, 2.0, (size, n))
+
+        want = FreeSample(
+            h=rng.uniform(0.1, 3.0, size), um=scalars(), u=moments(),
+            b=rng.uniform(0.0, 1.0, size),
+            dt_h=scalars(), dx_h=scalars(), dt_um=scalars(), dx_um=scalars(),
+            dt_u=moments(), dx_u=moments(), dx_b=scalars(),
+        )
+        self.assert_bitwise(FreeSample.random(np.random.default_rng(55), size, n), want)
+
+    @pytest.mark.parametrize("size", [1, _BLOCK + 1, 2 * _BLOCK + 17])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_check_matches_the_whole_sample(self, size, n):
+        whole = FreeSample.random(np.random.default_rng(56), size, n)
+        assert (check_total_energy_identity(SampleStream(56, size, n), (1.0, 9.81))
+                == check_total_energy_identity(whole, (1.0, 9.81)))
+
+    @staticmethod
+    def drawn(monkeypatch, cpus, size):
+        """(start, stop) of the blocks drawn in this process by `check` of one order."""
+        ranges, block = [], SampleStream.block
+
+        def counted(self, start, stop):
+            ranges.append((start, stop))
+            return block(self, start, stop)
+
+        monkeypatch.setattr(SampleStream, "block", counted)
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
+        swlme.cli._check_identities([2], size, 57)
+        return ranges
+
+    def test_caller_draws_only_its_blocks(self, monkeypatch, forks):
+        # with two CPUs a forked worker draws and checks the second half of the blocks
+        assert self.drawn(monkeypatch, 2, 2 * _BLOCK + 17) == [(0, _BLOCK)]
+        assert len(forks) == 1
+
+    def test_one_draw_per_block(self, monkeypatch):
+        assert self.drawn(monkeypatch, 1, 2 * _BLOCK + 17) == [
+            (0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, 2 * _BLOCK + 17)]
+
+
 class TestTermSum:
     """_term_sum is np.add.reduce over a contiguous trailing axis, bit for bit."""
 
@@ -408,14 +485,15 @@ class TestNanSlot:
         assert all(forms[name] <= 1e-12 for name in set(forms) - READS_DX_B)
 
     def test_check_command_reports_fail(self, capsys, monkeypatch):
-        random = FreeSample.random
+        block = SampleStream.block
 
-        def with_nan_slot(*args, **kwargs):
-            s = random(*args, **kwargs)
-            s.dx_b[-1] = np.nan
+        def with_nan_slot(self, start, stop):
+            s = block(self, start, stop)
+            if stop == self.size:  # the last sample of the last block
+                s.dx_b[-1] = np.nan
             return s
 
-        monkeypatch.setattr(FreeSample, "random", staticmethod(with_nan_slot))
+        monkeypatch.setattr(SampleStream, "block", with_nan_slot)
         assert main(["check", "--N", "1", "--samples", "50", "--seed", "3"]) == 1
         out, err = capsys.readouterr()
         failed = {" ".join(line.split()[2:-3]) for line in out.splitlines()
@@ -438,6 +516,21 @@ def test_check_memory_stays_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"the check peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_check_command_memory_does_not_grow_with_the_sample(monkeypatch):
+    # `check`'s default size at N = 5: the whole sample takes 17.5 MiB, so a
+    # check that holds it peaks near 27 MiB, and one that draws each block
+    # near 10 MiB.  One CPU keeps every block in this process, where
+    # tracemalloc sees it.
+    monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        swlme.cli._check_identities([5], 100_000, 58)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"check peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestGradientCheck:
