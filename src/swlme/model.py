@@ -154,25 +154,13 @@ def check_wet(h: np.ndarray) -> None:
 def _moment_sum(u: np.ndarray) -> np.ndarray:
     """T = sum_i u_i^2 / (2i+1) over the last axis (0.0 when there are no moments).
 
-    The squares are written straight into a fresh C-contiguous array, the
-    layout the matrix-vector product reads, so its rounding is the same for
-    a transposed view as for a row-major array, and no layout copy is made.
-    When the moment axis is not contiguous (the solver's variables-first
-    views), the squares go in one moment at a time, each multiply reading a
-    contiguous row; a single multiply between the two layouts would step
-    through memory one element at a time.  Each square is exact, so the
-    buffer, and the product, are the same bits either way.
+    The terms are added in order from +0.0, one whole moment at a time, so
+    a state's T does not depend on its layout or on the batch it is in.
     """
-    n = u.shape[-1]
-    if not n:
-        return np.zeros(u.shape[:-1])
-    sq = np.empty(u.shape)
-    if u.strides[-1] == u.itemsize:
-        np.multiply(u, u, out=sq)
-    else:
-        for i in range(n):
-            np.multiply(u[..., i], u[..., i], out=sq[..., i])
-    return sq @ moment_weights(n)
+    T = np.zeros(u.shape[:-1])
+    for i, w in enumerate(moment_weights(u.shape[-1]).tolist()):
+        T += u[..., i] * u[..., i] * w
+    return T
 
 
 def _contract(terms: TermTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -377,45 +365,36 @@ def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
 
     Q is the Jacobian of flux() with respect to the conserved variables
     minus the matrix G with nonconservative_rhs(W, dUdx) = G @ dUdx, built
-    in one buffer.  The moment block is (2 u_m + a_ii) - (u_m - b_ii) on
-    the diagonal and a_ij + b_ij off it, a = (A + A^T) u and b = B u: the
-    roundings of the Jacobian and G formed apart and subtracted.  a and b
-    read a C-contiguous u, since from N = 8 on einsum's rounding follows the layout.
+    in one buffer.  Its moment block is u_m I + sum_k u_k C_k, with
+    C_k = (A + A^T + B)[:, :, k] (A^T swaps the last two axes), added one k
+    at a time.  Every entry is formed elementwise, so a state's Q does not
+    depend on its layout or on the batch it is in.
     """
     W = np.asarray(W, dtype=float)
     check_wet(W[..., 0])
-    return _quasilinear(W, _moment_sum(W[..., 2:]), p)
+    return _quasilinear(W, p)
 
 
-def _quasilinear(W: np.ndarray, T: np.ndarray, p: ModelParams) -> np.ndarray:
-    """quasilinear_matrix at wet states W, given their T = _moment_sum(W[..., 2:]).
-
-    The matrix-vector product in _moment_sum rounds a state by its position
-    in the batch, so a caller that builds Q a block of states at a time
-    passes the T of the whole batch.
-    """
+def _quasilinear(W: np.ndarray, p: ModelParams) -> np.ndarray:
+    """quasilinear_matrix at wet states W, without the wetness check."""
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
     n = p.n_vars
     Q = np.zeros(W.shape[:-1] + (n, n))
     Q[..., 0, 1] = 1.0
-    Q[..., 1, 0] = p.g * h - um**2 - T
+    Q[..., 1, 0] = p.g * h - um**2 - _moment_sum(u)
     Q[..., 1, 1] = 2.0 * um
     Q[..., 1, 2:] = 2.0 * u * moment_weights(p.N)
     Q[..., 2:, 0] = -2.0 * um[..., None] * u
     Q[..., 2:, 1] = 2.0 * u
     idx = np.arange(2, n)
-    um_ = um[..., None]
+    Q[..., idx, idx] = um[..., None]
     if p.variant is Variant.SWME and p.N > 0:
         A, B = p.tensors.A, p.tensors.B
         rows = np.moveaxis(u, -1, 0)
         Q[..., 2:, 0] -= np.moveaxis(_contract(p.tensors.A_terms, rows, rows), 0, -1)
-        u = np.ascontiguousarray(u)
-        a = np.einsum("ijk,...k->...ij", A + A.transpose(0, 2, 1), u)
-        b = np.einsum("ijk,...k->...ij", B, u)
-        np.add(a, b, out=Q[..., 2:, 2:])
-        Q[..., idx, idx] = (2.0 * um_ + a.diagonal(0, -2, -1)) - (um_ - b.diagonal(0, -2, -1))
-    else:
-        Q[..., idx, idx] = 2.0 * um_ - um_
+        C = A + A.transpose(0, 2, 1) + B
+        for k in range(p.N):
+            Q[..., 2:, 2:] += u[..., k, None, None] * C[:, :, k]
     return Q
 
 
@@ -537,9 +516,10 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False, *,
     max(s) and the cheap bound are taken over all states first; Q, its
     finiteness check, the certificate and the eigen-solve then go one block
     of the states tier 1 leaves at a time, SPEED_BLOCK_BYTES of Q per block,
-    so the memory they take does not grow with the states.  Every state's
-    speed, and the state an error names, are the same as from one block; a
-    call whose Q fits the budget is one.
+    so the memory they take does not grow with the states.  T and Q are
+    formed state by state, so a state's speed does not depend on its block
+    or the layout; it depends on the other states through max(s) and
+    through whether an eigen-solved one exceeds s.
     """
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
@@ -561,7 +541,7 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False, *,
         cand, radius = [left[:0]], [np.empty(0)]
         for start in range(0, len(left), size):
             block = left[start:start + size]
-            Q = _quasilinear(states[block], T[block], p)
+            Q = _quasilinear(states[block], p)
             finite = np.isfinite(Q).all(axis=(1, 2))
             if not finite.all():
                 # an overflowed state cannot be eigen-solved; name it instead

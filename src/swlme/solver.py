@@ -456,8 +456,7 @@ def _rusanov_flux(S: np.ndarray, L: tuple, R: tuple, dUs: np.ndarray, hs_sq: np.
     """
     hs = S[0]
     v = S[1:] / hs
-    # the moments with their axis last, a view whose moment axis is not contiguous:
-    # _moment_sum squares one contiguous moment row at a time into the layout its product reads
+    # the moments with their axis last, a view: _moment_sum reads one contiguous moment row at a time
     T = _moment_sum(v[1:].transpose(*range(1, v.ndim), 0)) if p.N else None
     speeds = _wave_speed(hs, v[0], T, p.g)
     F = np.empty_like(S)

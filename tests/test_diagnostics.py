@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import math
 import os
 import pickle
 import signal
@@ -200,8 +201,7 @@ class TrailingExpansions:
     """The term lists of _Expansions at gravity g in the trailing-axis layout: batch + (terms,).
 
     Each equation's terms are broadcast and stacked on a new last axis of a
-    C-contiguous array, so np.sum over that axis adds them in the order the
-    checks used before they summed term arrays one at a time.
+    C-contiguous array, and trailing_sum adds them along that axis in order.
     """
 
     def __init__(self, s, g):
@@ -224,9 +224,17 @@ def trailing_plus(*stacks):
     return np.concatenate([np.broadcast_to(st, common + st.shape[-1:]) for st in stacks], axis=-1)
 
 
+def trailing_sum(stack):
+    """The trailing axis summed in order, from +0.0."""
+    total = np.zeros(stack.shape[:-1])
+    for i in range(stack.shape[-1]):
+        total += stack[..., i]
+    return total
+
+
 def trailing_defect(lhs, rhs):
-    num = np.abs(np.sum(lhs, axis=-1) - np.sum(rhs, axis=-1))
-    den = np.sum(np.abs(lhs), axis=-1) + np.sum(np.abs(rhs), axis=-1)
+    num = np.abs(trailing_sum(lhs) - trailing_sum(rhs))
+    den = trailing_sum(np.abs(lhs)) + trailing_sum(np.abs(rhs))
     return float(np.max(num / np.maximum(den, np.finfo(float).tiny))) if num.size else 0.0
 
 
@@ -451,23 +459,31 @@ class TestSampleStream:
 
 
 class TestTermSum:
-    """_term_sum is np.add.reduce over a contiguous trailing axis, bit for bit."""
+    """_term_sum adds the terms in order from +0.0, bit for bit, within roundoff of the exact sum."""
 
     @pytest.mark.parametrize("tail", [(6,), (6, 3)])
-    def test_bitwise_against_add_reduce(self, tail):
+    def test_bitwise_against_in_order_sum(self, tail):
         rng = np.random.default_rng(47)
-        for n in range(1, 301):
+        unit = np.finfo(float).eps / 2.0
+        for n in (1, 2, 3, 7, 8, 9, 16, 17, 128, 129, 130, 300):
             shape = (n,) + tail
             stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
             stack[rng.integers(n), 0] = np.nan
             stack[rng.integers(n), 1] = -np.inf
-            stack[:, 2] = -0.0  # the reduction starts from +0.0, so this sums to +0.0
-            trailing = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+            stack[:, 2] = -0.0  # the sum starts from +0.0, so this sums to +0.0
+            gamma = (n - 1) * unit / (1.0 - (n - 1) * unit)
             for absolute in (False, True):
-                want = np.add.reduce(np.abs(trailing) if absolute else trailing, axis=-1)
                 got = _term_sum(stack, absolute)
-                assert got.shape == want.shape, (n, absolute)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, absolute)
+                assert got.shape == stack.shape[1:], (n, absolute)
+                for idx in np.ndindex(got.shape):
+                    terms = [abs(t) if absolute else t for t in stack[(slice(None),) + idx].tolist()]
+                    total = 0.0
+                    for t in terms:
+                        total += t
+                    assert np.float64(total).tobytes() == got[idx].tobytes(), (n, absolute, idx)
+                    if idx[0] > 2:  # finite terms: within gamma_(n-1) sum|t| of the exact sum
+                        error = math.fsum([total] + [-t for t in terms])
+                        assert abs(error) <= gamma * math.fsum(map(abs, terms)), (n, idx)
 
 
 # the identities that read the dx_b slot; the others never see it

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,16 +344,18 @@ def signed_rows(rng, shape):
     return x
 
 
-# _moment_sum and _contract as they were before they wrote their squares a
-# moment row at a time and gathered their terms a chunk of table rows at a
-# time; both must keep these bits
+# _moment_sum as one state at a time in Python floats, its terms u_i u_i w_i
+# added in order from +0.0, and _contract as it was before it gathered its
+# terms a chunk of table rows at a time; both must keep these bits
 def reference_moment_sum(u):
-    n = u.shape[-1]
-    if not n:
-        return np.zeros(u.shape[:-1])
-    sq = np.empty(u.shape)
-    np.multiply(u, u, out=sq)
-    return sq @ moment_weights(n)
+    w = moment_weights(u.shape[-1]).tolist()
+    T = np.zeros(u.shape[:-1])
+    for idx in np.ndindex(T.shape):
+        total = 0.0
+        for x, wi in zip(u[idx].tolist(), w):
+            total += x * x * wi
+        T[idx] = total
+    return T
 
 
 def reference_contract(terms, x, y):
@@ -400,6 +403,19 @@ class TestMomentSum:
             with np.errstate(invalid="ignore", over="ignore"):
                 got, want = _moment_sum(u), reference_moment_sum(u)
             assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n", MOMENT_ORDERS)
+    def test_within_roundoff_of_the_exact_sum(self, n):
+        # two roundings per term and n - 1 adds: |T - exact| <= gamma_(n+1) exact,
+        # gamma_k = k u / (1 - k u), the exact sum taken of the stored weights
+        rng = np.random.default_rng(60 + n)
+        u = np.moveaxis(signed_rows(rng, (n, 50)), 0, -1)
+        w = [Fraction(x) for x in moment_weights(n).tolist()]
+        unit = np.finfo(float).eps / 2.0
+        gamma = (n + 1) * unit / (1.0 - (n + 1) * unit)
+        for got, row in zip(_moment_sum(u).tolist(), u.tolist()):
+            exact = sum((Fraction(x) ** 2 * wi for x, wi in zip(row, w)), Fraction(0))
+            assert abs(Fraction(got) - exact) <= Fraction(gamma) * exact, (got, float(exact))
 
     def test_no_moments(self):
         for u in (np.empty((7, 0)), np.empty((5, 0)).T[:0].T, np.empty(0)):
@@ -495,7 +511,7 @@ class TestClosureContraction:
 
 
 # the flux Jacobian and the nonconservative coefficient matrix, built apart as
-# quasilinear_matrix did before it filled one buffer; Q must keep their bits
+# quasilinear_matrix did before it filled one buffer; Q must match J - G
 def reference_flux_jacobian(W, p):
     W = np.asarray(W, dtype=float)
     h, um, u = W[..., 0], W[..., 1], W[..., 2:]
@@ -530,14 +546,37 @@ def reference_ncp_matrix(W, p):
     return G
 
 
+def absolute_terms(W, p):
+    """Each entry of Q's sum of the absolute values of its terms (exact zeros left out).
+
+    Q_10 = g h - u_m^2 - sum_i u_i^2 w_i, Q_i0 = -2 u_m u_i - sum_jk A_ijk u_j u_k
+    and the moment block u_m I + sum_k u_k (A_ijk + A_ikj + B_ijk), formed as
+    J - G by the reference: 2 u_m I + ... minus u_m I - ...; the other
+    entries have one term each.
+    """
+    h, um, u = W[..., 0], np.abs(W[..., 1]), np.abs(W[..., 2:])
+    S = np.abs(reference_flux_jacobian(W, p) - reference_ncp_matrix(W, p))
+    S[..., 1, 0] = p.g * h + um**2 + (u * u) @ moment_weights(p.N)
+    S[..., 2:, 2:] = 3.0 * um[..., None, None] * np.eye(p.N)
+    if p.variant is Variant.SWME and p.N > 0:
+        A, B = np.abs(p.tensors.A), np.abs(p.tensors.B)
+        S[..., 2:, 0] = 2.0 * um[..., None] * u + np.einsum("ijk,...j,...k->...i", A, u, u)
+        S[..., 2:, 2:] += np.einsum("ijk,...k->...ij", A + A.transpose(0, 2, 1) + B, u)
+    return S
+
+
 class TestQuasilinear:
     @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
-    def test_bitwise_against_jacobian_minus_ncp_matrix(self, variant):
+    def test_matches_jacobian_minus_ncp_matrix(self, variant):
+        # Q and the reference J - G add the same terms in different orders and
+        # roundings; each entry is within gamma_k sum|terms| of the exact value,
+        # k <= N + 4 roundings on either side, so they differ by at most
+        # 2 (N + 4) u per unit of the absolute term sum
         rng = np.random.default_rng(8)
+        unit = np.finfo(float).eps / 2.0
         for n in range(9):
             p = params(n, g=9.81, variant=variant)
             W = random_primitive(rng, 300, n)
-            # zero velocities of both signs, where the order of the roundings shows
             zeros = rng.random((300, n + 1)) < 0.3
             W[:, 1:][zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
             W[:2, 1:] = [[0.0], [-0.0]]
@@ -545,9 +584,14 @@ class TestQuasilinear:
                 want = reference_flux_jacobian(states, p) - reference_ncp_matrix(states, p)
                 got = quasilinear_matrix(states, p)
                 assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (n, states.shape)
+                bound = 2.0 * (n + 4) * unit * absolute_terms(states, p)
+                assert np.all(np.abs(got - want) <= bound), (n, states.shape)
+            # zero moments: the moment block is u_m I, exactly
+            W[:, 2:] = 0.0
+            assert np.array_equal(quasilinear_matrix(W, p)[:, 2:, 2:],
+                                  W[:, 1, None, None] * np.eye(n))
 
-    @pytest.mark.parametrize("n", [3, 8, 12])
+    @pytest.mark.parametrize("n", [3, 8, 12, 16, 64])
     def test_bits_do_not_depend_on_layout(self, n):
         # solver states are variables-first: the transposed view of (N+2, cells) rows
         p = params(n, g=9.81, variant=Variant.SWME)
@@ -596,6 +640,47 @@ class TestQuasilinear:
         np.testing.assert_array_equal(Q[2:, 2:], 1.3 * np.eye(3))
         lam = np.linalg.eigvals(Q)
         assert np.sum(np.isclose(lam, 1.3, atol=1e-12)) >= 3
+
+
+class TestBitsDoNotDependOnTheBatch:
+    """A state's moment sum, Q and validated speed are its own, whatever batch it is in."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64])
+    def test_moment_sum_and_quasilinear_matrix(self, n):
+        rng = np.random.default_rng(90 + n)
+        W = random_primitive(rng, 777 if n <= 8 else 50, n)
+        T = _moment_sum(W[:, 2:])
+        assert all(T[i].tobytes() == _moment_sum(W[i, 2:]).tobytes() for i in range(len(W)))
+        p = params(n, g=9.81, variant=Variant.SWME)
+        states = W[:50]
+        Q = quasilinear_matrix(states, p)
+        assert all(Q[i].tobytes() == quasilinear_matrix(states[i], p).tobytes()
+                   for i in range(len(states)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64])
+    def test_validated_speed(self, n):
+        # a validated speed depends on the batch through max(s) alone, so each
+        # state is set among the other states scaled by f: f^2 on the depth and
+        # f on every velocity scale s by f, and f keeps their s below its own
+        rng = np.random.default_rng(100 + n)
+        p = params(n, g=9.81, variant=Variant.SWME)
+        W = random_primitive(rng, 40 if n <= 16 else 12, n, h_range=(0.1, 3.0),
+                             vel_range=(-1.0, 1.0))
+        s = max_wave_speed(W, p)
+        f = 0.5 * s.min() / s.max()
+        others = W.copy()
+        others[:, 0] *= f * f
+        others[:, 1:] *= f
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WaveSpeedBoundWarning)
+            for i in range(len(W)):
+                batch = others.copy()
+                batch[i] = W[i]
+                alone = max_wave_speed(W[i], p, validate=True)
+                in_batch = max_wave_speed(batch, p, validate=True)
+                rows_first = max_wave_speed(np.ascontiguousarray(batch.T).T, p, validate=True)
+                assert np.float64(alone).tobytes() == in_batch[i].tobytes(), i
+                assert rows_first.tobytes() == in_batch.tobytes(), i
 
 
 class TestWaveSpeed:
@@ -666,7 +751,7 @@ def certified_wave_speed_reference(W, p):
     speeds, cand, radius = np.empty_like(s), [], []
     for start in range(0, max(len(s), 1), size):
         block = slice(start, start + size)
-        Q = _quasilinear(states[block], T[block], p)
+        Q = _quasilinear(states[block], p)
         finite = np.isfinite(Q).all(axis=(1, 2))
         if not finite.all():
             idx = tuple(int(i) for i in np.unravel_index(start + int(np.argmin(finite)),
@@ -824,7 +909,7 @@ class TestNormBound:
         p = params(3, variant=Variant.SWME)
         W = np.array([state])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(_quasilinear(W, _moment_sum(W[:, 2:]), p)).all()
+            assert not np.isfinite(_quasilinear(W, p)).all()
         assert not np.isfinite(norm_bound(W, p)[0])
 
     def test_first_overflowed_state_is_named_beside_an_infinite_speed(self):

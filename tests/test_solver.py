@@ -319,9 +319,9 @@ class TestCflDt:
         built = []
         quasilinear = swlme.model._quasilinear
 
-        def counted(W, T, p):
+        def counted(W, p):
             built.append(len(W))
-            return quasilinear(W, T, p)
+            return quasilinear(W, p)
 
         for W in seen:
             built.clear()
