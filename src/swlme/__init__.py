@@ -6,7 +6,6 @@ from swlme.model import (
     EnergyPair,
     EntropyVars,
     ModelParams,
-    Topography,
     boussinesq_beta,
     energy,
     entropy_vars,
@@ -24,7 +23,6 @@ __all__ = [
     "EnergyPair",
     "EntropyVars",
     "ModelParams",
-    "Topography",
     "Variant",
     "boussinesq_beta",
     "compute_tensors",

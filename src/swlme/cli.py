@@ -87,7 +87,7 @@ def _check_identities(orders, samples, seed):
     """Worst defects of every identity per moment order; list of result rows."""
     rows = []
     for n in orders:
-        # FreeSample.random(default_rng(seed), samples, n), drawn block by block as checked
+        # the seeded sample, each block drawn where it is checked
         sample = SampleStream(seed, samples, n)
         for g, defects in check_total_energy_identity(sample, GRAVITIES).items():
             rows += [(n, g, name, defect, IDENTITY_TOL) for name, defect in defects.items()]

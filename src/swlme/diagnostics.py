@@ -8,12 +8,13 @@ derivatives.  FreeSample therefore carries independent "slots" for each
 time/space derivative; no compatibility between values and slots is
 assumed, and the identities must hold for arbitrary slot values.  Defects
 are normalized by the sum of the absolute values of the combined terms.
-check_total_energy_identity walks a batch once, in blocks of _BLOCK
+check_total_energy_identity walks a sample once, in blocks of _BLOCK
 samples, and returns the largest per-block defect of every identity at
-every gravity, so the memory it needs beyond the sample itself does not
-grow with the batch size.  A SampleStream has no sample to hold: each block
-draws its own slice of the seeded random sample, so a check of a
-SampleStream needs memory bounded by _BLOCK alone.  A block builds its
+every gravity.  Both kinds of sample hand out a block as a FreeSample by
+block(start, stop): a FreeSample slices the fields it holds, and a
+SampleStream, the seeded random sample of `check`, draws the block's slice
+and holds nothing, so a check of a SampleStream needs memory bounded by
+_BLOCK alone, whatever its size.  A block builds its
 gravity-free terms and its moment equations once; only the equations that
 read g are built per gravity.
 
@@ -45,6 +46,7 @@ from swlme.model import (
     ParameterError,
     _energy_density,
     _moment_sum,
+    as_count,
     entropy_vars,
     moment_weights,
     to_primitive,
@@ -53,16 +55,21 @@ from swlme.solver import Scenario, StateRecord, run
 
 _TINY = np.finfo(float).tiny
 _BLOCK = 4096  # samples per block of the identity checks
+_GRADIENT_STEP = 1e-6  # gradient_check_entropy's difference step, relative to |U| (at least 1)
 _MOMENT_FIELDS = ("u", "dt_u", "dx_u")
 
 
 @dataclass
 class FreeSample:
-    """Field values plus independent derivative slots, broadcastable batches.
+    """Field values plus independent derivative slots, one flat batch.
 
-    Scalar fields may be floats or arrays of a common batch shape; u, dt_u,
-    and dx_u carry a trailing moment axis of length N (possibly zero).
-    There is no dt_b slot: the bottom is constant in time.
+    Scalar fields may be floats or arrays broadcastable to a common batch
+    shape; u, dt_u, and dx_u carry a trailing moment axis of length N
+    (possibly zero).  Construction casts every field to float, broadcasts it
+    to the batch and flattens the batch in C order, so a moment field is
+    (size, N) and any other (size,); a field that has that shape already is
+    kept as given, a view.  There is no dt_b slot: the bottom is constant in
+    time.
     """
 
     h: np.ndarray
@@ -78,33 +85,38 @@ class FreeSample:
     dx_b: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        arrays = {f.name: np.asarray(getattr(self, f.name), dtype=float) for f in fields(self)}
+        moments = arrays["u"].shape[-1:]
+        batch = np.broadcast_shapes(*(a.shape[:-1] if name in _MOMENT_FIELDS else a.shape
+                                      for name, a in arrays.items()))
+        for name, a in arrays.items():
+            tail = moments if name in _MOMENT_FIELDS else ()
+            flat = (math.prod(batch),) + tail
+            setattr(self, name, a if a.shape == flat else
+                    np.broadcast_to(a, batch + tail).reshape(flat))
         if np.any(self.h <= 0.0):
             raise ValueError("FreeSample requires h > 0")
+
+    @property
+    def size(self) -> int:
+        return len(self.h)
 
     @property
     def n_moments(self) -> int:
         return self.u.shape[-1]
 
+    def block(self, start: int, stop: int) -> FreeSample:
+        """The samples [start:stop], every field a view."""
+        return FreeSample(**{f.name: getattr(self, f.name)[start:stop] for f in fields(self)})
+
     @staticmethod
     def random_nbytes(size: int, n_moments: int) -> int:
-        """Bytes random(rng, size, n_moments) draws: 8 scalar and 3 moment fields of floats."""
+        """Bytes SampleStream(seed, size, n_moments) draws: 8 scalar and 3 moment fields."""
         return 8 * size * (8 + 3 * n_moments)
 
-    @classmethod
-    def random(cls, rng: np.random.Generator, size: int, n_moments: int):
-        """Batch of samples: h in [0.1, 3], b in [0, 1], every other value in [-2, 2].
 
-        The fields are drawn in _RANDOM_FIELDS order, each whole, moment
-        fields row-major; SampleStream draws the same values block by block.
-        """
-        return cls(**{name: rng.uniform(low, high, (size, n_moments) if name in _MOMENT_FIELDS
-                                        else size)
-                      for name, low, high in _RANDOM_FIELDS})
-
-
-# the fields FreeSample.random draws, in its order, with their bounds
+# the fields SampleStream draws, in its order, with their bounds: h in [0.1, 3],
+# b in [0, 1], every other value in [-2, 2]
 _RANDOM_FIELDS = (
     ("h", 0.1, 3.0), ("um", -2.0, 2.0), ("u", -2.0, 2.0), ("b", 0.0, 1.0),
     ("dt_h", -2.0, 2.0), ("dx_h", -2.0, 2.0), ("dt_um", -2.0, 2.0), ("dx_um", -2.0, 2.0),
@@ -113,16 +125,19 @@ _RANDOM_FIELDS = (
 
 
 class SampleStream:
-    """FreeSample.random(np.random.default_rng(seed), size, n_moments), one block at a time.
+    """The seeded random sample of `check`, drawn one block at a time.
 
+    The whole sample is the fields of _RANDOM_FIELDS drawn in its order,
+    each whole, moment fields row-major, by Generator.uniform on one
+    np.random.default_rng(seed); block(0, size) is that sample.
     block(start, stop) is bitwise the [start:stop] slice of every field of
-    that sample, and draws nothing else.  Generator.uniform takes one 64-bit
-    output of PCG64 per double, and PCG64 jumps ahead exactly, so each
-    field's slice is drawn from PCG64(seed) advanced past the fields drawn
-    before it (size x width outputs each, width N for a moment field and 1
-    otherwise) and past the slice's first `start` rows.  A block does not
-    depend on any other having been drawn, so a forked worker draws its own
-    blocks, and a walk over the blocks holds one block, whatever the size.
+    it, and draws nothing else.  Generator.uniform takes one 64-bit output
+    of PCG64 per double, and PCG64 jumps ahead exactly, so each field's
+    slice is drawn from PCG64(seed) advanced past the fields drawn before it
+    (size x width outputs each, width N for a moment field and 1 otherwise)
+    and past the slice's first `start` rows.  A block does not depend on any
+    other having been drawn, so a forked worker draws its own blocks, and a
+    walk over the blocks holds one block, whatever the size.
     """
 
     def __init__(self, seed: int, size: int, n_moments: int):
@@ -287,40 +302,9 @@ class _Expansions:
         )]
 
 
-class _FlatSample:
-    """A FreeSample's fields broadcast to its batch shape and flattened, sliced like SampleStream.
-
-    Scalar fields and batches of any rank give 1-D blocks.
-    """
-
-    def __init__(self, s: FreeSample):
-        self.n_moments = n = s.n_moments
-        arrays = {f.name: getattr(s, f.name) for f in fields(s)}
-        batch = np.broadcast_shapes(*(a.shape[:-1] if name in _MOMENT_FIELDS else a.shape
-                                      for name, a in arrays.items()))
-        self.size = math.prod(batch)
-        self.flat = {}
-        for name, a in arrays.items():
-            tail = (n,) if name in _MOMENT_FIELDS else ()
-            self.flat[name] = np.broadcast_to(a, batch + tail).reshape((self.size,) + tail)
-
-    def block(self, start: int, stop: int) -> FreeSample:
-        return FreeSample(**{name: a[start:stop] for name, a in self.flat.items()})
-
-
 def _block_ranges(size: int) -> list:
     """(start, stop) of consecutive blocks of at most _BLOCK samples; 0 samples make one empty block."""
     return [(start, min(start + _BLOCK, size)) for start in range(0, max(size, 1), _BLOCK)]
-
-
-def _blocks(s, ranges=None):
-    """FreeSample blocks of s, a FreeSample or a SampleStream, over `ranges` (default: every block).
-
-    An empty batch yields one empty block, on which every defect is 0.0.
-    """
-    src = _FlatSample(s) if isinstance(s, FreeSample) else s
-    for start, stop in _block_ranges(src.size) if ranges is None else ranges:
-        yield src.block(start, stop)
 
 
 def _block_defects(s: FreeSample, gravities) -> dict:
@@ -370,8 +354,9 @@ def check_total_energy_identity(s, gravities) -> dict:
     """Max relative defect of the energy derivation, per gravity: {g: {identity: defect}}.
 
     s is a FreeSample, or a SampleStream that draws each block as it is
-    checked.  "total energy identity" comes first: contracting the balance
-    residuals with the entropy variables must reproduce the energy residual,
+    checked: anything with size, n_moments and block(start, stop).  "total
+    energy identity" comes first: contracting the balance residuals with the
+    entropy variables must reproduce the energy residual,
     q1 R_C + q2 R_M + sum_i q_ui R_ui = R_E, for arbitrary slot values.
     The intermediate steps follow.  Each compares an independently
     expanded form of one displayed equation against the stated combination
@@ -381,25 +366,24 @@ def check_total_energy_identity(s, gravities) -> dict:
     energies multiply the skew forms by the velocity; and the total energy
     is the total kinetic plus potential energy.  The moment-equation steps
     exist for N >= 1 only.  Every identity at every gravity is evaluated in
-    one walk over the blocks (_blocks); with two blocks or more, a forked
-    worker takes the second half of the block ranges (_fan_out), and a
-    SampleStream's worker draws its blocks itself.  RuntimeError names the
-    order if the worker is lost.
+    one walk over s.block of each _block_ranges(s.size); with two blocks or
+    more, a forked worker takes the second half of the ranges (_fan_out),
+    so a SampleStream's worker draws its blocks itself.  RuntimeError names
+    the order if the worker is lost.
     """
-    src = _FlatSample(s) if isinstance(s, FreeSample) else s
 
     def defects(share):
-        return [_block_defects(blk, gravities) for blk in _blocks(src, share)]
+        return [_block_defects(s.block(start, stop), gravities) for start, stop in share]
 
-    ranges = _block_ranges(src.size)
+    ranges = _block_ranges(s.size)
     half = len(ranges) // 2
     shares = [ranges[:half], ranges[half:]] if _fan_out_ok(len(ranges)) else [ranges]
-    per_block = sum(_fan_out(defects, shares, f"identity check at N={src.n_moments}"), [])
+    per_block = sum(_fan_out(defects, shares, f"identity check at N={s.n_moments}"), [])
     return {g: {name: float(np.max([d[g][name] for d in per_block])) for name in per_block[0][g]}
             for g in gravities}
 
 
-def gradient_check_entropy(W: np.ndarray, b, g: float, rel_step: float = 1e-6) -> float:
+def gradient_check_entropy(W: np.ndarray, b, g: float) -> float:
     """Compare finite differences of the energy with the entropy variables.
 
     Central differences in each conserved variable with a step scaled to
@@ -419,7 +403,7 @@ def gradient_check_entropy(W: np.ndarray, b, g: float, rel_step: float = 1e-6) -
 
     worst = 0.0
     for m in range(n):
-        step = rel_step * np.maximum(1.0, np.abs(U[..., m]))
+        step = _GRADIENT_STEP * np.maximum(1.0, np.abs(U[..., m]))
         Up, Um = U.copy(), U.copy()
         Up[..., m] += step
         Um[..., m] -= step
@@ -531,7 +515,8 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     (cells, l1_error, observed_order-or-None).  Every mesh, and in exact mode
     the dam break, is validated before the first run; ParameterError names
     the scenario argument or preset parameter (`ic_h_l`, or `meshes` for
-    the list itself, empty or with a repeated mesh) at fault.
+    the list itself: empty, with a mesh that is not an integer, or with a
+    repeated mesh) at fault.
 
     Each mesh runs once.  With two meshes or more, a forked worker runs
     the largest while the caller runs the others (_fan_out).  The error
@@ -539,7 +524,7 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     or in self-reference mode the finest mesh first; a lost worker counts
     as a failure of the largest mesh.
     """
-    meshes = [int(m) for m in meshes]
+    meshes = [as_count("meshes", m) for m in meshes]
     if not meshes:
         raise ParameterError("meshes", "need at least one mesh")
     if len(set(meshes)) < len(meshes):
@@ -549,7 +534,7 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     exact = (
         scenario.ic_name == "dam_break"
         and scenario.params.N == 0
-        and not np.any(scenario.topography.b)
+        and scenario.flat_bottom
     )
     ic = scenario.ic_params  # every preset parameter, defaults filled in
     if exact and not ic["h_l"] > ic["h_r"] > 0.0:

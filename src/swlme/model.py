@@ -113,16 +113,6 @@ class ModelParams:
         return self.N + 2
 
 
-@dataclass(frozen=True)
-class Topography:
-    """Bottom elevation b sampled at cell centers."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-
-
 @functools.lru_cache(maxsize=None)
 def moment_weights(n: int) -> np.ndarray:
     """Orthogonality weights 1/(2i+1) for i = 1..n."""

@@ -55,7 +55,6 @@ from swlme.model import (
     DryStateError,
     ModelParams,
     ParameterError,
-    Topography,
     Variant,
     _energy_density,
     _flux_rows,
@@ -136,8 +135,8 @@ class Grid1D:
         return self.x_min + (np.arange(self.cells) + 0.5) * self.dx
 
 
-def make_topography(name: str, params: Mapping, grid: Grid1D) -> Topography:
-    """Sample a bottom-elevation preset at the cell centers (read-only samples).
+def make_topography(name: str, params: Mapping, grid: Grid1D) -> np.ndarray:
+    """Sample a bottom-elevation preset at the cell centers: b, a read-only array.
 
     Raises, naming the parameter that can make it so, on a non-finite sample.
     """
@@ -156,7 +155,7 @@ def make_topography(name: str, params: Mapping, grid: Grid1D) -> Topography:
         raise ParameterError(f"topo_{param}", f"topography '{name}' gives b = {b[cell]} at "
                                               f"cell {cell}; check its {param}")
     b.setflags(write=False)
-    return Topography(b=b)
+    return b
 
 
 def initial_condition(name: str, params: Mapping, grid: Grid1D, n_moments: int,
@@ -243,7 +242,7 @@ class Scenario:
                            MappingProxyType(_preset("topo", self.topo_name, self.topo_params)))
 
     @functools.cached_property
-    def topography(self) -> Topography:
+    def topography(self) -> np.ndarray:
         return make_topography(self.topo_name, self.topo_params, self.grid)
 
     @functools.cached_property
@@ -253,7 +252,7 @@ class Scenario:
         Ghosts per apply_boundary: periodic wraps, the others copy the edge
         cell (one row has nothing to negate).  Both arrays are read-only.
         """
-        b_ext = apply_boundary(self.topography.b[None], self.boundary)[0]
+        b_ext = apply_boundary(self.topography[None], self.boundary)[0]
         b_star = np.maximum(b_ext[:-1], b_ext[1:])
         b_ext.setflags(write=False)
         b_star.setflags(write=False)
@@ -270,7 +269,7 @@ class Scenario:
 
     def initial_states(self) -> np.ndarray:
         return initial_condition(self.ic_name, self.ic_params, self.grid,
-                                 self.params.N, self.topography.b)
+                                 self.params.N, self.topography)
 
     def with_cells(self, cells: int) -> "Scenario":
         """Same scenario on a different resolution (topography is re-sampled)."""
@@ -580,7 +579,7 @@ def run(scenario: Scenario, sink=None):
     sink = Trajectory() if sink is None else sink
     p = scenario.params
     grid = scenario.grid
-    b = scenario.topography.b
+    b = scenario.topography
     U = scenario.initial_states()
 
     # interior snapshot times k * spacing, 0 < k < snapshots, one at a time;

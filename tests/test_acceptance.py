@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import legvander
 
 from swlme.basis import Variant, compute_tensors
 from swlme.diagnostics import (
-    FreeSample,
+    SampleStream,
     check_total_energy_identity,
     convergence_study,
     gradient_check_entropy,
@@ -32,7 +32,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _samples(n):
-    return FreeSample.random(np.random.default_rng(SEED), 100000, n)
+    return SampleStream(SEED, 100000, n)
 
 
 @functools.cache

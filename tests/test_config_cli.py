@@ -20,7 +20,7 @@ import swlme.solver
 from swlme.basis import Variant, compute_tensors
 from swlme.cli import CHECK_SAMPLE_BYTES, CSV_CHUNK_ROWS, _CsvSink, _fmt, main
 from swlme.config import ConfigError, build_scenario, format_config, parse_config
-from swlme.diagnostics import _BLOCK, FreeSample
+from swlme.diagnostics import _BLOCK, FreeSample, SampleStream
 from swlme.model import N_MAX, WaveSpeedBoundWarning, energy, to_primitive
 from swlme.solver import _PRESETS, MAX_STATE_BYTES, Trajectory, run
 from conftest import assert_no_process_left
@@ -393,7 +393,7 @@ class TestCheckCommand:
         assert 0 < drawn[0] <= CHECK_SAMPLE_BYTES
 
     def test_sample_size_matches_what_is_drawn(self):
-        sample = FreeSample.random(np.random.default_rng(0), 7, 3)
+        sample = SampleStream(0, 7, 3).block(0, 7)
         assert FreeSample.random_nbytes(7, 3) == sum(
             getattr(sample, f.name).nbytes for f in dataclasses.fields(sample))
 
@@ -422,7 +422,7 @@ def reference_write_outputs(scenario, traj, path):
     """The per-field CSV writer the CLI had before its row-wise one."""
     path.mkdir()
     x = scenario.grid.centers
-    b = scenario.topography.b
+    b = scenario.topography
     n = scenario.params.N
     cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
     with open(path / "snapshots.csv", "w", encoding="utf-8") as fh:
@@ -448,7 +448,7 @@ def reference_row_wise_outputs(scenario, traj, path):
 
     path.mkdir()
     x = scenario.grid.centers
-    b = scenario.topography.b
+    b = scenario.topography
     n = scenario.params.N
     cols = ["t", "x", "h", "u_m"] + [f"u_{i}" for i in range(1, n + 1)] + ["e"]
     with open(path / "snapshots.csv", "w", encoding="utf-8") as fh:
@@ -499,7 +499,7 @@ def special_values_case(tmp_path):
     U = records[last].U.copy()
     U[3, 1], U[4, 1], U[5, 2], U[6, 3] = np.inf, -np.inf, np.nan, -0.0
     W = to_primitive(U)
-    b, g = scenario.topography.b, scenario.params.g
+    b, g = scenario.topography, scenario.params.g
     special[last] = special[last]._replace(U=U, W=W, e=energy(W, b, g).e)
     with _CsvSink(scenario, str(tmp_path / "new")) as sink:
         for state in special:

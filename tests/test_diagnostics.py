@@ -22,7 +22,7 @@ from swlme.diagnostics import (
     _BLOCK,
     FreeSample,
     SampleStream,
-    _blocks,
+    _block_ranges,
     _Expansions,
     _term_sum,
     check_total_energy_identity,
@@ -41,6 +41,34 @@ from swlme.model import (
 )
 from swlme.solver import Grid1D, Scenario, run
 from conftest import assert_no_process_left, in_worker
+
+
+def whole_sample(seed, size, n):
+    """`check`'s seeded sample of `size` samples at order n, whole."""
+    return SampleStream(seed, size, n).block(0, size)
+
+
+def reference_random(seed, size, n):
+    """`check`'s seeded sample drawn field by field, each whole, from one default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+
+    def scalars():
+        return rng.uniform(-2.0, 2.0, size)
+
+    def moments():
+        return rng.uniform(-2.0, 2.0, (size, n))
+
+    return FreeSample(
+        h=rng.uniform(0.1, 3.0, size), um=scalars(), u=moments(),
+        b=rng.uniform(0.0, 1.0, size),
+        dt_h=scalars(), dx_h=scalars(), dt_um=scalars(), dx_um=scalars(),
+        dt_u=moments(), dx_u=moments(), dx_b=scalars(),
+    )
+
+
+def sample_fields(s):
+    """{name: array} of every field of a FreeSample, in field order."""
+    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
 
 
 def zero_sample(n, size=4, h=1.0):
@@ -105,8 +133,7 @@ class TestResiduals:
 
     def test_constructed_continuity_solution(self):
         # pick dt_h so the mass balance holds; the others stay generic
-        rng = np.random.default_rng(20)
-        s = FreeSample.random(rng, 50, 1)
+        s = whole_sample(20, 50, 1)
         s.dt_h = -(s.dx_h * s.um + s.h * s.dx_um)
         R = balance_residuals(s, 9.81)
         assert np.abs(R[:, 0]).max() <= 1e-14
@@ -115,8 +142,7 @@ class TestResiduals:
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_against_independent_expansion(self, n):
-        rng = np.random.default_rng(21)
-        s = FreeSample.random(rng, 500, n)
+        s = whole_sample(21, 500, n)
         R = balance_residuals(s, 9.81)
         r_c, r_m, r_u = independent_residuals(s, 9.81)
         np.testing.assert_allclose(R[:, 0], r_c, atol=1e-13)
@@ -131,8 +157,7 @@ class TestTotalEnergyIdentity:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_random_samples(self, n):
-        rng = np.random.default_rng(22)
-        s = FreeSample.random(rng, 20000, n)
+        s = whole_sample(22, 20000, n)
         defects = check_total_energy_identity(s, (1.0, 9.81))
         assert list(defects) == [1.0, 9.81]
         for g in (1.0, 9.81):
@@ -140,8 +165,7 @@ class TestTotalEnergyIdentity:
 
     def test_plain_shallow_water_reduction(self):
         # independently coded SWE energy residual must agree with N = 0
-        rng = np.random.default_rng(23)
-        s = FreeSample.random(rng, 500, 0)
+        s = whole_sample(23, 500, 0)
         g = 9.81
         dt_e = (
             0.5 * s.dt_h * s.um**2 + s.h * s.um * s.dt_um
@@ -157,8 +181,7 @@ class TestTotalEnergyIdentity:
                                    dt_e + dx_f, atol=1e-12)
 
     def test_corruption_is_detected(self, monkeypatch):
-        rng = np.random.default_rng(24)
-        s = FreeSample.random(rng, 1000, 2)
+        s = whole_sample(24, 1000, 2)
         scale_energy_flux(monkeypatch, 1.0 + 1e-6)
         assert total_identity(s, 9.81) > 1e-9
 
@@ -172,8 +195,7 @@ class TestSkewForms:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_random_samples(self, n):
-        rng = np.random.default_rng(25)
-        s = FreeSample.random(rng, 20000, n)
+        s = whole_sample(25, 20000, n)
         for g, defects in check_total_energy_identity(s, (1.0, 9.81)).items():
             forms = {name: d for name, d in defects.items() if name != "total energy identity"}
             worst = max(forms.values())
@@ -181,14 +203,13 @@ class TestSkewForms:
 
     def test_pressure_split_agreement(self):
         # g h dx(h+b) against g dx(h^2)/2 + g h dx b is pure product rule
-        rng = np.random.default_rng(26)
-        s = FreeSample.random(rng, 5000, 1)
+        s = whole_sample(26, 5000, 1)
         assert skew_forms(s, 9.81)["momentum_rewrite"] <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_moment_steps_do_not_read_gravity(self, n):
         # taken once per block for every gravity; they must equal a one-gravity run
-        s = FreeSample.random(np.random.default_rng(29), _BLOCK + 9, n)
+        s = whole_sample(29, _BLOCK + 9, n)
         both = check_total_energy_identity(s, (1.0, 9.81))
         for name in ("moment_rewrite", "moment_advective", "moment_skew_average",
                      "moment_kinetic_energy"):
@@ -315,11 +336,11 @@ class TestBlockedChecks:
     @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17])
     @pytest.mark.parametrize("n", [0, 1, 3, 17])  # at 17 the energy identity sums 130 terms
     def test_batch_sizes(self, size, n):
-        s = FreeSample.random(np.random.default_rng(40 + n), size, n)
+        s = whole_sample(40 + n, size, n)
         assert_blocked_equals_reference(s)
 
     def test_empty_batch(self):
-        s = FreeSample.random(np.random.default_rng(41), 0, 2)
+        s = whole_sample(41, 0, 2)
         assert_blocked_equals_reference(s)
         assert set(check_total_energy_identity(s, (9.81,))[9.81].values()) == {0.0}
 
@@ -338,21 +359,54 @@ class TestBlockedChecks:
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_two_dimensional_batch(self, n):
-        flat = FreeSample.random(np.random.default_rng(43), 3 * 2000, n)
-        s = FreeSample(**{name: value.reshape((3, 2000) + value.shape[1:])
-                          for name, value in vars(flat).items()})
+        flat = whole_sample(43, 3 * 2000, n)
+        s = FreeSample(**{name: a.reshape((3, 2000) + a.shape[1:])
+                          for name, a in sample_fields(flat).items()})
+        assert s.size == 3 * 2000
         assert_blocked_equals_reference(s)
 
     def test_block_layout(self):
-        s = FreeSample.random(np.random.default_rng(44), 2 * _BLOCK + 17, 2)
-        blocks = list(_blocks(s))
-        assert [blk.h.shape for blk in blocks] == [(_BLOCK,), (_BLOCK,), (17,)]
-        assert [blk.dx_u.shape for blk in blocks] == [(_BLOCK, 2), (_BLOCK, 2), (17, 2)]
-        np.testing.assert_array_equal(np.concatenate([blk.u for blk in blocks]), s.u)
-        assert [blk.h.shape for blk in _blocks(zero_sample(1, size=0))] == [(0,)]
+        s = whole_sample(44, 2 * _BLOCK + 17, 2)
+        blocks = [s.block(start, stop) for start, stop in _block_ranges(s.size)]
+        assert [blk.size for blk in blocks] == [_BLOCK, _BLOCK, 17]
+        for name, whole in sample_fields(s).items():
+            parts = [getattr(blk, name) for blk in blocks]
+            tail = whole.shape[1:]
+            assert [a.shape for a in parts] == [(_BLOCK,) + tail, (_BLOCK,) + tail, (17,) + tail]
+            # a block's fields are views of the sample's, and together they are the sample
+            assert all(np.shares_memory(a, whole) for a in parts), name
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+        empty = zero_sample(1, size=0)
+        assert [empty.block(start, stop).h.shape for start, stop in _block_ranges(0)] == [(0,)]
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_scalar_slots_and_2d_batch_flatten_in_c_order(self, n):
+        shape = (16, 513)  # two blocks and a part
+        size = math.prod(shape)
+        drawn = whole_sample(59, size, n)
+        batch = {name: a.reshape(shape + a.shape[1:]) for name, a in sample_fields(drawn).items()}
+        scalars = {"b": 0.3, "dt_h": -0.7, "dt_um": 1.1, "dx_b": -0.4,
+                   "dt_u": np.linspace(-1.0, 1.0, n)}
+        s = FreeSample(**{**batch, **scalars})
+        assert (s.size, s.n_moments) == (size, n)
+        for name, value in batch.items():
+            want = np.broadcast_to(scalars.get(name, value), value.shape).reshape(
+                (size,) + value.shape[2:])
+            assert getattr(s, name).shape == want.shape, name
+            assert np.array_equal(getattr(s, name), want), name
+
+        class WithScalars(SampleStream):
+            """The same stream with the scalar slots put in: the values of s, sample by sample."""
+
+            def block(self, start, stop):
+                put_in = {name: getattr(s, name)[start:stop] for name in scalars}
+                return dataclasses.replace(super().block(start, stop), **put_in)
+
+        assert check_total_energy_identity(s, (1.0, 9.81)) == check_total_energy_identity(
+            WithScalars(59, size, n), (1.0, 9.81))
 
     def test_corruption_detected_across_blocks(self, monkeypatch):
-        s = FreeSample.random(np.random.default_rng(45), 3 * _BLOCK + 1, 2)
+        s = whole_sample(45, 3 * _BLOCK + 1, 2)
         want = reference_total_energy_identity(s, 9.81, flux_scale=1.0 + 1e-6)
         scale_energy_flux(monkeypatch, 1.0 + 1e-6)
         corrupted = total_identity(s, 9.81)
@@ -370,7 +424,7 @@ class TestBlockedChecks:
 
         monkeypatch.setattr(swlme.diagnostics, "_Expansions", counted)
         monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
-        s = FreeSample.random(np.random.default_rng(49), 2 * _BLOCK + 17, 2)
+        s = whole_sample(49, 2 * _BLOCK + 17, 2)
         check_total_energy_identity(s, (1.0, 9.81))
         return built
 
@@ -384,7 +438,7 @@ class TestBlockedChecks:
 
 
 class TestSampleStream:
-    """SampleStream blocks are bitwise slices of FreeSample.random(default_rng(seed), ...)."""
+    """SampleStream blocks are bitwise slices of reference_random(seed, ...), `check`'s sample."""
 
     @staticmethod
     def assert_bitwise(got: FreeSample, want: FreeSample):
@@ -396,41 +450,25 @@ class TestSampleStream:
     @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17])
     @pytest.mark.parametrize("n", [0, 1, 5])  # at N = 0 the moment fields take no draws
     def test_blocks_are_slices_of_the_whole_sample(self, size, n):
-        want = FreeSample.random(np.random.default_rng(53), size, n)
-        stream, flat = SampleStream(53, size, n), swlme.diagnostics._FlatSample(want)
+        want, stream = reference_random(53, size, n), SampleStream(53, size, n)
         assert (stream.size, stream.n_moments) == (size, n)
         # last block first: a worker's first block does not need the earlier ones drawn
-        for start, stop in reversed(swlme.diagnostics._block_ranges(size)):
-            self.assert_bitwise(stream.block(start, stop), flat.block(start, stop))
+        for start, stop in reversed(_block_ranges(size)):
+            self.assert_bitwise(stream.block(start, stop), want.block(start, stop))
 
     def test_unaligned_ranges(self):
-        want = swlme.diagnostics._FlatSample(FreeSample.random(np.random.default_rng(54), 500, 3))
-        stream = SampleStream(54, 500, 3)
+        want, stream = reference_random(54, 500, 3), SampleStream(54, 500, 3)
         for start, stop in [(499, 500), (7, 300), (0, 1), (250, 250), (0, 500), (123, 124)]:
             self.assert_bitwise(stream.block(start, stop), want.block(start, stop))
 
     def test_random_draws_the_fields_in_order(self):
-        # FreeSample.random's body before its draws were tabled, as the reference
-        rng, size, n = np.random.default_rng(55), 37, 2
-
-        def scalars():
-            return rng.uniform(-2.0, 2.0, size)
-
-        def moments():
-            return rng.uniform(-2.0, 2.0, (size, n))
-
-        want = FreeSample(
-            h=rng.uniform(0.1, 3.0, size), um=scalars(), u=moments(),
-            b=rng.uniform(0.0, 1.0, size),
-            dt_h=scalars(), dx_h=scalars(), dt_um=scalars(), dx_um=scalars(),
-            dt_u=moments(), dx_u=moments(), dx_b=scalars(),
-        )
-        self.assert_bitwise(FreeSample.random(np.random.default_rng(55), size, n), want)
+        # the whole sample is the fields drawn whole, one after another, in order
+        self.assert_bitwise(SampleStream(55, 37, 2).block(0, 37), reference_random(55, 37, 2))
 
     @pytest.mark.parametrize("size", [1, _BLOCK + 1, 2 * _BLOCK + 17])
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_check_matches_the_whole_sample(self, size, n):
-        whole = FreeSample.random(np.random.default_rng(56), size, n)
+        whole = reference_random(56, size, n)
         assert (check_total_energy_identity(SampleStream(56, size, n), (1.0, 9.81))
                 == check_total_energy_identity(whole, (1.0, 9.81)))
 
@@ -493,7 +531,7 @@ READS_DX_B = {"momentum_rewrite", "momentum_advective", "momentum_skew_average",
 
 class TestNanSlot:
     def test_identities_reading_the_slot_return_nan(self):
-        s = FreeSample.random(np.random.default_rng(48), _BLOCK + 3, 2)
+        s = whole_sample(48, _BLOCK + 3, 2)
         s.dx_b[_BLOCK + 1] = np.nan  # in the last block only
         assert np.isnan(total_identity(s, 9.81))
         forms = skew_forms(s, 9.81)
@@ -524,7 +562,7 @@ def test_check_memory_stays_bounded(monkeypatch):
     # unblocked, each gravity's identities peaked near 270 MB.  One CPU keeps
     # every block in this process, where tracemalloc sees it.
     monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
-    s = FreeSample.random(np.random.default_rng(46), 100_000, 5)
+    s = whole_sample(46, 100_000, 5)
     tracemalloc.start()
     try:
         check_total_energy_identity(s, (1.0, 9.81))
@@ -564,18 +602,21 @@ class TestGradientCheck:
             for g in (1.0, 9.81):
                 assert gradient_check_entropy(W, b, g) <= 1e-6
 
-    def test_step_halving_order(self):
+    def test_step_halving_order(self, monkeypatch):
         # truncation-dominated regime: halving the step quarters the error
         rng = np.random.default_rng(28)
         W = np.empty((200, 4))
         W[:, 0] = rng.uniform(0.1, 0.5, 200)
         W[:, 1:] = rng.uniform(1.0, 3.0, (200, 3))
         b = rng.uniform(0.0, 1.0, 200)
-        d_coarse = gradient_check_entropy(W, b, 9.81, rel_step=1e-4)
-        d_half = gradient_check_entropy(W, b, 9.81, rel_step=5e-5)
+        d_default = gradient_check_entropy(W, b, 9.81)
+        monkeypatch.setattr(swlme.diagnostics, "_GRADIENT_STEP", 1e-4)
+        d_coarse = gradient_check_entropy(W, b, 9.81)
+        monkeypatch.setattr(swlme.diagnostics, "_GRADIENT_STEP", 5e-5)
+        d_half = gradient_check_entropy(W, b, 9.81)
         order = np.log2(d_coarse / d_half)
         assert 1.5 <= order <= 2.5
-        assert gradient_check_entropy(W, b, 9.81, rel_step=1e-6) < d_coarse
+        assert d_default < d_coarse
 
 
 class TestStoker:
@@ -630,7 +671,7 @@ class TestEnergyReport:
         dx = sc.grid.dx
         for t, U in zip(traj.times, traj.snapshots):
             (row,) = traj.steps[traj.steps[:, 0] == t]
-            e = energy(to_primitive(U), sc.topography.b, sc.params.g).e
+            e = energy(to_primitive(U), sc.topography, sc.params.g).e
             assert row[1:].tolist() == [U[:, 0].sum() * dx, U[:, 1].sum() * dx, e.sum() * dx]
 
     def test_single_snapshot(self):
@@ -681,6 +722,15 @@ class TestConvergence:
     def test_single_mesh_exact_mode(self):
         rows = convergence_study(self.base_dam_break(), [150])
         assert len(rows) == 1 and rows[0][2] is None
+
+    @pytest.mark.parametrize("meshes", [[50.7, 100.2], [100, 200.0], [True, 200],
+                                        [np.float64(100.0)]])
+    def test_non_integer_mesh_is_rejected_before_any_run(self, monkeypatch, meshes):
+        runs = []
+        monkeypatch.setattr(swlme.diagnostics, "run", lambda *args: runs.append(args))
+        with pytest.raises(ParameterError, match="^meshes must be an integer, got ") as err:
+            convergence_study(self.base_dam_break(), meshes)
+        assert err.value.field == "meshes" and runs == []
 
     def smooth_periodic(self):
         return Scenario(params=ModelParams(g=9.812, N=1), grid=Grid1D(0.0, 1.0, 32),
@@ -854,12 +904,12 @@ class TestFanOut:
     def test_check_forks_only_for_two_blocks_and_cpus(self, monkeypatch, forks, size, cpus,
                                                       forked):
         monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
-        s = FreeSample.random(np.random.default_rng(50), size, 2)
+        s = whole_sample(50, size, 2)
         check_total_energy_identity(s, (9.81,))
         assert len(forks) == forked
 
     def test_check_without_fork(self, monkeypatch):
-        s = FreeSample.random(np.random.default_rng(51), 2 * _BLOCK + 3, 1)
+        s = whole_sample(51, 2 * _BLOCK + 3, 1)
         want = check_total_energy_identity(s, (1.0, 9.81))
         monkeypatch.delattr(os, "fork")
         assert check_total_energy_identity(s, (1.0, 9.81)) == want
@@ -874,7 +924,7 @@ class TestFanOut:
 
         monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
         monkeypatch.setattr(swlme.diagnostics, "_block_defects", dying)
-        s = FreeSample.random(np.random.default_rng(52), _BLOCK + 1, 3)
+        s = whole_sample(52, _BLOCK + 1, 3)
         with pytest.raises(RuntimeError, match="^identity check at N=3: worker process ended "
                                                "with signal"):
             check_total_energy_identity(s, (9.81,))
