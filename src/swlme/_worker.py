@@ -6,8 +6,9 @@ always ends with os._exit, so it runs no exit handler and flushes no
 buffer it inherited.  Worker.result() reaps it and returns the value,
 raises the exception or, if the worker was lost, raises RuntimeError("<what>:
 worker process ended with signal N after sending K bytes", or "status N").
-Its users: the snapshot writer of `run` (swlme.cli), and _fan_out's shares
-of `check` and `converge` (swlme.diagnostics).
+Its users: the snapshot writer of `run` (swlme.cli), and _fan_out, which
+maps `check`'s identity blocks and `converge`'s meshes (swlme.diagnostics)
+in serial order with the tail in a worker.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ def _cpus() -> int:
     """CPUs this process may run on."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _fan_out_ok(pieces: int) -> bool:
-    """Whether work in `pieces` independent pieces gains from a forked worker."""
-    return pieces >= 2 and hasattr(os, "fork") and _cpus() >= 2
 
 
 class Worker:
@@ -101,19 +97,21 @@ def start(fn, what: str) -> Worker | None:
     return Worker(pid, open(r, "rb"), what)
 
 
-def _fan_out(work, shares: list, what: str) -> list:
-    """[work(share) for share in shares], the last of two or more shares in a forked worker.
+def _fan_out(work, items: list, cut: int, what: str) -> list:
+    """[work(item) for item in items], with items[cut:] in a forked worker.
 
-    The caller runs the other shares, in order, and kills the worker if
-    they raise (KeyboardInterrupt included); an exception from the worker
-    is raised after them, so the first share's wins, as in the serial loop.
-    With one share, or if no process can be forked, every share runs here.
+    The caller works through items[:cut] in order and kills the worker if
+    one of them raises (KeyboardInterrupt included); the worker's first
+    exception is raised after that, so the error raised is the one the
+    serial loop meets first.  Everything runs here unless
+    0 < cut < len(items), two CPUs are usable and a process can be forked.
     """
-    if len(shares) < 2 or (worker := start(lambda: work(shares[-1]), what)) is None:
-        return [work(share) for share in shares]
+    if (not 0 < cut < len(items) or _cpus() < 2
+            or (worker := start(lambda: [work(item) for item in items[cut:]], what)) is None):
+        return [work(item) for item in items]
     try:
-        results = [work(share) for share in shares[:-1]]
+        head = [work(item) for item in items[:cut]]
     except BaseException:
         worker.kill()
         raise
-    return results + [worker.result()]
+    return head + worker.result()

@@ -28,7 +28,6 @@ from swlme._worker import start
 from swlme.basis import Variant, compute_tensors
 from swlme.config import ConfigError, build_scenario, config_key, format_config, load_config
 from swlme.diagnostics import (
-    FreeSample,
     SampleStream,
     check_total_energy_identity,
     convergence_study,
@@ -46,7 +45,8 @@ GRADIENT_TOL = 1e-6
 GRAVITIES = (1.0, 9.81)
 CSV_CHUNK_ROWS = 256
 # bounds the work one `check` order may ask for: the bytes its sample would take if
-# drawn whole.  It is drawn block by block, so memory is bounded by diagnostics._BLOCK.
+# drawn whole (SampleStream.nbytes).  It is drawn block by block, so memory is bounded
+# by diagnostics._BLOCK.
 CHECK_SAMPLE_BYTES = 1 << 30
 
 
@@ -147,7 +147,7 @@ def cmd_check(args) -> int:
         print("error: --samples must be >= 0", file=sys.stderr)
         return EXIT_FAIL
     n = max(orders)
-    per_sample = FreeSample.random_nbytes(1, n)
+    per_sample = SampleStream.nbytes(1, n)
     if args.samples * per_sample > CHECK_SAMPLE_BYTES:
         print(f"error: --samples {args.samples} exceeds {CHECK_SAMPLE_BYTES // per_sample} at "
               f"N={n}: a sample takes {per_sample} bytes, and one order's samples at most "

@@ -19,26 +19,23 @@ class ConfigError(ValueError):
     """A configuration problem, with the offending key in the message."""
 
 
-# required keys; ic.name and topo.name also unlock their preset's parameter keys
-REQUIRED_KEYS = (
-    "model.N", "model.g", "model.variant",
-    "grid.cells", "grid.xmin", "grid.xmax",
-    "bc.kind", "ic.name", "time.t_end", "time.cfl", "output.path",
-)
-OPTIONAL_KEYS = ("topo.name", "output.every_steps", "output.snapshots")
-# the key of each constructor argument a ParameterError can name
-_ARGUMENT_KEYS = {
-    "g": "model.g", "N": "model.N", "variant": "model.variant",
-    "x_min": "grid.xmin", "x_max": "grid.xmax", "cells": "grid.cells",
-    "ic_name": "ic.name", "topo_name": "topo.name", "boundary": "bc.kind",
-    "t_end": "time.t_end", "cfl": "time.cfl",
-    "output_every_steps": "output.every_steps", "output_snapshots": "output.snapshots",
+# every key but the preset parameters: key -> (constructor argument, type[, default]),
+# in the order they are parsed.  A key with a default is optional; ic.name and topo.name
+# also unlock their preset's parameter keys; output.path is the command's, no argument.
+_KEYS = {
+    "model.N": ("N", int), "model.g": ("g", float), "model.variant": ("variant", str),
+    "grid.cells": ("cells", int), "grid.xmin": ("x_min", float), "grid.xmax": ("x_max", float),
+    "bc.kind": ("boundary", str), "ic.name": ("ic_name", str),
+    "time.t_end": ("t_end", float), "time.cfl": ("cfl", float), "output.path": (None, str),
+    "topo.name": ("topo_name", str, "flat"), "output.snapshots": ("output_snapshots", int, 0),
+    "output.every_steps": ("output_every_steps", int, 0),
 }
 
 
 def config_key(field: str) -> str:
     """The key of the argument a ParameterError names; `section_param` is `section.param`."""
-    return _ARGUMENT_KEYS.get(field) or field.replace("_", ".", 1)
+    return next((key for key, (arg, *_) in _KEYS.items() if arg == field),
+                field.replace("_", ".", 1))
 
 
 def parse_config(text: str) -> dict:
@@ -95,9 +92,6 @@ def build_scenario(cfg: dict) -> Scenario:
     The constructors enforce every constraint on a value; a ParameterError
     they raise becomes a ConfigError that names the argument's key.
     """
-    for key in REQUIRED_KEYS:
-        if key not in cfg:
-            raise ConfigError(f"missing required key '{key}'")
     try:
         return _scenario(cfg)
     except ParameterError as err:
@@ -109,32 +103,19 @@ def build_scenario(cfg: dict) -> Scenario:
 
 
 def _scenario(cfg: dict) -> Scenario:
-    ic_name = cfg["ic.name"]
-    ic_keys = _preset_keys("ic", ic_name)
-    topo_name = cfg.get("topo.name", "flat")
-    topo_keys = _preset_keys("topo", topo_name)
-
-    allowed = set(REQUIRED_KEYS) | set(OPTIONAL_KEYS) | set(ic_keys) | set(topo_keys)
+    args = {arg: _get(cfg, key, *spec) for key, (arg, *spec) in _KEYS.items()}
+    presets = {s: _preset_keys(s, args[f"{s}_name"]) for s in ("ic", "topo")}
     for key in cfg:
-        if key not in allowed:
+        if key not in _KEYS and not any(key in keys for keys in presets.values()):
             raise ConfigError(f"unknown key '{key}'")
 
-    ic_params = {key.split(".", 1)[1]: _get(cfg, key, float)
-                 for key in ic_keys if key in cfg}
-    topo_params = {key.split(".", 1)[1]: _get(cfg, key, float)
-                   for key in topo_keys if key in cfg}
+    params = {section: {key.split(".", 1)[1]: _get(cfg, key, float) for key in keys if key in cfg}
+              for section, keys in presets.items()}
+    del args[None]  # output.path
     scenario = Scenario(
-        params=ModelParams(g=_get(cfg, "model.g", float), N=_get(cfg, "model.N", int),
-                           variant=cfg["model.variant"].lower()),
-        grid=Grid1D(x_min=_get(cfg, "grid.xmin", float), x_max=_get(cfg, "grid.xmax", float),
-                    cells=_get(cfg, "grid.cells", int)),
-        ic_name=ic_name, ic_params=ic_params,
-        topo_name=topo_name, topo_params=topo_params,
-        boundary=cfg["bc.kind"],
-        t_end=_get(cfg, "time.t_end", float),
-        cfl=_get(cfg, "time.cfl", float),
-        output_every_steps=_get(cfg, "output.every_steps", int, default=0),
-        output_snapshots=_get(cfg, "output.snapshots", int, default=0),
+        params=ModelParams(g=args.pop("g"), N=args.pop("N"), variant=args.pop("variant").lower()),
+        grid=Grid1D(x_min=args.pop("x_min"), x_max=args.pop("x_max"), cells=args.pop("cells")),
+        ic_params=params["ic"], topo_params=params["topo"], **args,
     )
     scenario.initial_states()  # raises on a non-positive depth
     return scenario

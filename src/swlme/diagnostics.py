@@ -29,9 +29,10 @@ numpy's inner-loop call per batch entry; n terms sum to within
 Also here: the finite-difference check that the entropy variables are the
 energy gradient, the exact wet-bed dam-break reference solution, and the
 convergence study of solver runs.  The identity blocks and the meshes of a
-study are independent work, shared out by swlme._worker._fan_out: results,
-exceptions and the first error are the serial loop's, and only counters in
-the caller's memory see the caller's share alone.
+study are independent items, mapped by swlme._worker._fan_out in serial
+order with the tail in a forked worker: results and the error raised are
+the serial loop's, and only counters in the caller's memory see the
+caller's items alone.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from swlme._worker import _fan_out, _fan_out_ok
+from swlme._worker import _fan_out
 from swlme.model import (
     ParameterError,
     _energy_density,
@@ -49,6 +50,7 @@ from swlme.model import (
     as_count,
     entropy_vars,
     moment_weights,
+    to_conserved,
     to_primitive,
 )
 from swlme.solver import Scenario, StateRecord, run
@@ -109,11 +111,6 @@ class FreeSample:
         """The samples [start:stop], every field a view."""
         return FreeSample(**{f.name: getattr(self, f.name)[start:stop] for f in fields(self)})
 
-    @staticmethod
-    def random_nbytes(size: int, n_moments: int) -> int:
-        """Bytes SampleStream(seed, size, n_moments) draws: 8 scalar and 3 moment fields."""
-        return 8 * size * (8 + 3 * n_moments)
-
 
 # the fields SampleStream draws, in its order, with their bounds: h in [0.1, 3],
 # b in [0, 1], every other value in [-2, 2]
@@ -144,6 +141,11 @@ class SampleStream:
         self.size, self.n_moments = size, n_moments
         self._bits = np.random.PCG64(seed)
         self._start_state, self._rng = self._bits.state, np.random.Generator(self._bits)
+
+    @staticmethod
+    def nbytes(size: int, n_moments: int) -> int:
+        """Bytes the whole sample takes, block(0, size): 8 scalar and 3 moment fields."""
+        return 8 * size * (8 + 3 * n_moments)
 
     def block(self, start: int, stop: int) -> FreeSample:
         drawn, offset = {}, 0  # offset: outputs the fields before this one take
@@ -367,18 +369,13 @@ def check_total_energy_identity(s, gravities) -> dict:
     is the total kinetic plus potential energy.  The moment-equation steps
     exist for N >= 1 only.  Every identity at every gravity is evaluated in
     one walk over s.block of each _block_ranges(s.size); with two blocks or
-    more, a forked worker takes the second half of the ranges (_fan_out),
+    more, _fan_out gives the second half of the ranges to a forked worker,
     so a SampleStream's worker draws its blocks itself.  RuntimeError names
     the order if the worker is lost.
     """
-
-    def defects(share):
-        return [_block_defects(s.block(start, stop), gravities) for start, stop in share]
-
     ranges = _block_ranges(s.size)
-    half = len(ranges) // 2
-    shares = [ranges[:half], ranges[half:]] if _fan_out_ok(len(ranges)) else [ranges]
-    per_block = sum(_fan_out(defects, shares, f"identity check at N={s.n_moments}"), [])
+    per_block = _fan_out(lambda r: _block_defects(s.block(*r), gravities), ranges,
+                         len(ranges) // 2, f"identity check at N={s.n_moments}")
     return {g: {name: float(np.max([d[g][name] for d in per_block])) for name in per_block[0][g]}
             for g in gravities}
 
@@ -393,8 +390,7 @@ def gradient_check_entropy(W: np.ndarray, b, g: float) -> float:
     W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float)
     n = W.shape[-1]
-    U = np.array(W)
-    U[..., 1:] = W[..., 1:] * W[..., :1]
+    U = to_conserved(W)
 
     q = entropy_vars(W, b, g)
     exact = np.concatenate([np.atleast_1d(q.q1)[..., None],
@@ -518,11 +514,13 @@ def convergence_study(scenario: Scenario, meshes) -> list:
     the list itself: empty, with a mesh that is not an integer, or with a
     repeated mesh) at fault.
 
-    Each mesh runs once.  With two meshes or more, a forked worker runs
-    the largest while the caller runs the others (_fan_out).  The error
-    raised is the one the serial order meets first: the meshes as listed,
-    or in self-reference mode the finest mesh first; a lost worker counts
-    as a failure of the largest mesh.
+    Each mesh runs once, in the serial order: the meshes as listed, or in
+    self-reference mode the finest mesh first.  With two meshes or more,
+    _fan_out gives a forked worker the meshes from the largest on, or
+    after it if it comes first (in self-reference mode, every mesh but the
+    finest), while the caller runs the ones before; the error raised is the
+    one the serial order meets first, and a lost worker is named by the
+    meshes it ran.
     """
     meshes = [as_count("meshes", m) for m in meshes]
     if not meshes:
@@ -551,33 +549,17 @@ def convergence_study(scenario: Scenario, meshes) -> list:
                 raise ParameterError("meshes", f"self-reference mode needs dyadically nested "
                                                f"meshes, got {prev} -> {nxt}")
 
+    def final_depths(cells):
+        U, failure = run(on_mesh[cells], _FinalState())
+        if failure:
+            raise RuntimeError(f"run on {cells} cells failed: {failure}")
+        return U[:, 0].copy()  # not a view that keeps the whole state
+
     # the order a serial study runs the meshes in: the reference first
     serial = meshes if exact else meshes[-1:] + meshes[:-1]
-    finest = max(serial)
-    found = {}  # cells -> final depths, or the exception its run raised
-
-    def run_share(share):
-        for cells in share:
-            try:
-                U, failure = run(on_mesh[cells], _FinalState())
-                if failure:
-                    raise RuntimeError(f"run on {cells} cells failed: {failure}")
-                found[cells] = U[:, 0].copy()  # not a view that keeps the whole state
-            except Exception as err:  # a serial study would stop here
-                found[cells] = err
-                break
-        return found
-
-    shares = ([[m for m in serial if m != finest], [finest]] if _fan_out_ok(len(serial))
-              else [serial])
-    try:
-        for outcome in _fan_out(run_share, shares, f"run on {finest} cells"):
-            found.update(outcome)
-    except RuntimeError as lost:  # run_share raises nothing, so only the worker was lost
-        found[finest] = lost
-    for cells in serial:  # a mesh a share skipped comes after that share's failure
-        if isinstance(found[cells], Exception):
-            raise found[cells]
+    cut = serial.index(max(serial)) or 1
+    found = dict(zip(serial, _fan_out(final_depths, serial, cut,
+                                      f"run on {', '.join(map(str, serial[cut:]))} cells")))
 
     if exact:
         rows_meshes = meshes

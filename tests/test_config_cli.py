@@ -19,8 +19,8 @@ import swlme.diagnostics
 import swlme.solver
 from swlme.basis import Variant, compute_tensors
 from swlme.cli import CHECK_SAMPLE_BYTES, CSV_CHUNK_ROWS, _CsvSink, _fmt, main
-from swlme.config import ConfigError, build_scenario, format_config, parse_config
-from swlme.diagnostics import _BLOCK, FreeSample, SampleStream
+from swlme.config import _KEYS, ConfigError, build_scenario, format_config, parse_config
+from swlme.diagnostics import _BLOCK, SampleStream
 from swlme.model import N_MAX, WaveSpeedBoundWarning, energy, to_primitive
 from swlme.solver import _PRESETS, MAX_STATE_BYTES, Trajectory, run
 from conftest import assert_no_process_left
@@ -387,14 +387,14 @@ class TestCheckCommand:
     def test_accepts_samples_within_memory_budget(self, capsys, monkeypatch, argv):
         drawn = []
         monkeypatch.setattr("swlme.cli._check_identities", lambda orders, samples, seed:
-                            drawn.append(FreeSample.random_nbytes(samples, max(orders))) or [])
+                            drawn.append(SampleStream.nbytes(samples, max(orders))) or [])
         monkeypatch.setattr("swlme.cli._check_gradients", lambda *args: [])
         assert main(["check", *argv]) == 0
         assert 0 < drawn[0] <= CHECK_SAMPLE_BYTES
 
     def test_sample_size_matches_what_is_drawn(self):
         sample = SampleStream(0, 7, 3).block(0, 7)
-        assert FreeSample.random_nbytes(7, 3) == sum(
+        assert SampleStream.nbytes(7, 3) == sum(
             getattr(sample, f.name).nbytes for f in dataclasses.fields(sample))
 
 
@@ -1156,6 +1156,20 @@ def test_docs_list_exactly_the_preset_table():
     def rows(table):  # in table order, which the "known: ..." messages follow
         return [(s, name, list(p.items())) for s in table for name, p in table[s].items()]
     assert rows(documented) == rows(_PRESETS)
+
+
+def test_docs_list_exactly_the_key_table():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+
+    def table(heading):  # the first two columns of the table under `heading`
+        body = text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+        return re.findall(r"^\| `([\w.]+)` *\| *`?([^|`]*?)`? *\|", body, re.M)
+
+    types = {int: "int", float: "float", str: "string"}
+    assert table("Required keys") == [(key, types[kind]) for key, (_, kind, *default)
+                                      in _KEYS.items() if not default]
+    assert table("Optional keys") == [(key, str(default[0])) for key, (_, kind, *default)
+                                      in _KEYS.items() if default]
 
 
 # what the benchmark harness wraps, in every swlme namespace that binds it; it

@@ -16,7 +16,7 @@ import pytest
 import swlme._worker
 import swlme.cli
 import swlme.diagnostics
-from swlme._worker import _fan_out, _fan_out_ok
+from swlme._worker import _cpus, _fan_out
 from swlme.cli import main
 from swlme.diagnostics import (
     _BLOCK,
@@ -772,18 +772,36 @@ def test_only_the_worker_module_forks_kills_or_reaps():
 
 
 class TestFanOut:
-    """_fan_out runs the last share in a forked worker and returns what the serial loop would."""
+    """_fan_out maps items in order, items[cut:] in a forked worker, as the serial loop would."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
 
     def test_results_in_share_order(self, forks):
         parent = os.getpid()
-        got = _fan_out(lambda share: (share, in_worker(parent)), [[1, 2], [3]], "test")
-        assert got == [([1, 2], False), ([3], True)]
+        got = _fan_out(lambda item: (item, in_worker(parent)), [1, 2, 3], 2, "test")
+        assert got == [(1, False), (2, False), (3, True)]
         assert len(forks) == 1
         assert_no_process_left()
 
     def test_one_share_runs_here(self, forks):
-        assert _fan_out(lambda share: share * 2, [[1]], "test") == [[1, 1]]
+        # a cut at either end, or a single item, leaves one share: no fork
+        parent = os.getpid()
+        for items, cut in [([1, 2], 0), ([1, 2], 2), ([1], 0), ([1], 1), ([], 0)]:
+            assert _fan_out(lambda item: (item, in_worker(parent)), items, cut, "test") == [
+                (item, False) for item in items], (items, cut)
         assert forks == []
+
+    def test_probe(self, monkeypatch, forks):
+        # one usable CPU, or no os.fork: every item runs here
+        parent = os.getpid()
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
+        assert _fan_out(lambda item: in_worker(parent), [1, 2], 1, "test") == [False, False]
+        assert forks == []
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert _fan_out(lambda item: in_worker(parent), [1, 2], 1, "test") == [False, False]
 
     def test_failed_fork_runs_every_share_here(self, monkeypatch):
         def no_process():
@@ -792,54 +810,75 @@ class TestFanOut:
         monkeypatch.setattr(os, "fork", no_process)
         parent = os.getpid()
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        assert _fan_out(lambda share: in_worker(parent), [[1], [2]], "test") == [False, False]
+        assert _fan_out(lambda item: in_worker(parent), [1, 2], 1, "test") == [False, False]
         if fds is not None:  # the result pipe was closed again
             assert len(os.listdir("/proc/self/fd")) == fds
 
-    def test_worker_exception_is_raised_here(self):
-        def work(share):
-            if share == [2]:
-                raise ValueError(f"bad share {share}")
-            return share
+    def test_cpu_probe_reads_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):  # _cpus as imported, not the patched one
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            assert _cpus() == 1
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+            assert _cpus() == 2
 
-        with pytest.raises(ValueError, match=r"^bad share \[2\]$"):
-            _fan_out(work, [[1], [2]], "test")
+    def test_worker_exception_is_raised_here(self):
+        def work(item):
+            if item >= 2:
+                raise ValueError(f"bad item {item}")
+            return item
+
+        with pytest.raises(ValueError, match=r"^bad item 2$"):
+            _fan_out(work, [1, 2, 3], 1, "test")
         assert_no_process_left()
 
     def test_first_share_exception_wins(self):
-        def work(share):
-            raise ValueError(f"bad share {share}")
+        def work(item):
+            raise ValueError(f"bad item {item}")
 
-        with pytest.raises(ValueError, match=r"^bad share \[1\]$"):
-            _fan_out(work, [[1], [2]], "test")
+        with pytest.raises(ValueError, match=r"^bad item 1$"):
+            _fan_out(work, [1, 2], 1, "test")
+        assert_no_process_left()
+
+    def test_failing_caller_share_kills_the_worker(self):
+        parent = os.getpid()
+
+        def work(item):
+            if in_worker(parent):
+                time.sleep(60)
+            raise ValueError(f"bad item {item}")
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=r"^bad item 1$"):
+            _fan_out(work, [1, 2], 1, "test")
+        assert time.monotonic() - start < 30  # killed, not waited for
         assert_no_process_left()
 
     def test_caller_interrupt_kills_the_worker(self):
         parent = os.getpid()
 
-        def work(share):
+        def work(item):
             if in_worker(parent):
                 time.sleep(60)
             raise KeyboardInterrupt
 
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            _fan_out(work, [[1], [2]], "test")
+            _fan_out(work, [1, 2], 1, "test")
         assert time.monotonic() - start < 30
         assert_no_process_left()
 
     def test_killed_worker_raises_runtime_error(self):
         parent = os.getpid()
 
-        def work(share):
+        def work(item):
             if in_worker(parent):
                 os.kill(os.getpid(), signal.SIGKILL)
-            return share
+            return item
 
-        with pytest.raises(RuntimeError, match=f"^the test share: worker process ended with "
+        with pytest.raises(RuntimeError, match=f"^the test items: worker process ended with "
                                                f"signal {int(signal.SIGKILL)} after sending 0 "
                                                "bytes$"):
-            _fan_out(work, [[1], [2]], "the test share")
+            _fan_out(work, [1, 2], 1, "the test items")
         assert_no_process_left()
 
     def test_short_pickle_raises_runtime_error(self, monkeypatch):
@@ -854,49 +893,34 @@ class TestFanOut:
         monkeypatch.setattr(swlme._worker, "pickle", Truncating)
         with pytest.raises(RuntimeError, match="^test: worker process ended with status 0 "
                                                "after sending 7 bytes$"):
-            _fan_out(lambda share: share, [[1], [2]], "test")
+            _fan_out(lambda item: item, [1, 2], 1, "test")
         assert_no_process_left()
 
     def test_exception_that_does_not_unpickle(self):
-        def work(share):
-            if share == [2]:
+        def work(item):
+            if item == 2:
                 raise ParameterError("meshes", "no good")
-            return share
+            return item
 
         # ParameterError's two arguments do not survive pickling; the worker says so
         with pytest.raises(RuntimeError, match=r"^test: ParameterError\('no good'\) does not "
                                                "pickle: "):
-            _fan_out(work, [[1], [2]], "test")
+            _fan_out(work, [1, 2], 1, "test")
         assert_no_process_left()
 
     def test_worker_warnings_are_issued_here(self):
         parent = os.getpid()
 
-        def work(share):
-            warnings.warn(f"share {share} in the worker: {in_worker(parent)}", UserWarning)
-            return share
+        def work(item):
+            warnings.warn(f"item {item} in the worker: {in_worker(parent)}", UserWarning)
+            return item
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert _fan_out(work, [[1], [2]], "test") == [[1], [2]]
-        assert [str(w.message) for w in caught] == ["share [1] in the worker: False",
-                                                   "share [2] in the worker: True"]
-
-    def test_probe(self, monkeypatch):
-        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
-        assert _fan_out_ok(2) and not _fan_out_ok(1) and not _fan_out_ok(0)
-        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
-        assert not _fan_out_ok(2)
-        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
-        monkeypatch.delattr(os, "fork")
-        assert not _fan_out_ok(2)
-
-    def test_cpu_probe_reads_the_affinity_mask(self, monkeypatch):
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-            assert not _fan_out_ok(2)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
-            assert _fan_out_ok(2)
+            assert _fan_out(work, [1, 2, 3], 1, "test") == [1, 2, 3]
+        assert [str(w.message) for w in caught] == ["item 1 in the worker: False",
+                                                   "item 2 in the worker: True",
+                                                   "item 3 in the worker: True"]
 
     @pytest.mark.parametrize("size, cpus, forked", [
         (_BLOCK, 2, 0), (_BLOCK + 1, 2, 1), (_BLOCK + 1, 1, 0), (0, 2, 0),
@@ -930,6 +954,28 @@ class TestFanOut:
             check_total_energy_identity(s, (9.81,))
         assert_no_process_left()
 
+    # a lost worker is named by the meshes it ran; `test_lost_worker_exits_2`
+    # covers exact mode's usual order, meshes ascending
+    @pytest.mark.parametrize("mode, meshes, lost", [
+        ("exact", [100, 25, 50], "25, 50"), ("self-reference", [16, 32, 64], "16, 32"),
+    ], ids=["exact-largest-first", "self-reference"])
+    def test_lost_converge_worker_names_its_meshes(self, monkeypatch, mode, meshes, lost):
+        parent, real_run = os.getpid(), swlme.diagnostics.run
+
+        def dying(scenario, sink):
+            if in_worker(parent):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run(scenario, sink)
+
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
+        monkeypatch.setattr(swlme.diagnostics, "run", dying)
+        sc = (TestConvergence().base_dam_break() if mode == "exact"
+              else TestConvergence().smooth_periodic())
+        with pytest.raises(RuntimeError, match=f"^run on {lost} cells: worker process ended "
+                                               "with signal"):
+            convergence_study(sc, meshes)
+        assert_no_process_left()
+
     @pytest.mark.parametrize("mode, meshes, cpus, forked", [
         ("exact", [100, 200], 2, 1), ("exact", [100, 200], 1, 0), ("exact", [150], 2, 0),
         ("exact", [100, 100], 2, None), ("self-reference", [16, 32], 2, 1),
@@ -955,5 +1001,10 @@ class TestFanOut:
         rows = convergence_study(sc, meshes)
         assert len(forks) == forked
         assert [r[0] for r in rows] == (meshes if mode == "exact" else meshes[:-1])
-        # each mesh runs once, the largest in the worker if there is one
-        assert sorted(runs) == sorted(meshes)[:len(meshes) - forked]
+        # each mesh runs once; with a worker, the finest mesh and the others run in
+        # different processes: exact mode's worker runs the largest, self-reference
+        # mode's the others
+        if not forked:
+            assert sorted(runs) == sorted(meshes)
+        else:
+            assert runs == (meshes[:-1] if mode == "exact" else meshes[-1:])
