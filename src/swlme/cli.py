@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
 runtime failures (for example a dry state, a time-step underflow, a
-failed write mid-run, or a lost worker process).
+failed write mid-run, a lost worker process, or a failed write or flush of
+standard output: a closed pipe or a full disk, reported in one stderr
+line without a traceback).
 
 `run` opens its output files before the first step and streams into them:
 solver.run hands the StateRecord of every state to a _CsvSink, which writes
@@ -62,6 +64,46 @@ def _keep_heap_slack() -> None:
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-2, 64 << 20)  # M_TOP_PAD
+
+
+class _StdoutError(Exception):
+    """A write or flush of standard output failed; the message says how."""
+
+
+class _Stdout:
+    """sys.stdout while a command runs: a failed write or flush raises _StdoutError."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def _guarded(self, method, *args):
+        try:
+            return method(*args)
+        except OSError as err:
+            raise _StdoutError(f"writing standard output failed: {err}") from err
+
+    def write(self, text):
+        return self._guarded(self.stream.write, text)
+
+    def writelines(self, lines):
+        return self._guarded(self.stream.writelines, lines)
+
+    def flush(self):
+        return self._guarded(self.stream.flush)
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so its buffer cannot fail again at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream without a file descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _fmt(value: float) -> str:
@@ -330,15 +372,19 @@ def cmd_run(args) -> int:
     except RuntimeError as err:  # a lost writer process
         print(f"error: {err}; partial output written to {path}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(" ".join(f"{name}={_fmt(value)}" for name, value in zip(SUMMARY_FIELDS, final)))
-    if scenario.params.variant is Variant.SWME:
-        print("note: energy columns use the linearized-closure energy pair; for the "
-              "full closure they are monitored, not certified")
-    if failure:
+    if failure:  # reported first: a failed stdout below must not hide it
         print(f"error: run failed ({failure}); partial output written to {path}",
               file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    try:
+        print(" ".join(f"{name}={_fmt(value)}" for name, value in zip(SUMMARY_FIELDS, final)))
+        if scenario.params.variant is Variant.SWME:
+            print("note: energy columns use the linearized-closure energy pair; for the "
+                  "full closure they are monitored, not certified")
+        sys.stdout.flush()
+    except _StdoutError as err:
+        files = "partial output written to" if failure else "the output files are complete in"
+        raise _StdoutError(f"{err}; {files} {path}") from err.__cause__
+    return EXIT_RUNTIME if failure else EXIT_OK
 
 
 def cmd_converge(args) -> int:
@@ -407,7 +453,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     _keep_heap_slack()
-    return args.fn(args)
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a failed write of the last lines shows here, not at exit
+        return code
+    except _StdoutError as err:
+        sys.stdout = stdout
+        _discard_stdout()
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -112,10 +112,8 @@ def _scenario(cfg: dict) -> Scenario:
     params = {section: {key.split(".", 1)[1]: _get(cfg, key, float) for key in keys if key in cfg}
               for section, keys in presets.items()}
     del args[None]  # output.path
-    scenario = Scenario(
+    return Scenario(
         params=ModelParams(g=args.pop("g"), N=args.pop("N"), variant=args.pop("variant").lower()),
         grid=Grid1D(x_min=args.pop("x_min"), x_max=args.pop("x_max"), cells=args.pop("cells")),
         ic_params=params["ic"], topo_params=params["topo"], **args,
     )
-    scenario.initial_states()  # raises on a non-positive depth
-    return scenario

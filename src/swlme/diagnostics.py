@@ -14,9 +14,10 @@ every gravity.  Both kinds of sample hand out a block as a FreeSample by
 block(start, stop): a FreeSample slices the fields it holds, and a
 SampleStream, the seeded random sample of `check`, draws the block's slice
 and holds nothing, so a check of a SampleStream needs memory bounded by
-_BLOCK alone, whatever its size.  A block builds its
-gravity-free terms and its moment equations once; only the equations that
-read g are built per gravity.
+_BLOCK alone, whatever its size.  A block forms every
+distinct product-rule term once, or once per gravity if it reads g, and
+equations that list the same term share its array; nothing is kept from
+one block to the next.
 
 Every equation is a plain list of equally shaped term arrays, combined by
 list concatenation and scaled term by term; a moment equation joins a
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -182,9 +185,15 @@ class _Expansions:
     """Product-rule terms of every displayed equation, on one sample.
 
     Each equation is a list of equally shaped term arrays, batch-shaped or,
-    for the per-moment equations, batch + (N,).  T, dxT, dtT and the
-    continuity terms do not read g and are built here, once; every other
-    equation is built afresh by its method, of g or of no argument.
+    for the per-moment equations, batch + (N,).  Every distinct term is
+    formed once per expansion, and a term that reads g once per gravity, so
+    the lists of several equations, and of one equation at two gravities,
+    hold the same array where they list the same term.  T, dxT, dtT and the
+    continuity terms are built here; the other gravity-free terms when an
+    equation first asks for them (_free, _moment_shared); the terms that
+    read g for the gravity last asked for (_gravity).  _block_defects drops
+    _moment_shared once the moment steps are taken.  Sharing only reuses
+    an array: each term keeps its own expression, so its bits.
     """
 
     def __init__(self, s: FreeSample):
@@ -195,104 +204,132 @@ class _Expansions:
         self.continuity = [s.dt_h, s.dx_h * s.um, s.h * s.dx_um]
         # h, u_m, dt_h, dx_h and dx_um as columns that broadcast over the moments
         self.cols = tuple(a[..., None] for a in (s.h, s.um, s.dt_h, s.dx_h, s.dx_um))
+        self._at = None  # the terms that read g, for the gravity last asked for
+
+    @cached_property
+    def _free(self) -> SimpleNamespace:
+        """Every gravity-free term of the scalar equations but continuity's.
+
+        A name lists a term's factors in the order they are multiplied:
+        half_dth_um2 is 0.5 * dt_h * um**2, and h15 stands for 1.5 * h.
+        """
+        s, h, um, T, dxT = self.s, self.s.h, self.s.um, self.T, self.dxT
+        um2 = um**2
+        um3 = um**3  # once: the power loop is slow, but um * um * um would round differently
+        hum, half_h, half_dth, half_dxh, h15 = h * um, 0.5 * h, 0.5 * s.dt_h, 0.5 * s.dx_h, 1.5 * h
+        return SimpleNamespace(
+            # the momentum balance and its advective and skew forms
+            dth_um=s.dt_h * um, h_dtum=h * s.dt_um, dxh_um2=s.dx_h * um2,
+            two_hum_dxum=2.0 * h * um * s.dx_um, dxh_T=s.dx_h * T, h_dxT=h * dxT,
+            hum_dxum=hum * s.dx_um, half_dth_um=half_dth * um, half_h_dtum=half_h * s.dt_um,
+            half_dxh_um2=half_dxh * um2, half_hum_dxum=half_h * um * s.dx_um,
+            # the kinetic and total energies
+            half_dth_um2=half_dth * um2, hum_dtum=hum * s.dt_um, half_dxh_um3=half_dxh * um3,
+            h15_um2_dxum=h15 * um2 * s.dx_um, um_dxh_T=um * s.dx_h * T, hum_dxT=hum * dxT,
+            half_dth_T=half_dth * T, half_h_dtT=half_h * self.dtT,
+            dxh15_um_T=1.5 * s.dx_h * um * T, h15_dxum_T=h15 * s.dx_um * T,
+            h15_um_dxT=h15 * um * dxT,
+        )
+
+    def _gravity(self, g) -> SimpleNamespace:
+        """Every term that reads g, formed at the first ask for g after another gravity."""
+        if self._at is None or self._at.g != g:
+            self._at = None  # the last gravity's terms go before this one's are formed
+            s, h, um, b = self.s, self.s.h, self.s.um, self.s.b
+            gh, hb, dxhb = g * h, h + b, s.dx_h + s.dx_b
+            ghb, ghum = g * hb, gh * um
+            self._at = SimpleNamespace(
+                g=g, gh_dxh=gh * s.dx_h, gh_dxb=gh * s.dx_b, gh_dxhb=gh * dxhb,
+                ghum_dxhb=ghum * dxhb, gh_dth=gh * s.dt_h, gb_dth=g * b * s.dt_h,
+                ghb_dxh_um=ghb * s.dx_h * um, ghb_h_dxum=ghb * h * s.dx_um,
+                gdxh_um_hb=g * s.dx_h * um * hb, gh_dxum_hb=gh * s.dx_um * hb,
+                ghum_dxh=ghum * s.dx_h, ghum_dxb=ghum * s.dx_b,
+            )
+        return self._at
 
     def momentum(self, g: float) -> list:
-        s, h, um = self.s, self.s.h, self.s.um
-        return [
-            s.dt_h * um, h * s.dt_um,
-            s.dx_h * um**2, 2.0 * h * um * s.dx_um,
-            s.dx_h * self.T, h * self.dxT,
-            g * h * s.dx_h, g * h * s.dx_b,
-        ]
+        f, a = self._free, self._gravity(g)
+        return [f.dth_um, f.h_dtum, f.dxh_um2, f.two_hum_dxum, f.dxh_T, f.h_dxT, a.gh_dxh, a.gh_dxb]
 
     def momentum_split(self, g: float) -> list:
         """The momentum balance with the pressure gradient grouped as g h dx(h + b)."""
-        s = self.s
-        return self.momentum(g)[:6] + [g * s.h * (s.dx_h + s.dx_b)]
+        return self.momentum(g)[:6] + [self._gravity(g).gh_dxhb]
 
     def momentum_advective(self, g: float) -> list:
-        s, h, um = self.s, self.s.h, self.s.um
-        return [
-            h * s.dt_um, h * um * s.dx_um, g * h * (s.dx_h + s.dx_b),
-            s.dx_h * self.T, h * self.dxT,
-        ]
+        f, a = self._free, self._gravity(g)
+        return [f.h_dtum, f.hum_dxum, a.gh_dxhb, f.dxh_T, f.h_dxT]
 
     def momentum_skew(self, g: float) -> list:
-        s, h, um = self.s, self.s.h, self.s.um
+        f, a = self._free, self._gravity(g)
         return [
-            0.5 * s.dt_h * um, 0.5 * h * s.dt_um, 0.5 * h * s.dt_um,
-            0.5 * s.dx_h * um**2, h * um * s.dx_um, 0.5 * h * um * s.dx_um,
-            g * h * (s.dx_h + s.dx_b), s.dx_h * self.T, h * self.dxT,
+            f.half_dth_um, f.half_h_dtum, f.half_h_dtum,
+            f.half_dxh_um2, f.hum_dxum, f.half_hum_dxum,
+            a.gh_dxhb, f.dxh_T, f.h_dxT,
         ]
 
     def kinetic(self, g: float) -> list:
-        s, h, um = self.s, self.s.h, self.s.um
+        f, a = self._free, self._gravity(g)
         return [
-            0.5 * s.dt_h * um**2, h * um * s.dt_um,
-            0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
-            g * h * um * (s.dx_h + s.dx_b), um * s.dx_h * self.T, um * h * self.dxT,
+            f.half_dth_um2, f.hum_dtum, f.half_dxh_um3, f.h15_um2_dxum,
+            a.ghum_dxhb, f.um_dxh_T, f.hum_dxT,
         ]
 
     def potential(self, g: float) -> list:
-        s, h, um, b = self.s, self.s.h, self.s.um, self.s.b
-        return [
-            g * h * s.dt_h, g * b * s.dt_h,
-            g * (h + b) * s.dx_h * um, g * (h + b) * h * s.dx_um,
-        ]
+        a = self._gravity(g)
+        return [a.gh_dth, a.gb_dth, a.ghb_dxh_um, a.ghb_h_dxum]
 
     def total_kinetic(self, g: float) -> list:
-        s, h, um, T = self.s, self.s.h, self.s.um, self.T
+        f, a = self._free, self._gravity(g)
         return [
-            0.5 * s.dt_h * um**2, h * um * s.dt_um, 0.5 * s.dt_h * T, 0.5 * h * self.dtT,
-            0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
-            g * h * um * (s.dx_h + s.dx_b),
-            1.5 * s.dx_h * um * T, 1.5 * h * s.dx_um * T, 1.5 * h * um * self.dxT,
+            f.half_dth_um2, f.hum_dtum, f.half_dth_T, f.half_h_dtT,
+            f.half_dxh_um3, f.h15_um2_dxum, a.ghum_dxhb,
+            f.dxh15_um_T, f.h15_dxum_T, f.h15_um_dxT,
         ]
 
     # the energy balance: dt(e) terms, then dx(f) terms
     def energy_time(self, g: float) -> list:
-        s, h, um, b = self.s, self.s.h, self.s.um, self.s.b
-        return [
-            0.5 * s.dt_h * um**2, h * um * s.dt_um, 0.5 * s.dt_h * self.T, 0.5 * h * self.dtT,
-            g * h * s.dt_h, g * b * s.dt_h,
-        ]
+        f, a = self._free, self._gravity(g)
+        return [f.half_dth_um2, f.hum_dtum, f.half_dth_T, f.half_h_dtT, a.gh_dth, a.gb_dth]
 
     def energy_flux(self, g: float) -> list:
-        s, h, um, b, T = self.s, self.s.h, self.s.um, self.s.b, self.T
+        f, a = self._free, self._gravity(g)
         return [
-            0.5 * s.dx_h * um**3, 1.5 * h * um**2 * s.dx_um,
-            1.5 * s.dx_h * um * T, 1.5 * h * s.dx_um * T, 1.5 * h * um * self.dxT,
-            g * s.dx_h * um * (h + b), g * h * s.dx_um * (h + b),
-            g * h * um * s.dx_h, g * h * um * s.dx_b,
+            f.half_dxh_um3, f.h15_um2_dxum, f.dxh15_um_T, f.h15_dxum_T, f.h15_um_dxT,
+            a.gdxh_um_hb, a.gh_dxum_hb, a.ghum_dxh, a.ghum_dxb,
         ]
 
+    @cached_property
+    def _moment_shared(self) -> SimpleNamespace:
+        """The terms more than one moment equation lists, or one lists twice."""
+        (uu, dt_u, dx_u), (h_, um_, dth_, _, dxum_) = (self.s.u, self.s.dt_u, self.s.dx_u), self.cols
+        return SimpleNamespace(
+            dth_uu=dth_ * uu, h_dtu=h_ * dt_u, hum_dxu=h_ * um_ * dx_u, huu_dxum=h_ * uu * dxum_,
+            half_h_dtu=0.5 * h_ * dt_u, half_hum_dxu=0.5 * h_ * um_ * dx_u,
+        )
+
     def moment(self) -> list:
-        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self.cols
+        m, uu, (h_, um_, _, dxh_, dxum_) = self._moment_shared, self.s.u, self.cols
         return [
-            dth_ * uu, h_ * self.s.dt_u,
+            m.dth_uu, m.h_dtu,
             2.0 * dxh_ * um_ * uu, 2.0 * h_ * dxum_ * uu, 2.0 * h_ * um_ * self.s.dx_u,
             -um_ * dxh_ * uu, -um_ * h_ * self.s.dx_u,
         ]
 
     def moment_split(self) -> list:
-        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self.cols
-        return [
-            dth_ * uu, h_ * self.s.dt_u,
-            dxh_ * um_ * uu, h_ * dxum_ * uu, h_ * um_ * self.s.dx_u,
-            h_ * uu * dxum_,
-        ]
+        m, uu, (h_, um_, _, dxh_, dxum_) = self._moment_shared, self.s.u, self.cols
+        return [m.dth_uu, m.h_dtu, dxh_ * um_ * uu, h_ * dxum_ * uu, m.hum_dxu, m.huu_dxum]
 
     def moment_advective(self) -> list:
-        uu, (h_, um_, _, _, dxum_) = self.s.u, self.cols
-        return [h_ * self.s.dt_u, h_ * um_ * self.s.dx_u, h_ * uu * dxum_]
+        m = self._moment_shared
+        return [m.h_dtu, m.hum_dxu, m.huu_dxum]
 
     def moment_skew(self) -> list:
-        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self.cols
+        m, uu, (h_, um_, dth_, dxh_, dxum_) = self._moment_shared, self.s.u, self.cols
         return [
-            0.5 * dth_ * uu, 0.5 * h_ * self.s.dt_u, 0.5 * h_ * self.s.dt_u,
+            0.5 * dth_ * uu, m.half_h_dtu, m.half_h_dtu,
             0.5 * dxh_ * um_ * uu, 0.5 * h_ * dxum_ * uu,
-            0.5 * h_ * um_ * self.s.dx_u, 0.5 * h_ * um_ * self.s.dx_u,
-            h_ * uu * dxum_,
+            m.half_hum_dxu, m.half_hum_dxu,
+            m.huu_dxum,
         ]
 
     def moment_kinetic(self) -> list:
@@ -314,21 +351,21 @@ def _block_defects(s: FreeSample, gravities) -> dict:
     ex, n = _Expansions(s), s.n_moments
     cont = ex.continuity
     W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
+    q_u = entropy_vars(W, s.b, 0.0).q_u  # w u, which does not read g
     moment, split, advective = ex.moment(), ex.moment_split(), ex.moment_advective()
     skew, kinetic = ex.moment_skew(), ex.moment_kinetic()
-    wu = ex.w * s.u
     moment_defects = {
         "moment_rewrite": _defect(split, moment),
         "moment_advective": _defect(advective, split + [-s.u * t[..., None] for t in cont]),
         "moment_skew_average": _defect(skew, [0.5 * t for t in advective + split]),
-        "moment_kinetic_energy": _defect(kinetic, [wu * t for t in skew]),
+        "moment_kinetic_energy": _defect(kinetic, [q_u * t for t in skew]),
     } if n else {}
-    q_u = entropy_vars(W, s.b, 0.0).q_u  # does not read g
     q_moment = [q_u * t for t in moment]
     # the gravity loop reads the per-moment terms as moment-major views
     moment_energy = [t[..., m] for m in range(n) for t in q_moment]
     moment_kinetic = [t[..., m] for m in range(n) for t in kinetic]
-    del moment, split, advective, skew
+    del moment, split, advective, skew, ex._moment_shared
+    um_cont = [-s.um * t for t in cont]
     out = {}
     for g in gravities:
         q = entropy_vars(W, s.b, g)
@@ -342,7 +379,7 @@ def _block_defects(s: FreeSample, gravities) -> dict:
             "total energy identity": _defect(lhs, energy),
             "potential_energy": _defect(potential, [ghb * t for t in cont]),
             "momentum_rewrite": _defect(m_split, momentum),
-            "momentum_advective": _defect(m_adv, m_split + [-s.um * t for t in cont]),
+            "momentum_advective": _defect(m_adv, m_split + um_cont),
             "momentum_skew_average": _defect(m_skew, [0.5 * t for t in m_adv + m_split]),
             "kinetic_energy": _defect(m_kinetic, [s.um * t for t in m_skew]),
             **moment_defects,

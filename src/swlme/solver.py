@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -204,6 +205,10 @@ class Scenario:
     ic_params and topo_params are stored as read-only copies holding every
     parameter of the preset (given value or table default), so mutating the
     mappings passed in changes neither the bottom nor the initial states.
+    Validation builds the initial states once, so a preset that gives a
+    non-positive or non-finite state raises ParameterError("ic_name"), and
+    between periodic or reflective walls a t_end that needs more than
+    MAX_STEPS steps raises ParameterError("t_end").
     """
 
     params: ModelParams
@@ -240,6 +245,18 @@ class Scenario:
                            MappingProxyType(_preset("ic", self.ic_name, self.ic_params)))
         object.__setattr__(self, "topo_params",
                            MappingProxyType(_preset("topo", self.topo_name, self.topo_params)))
+        h0 = self.initial_states()[:, 0]
+        # between periodic or reflective walls mass is conserved, so some cell keeps
+        # h >= mean(h0), and every speed cfl_dt uses is at least sqrt(g h): no dt exceeds
+        # cfl dx / sqrt(g mean(h0)).  The margin covers roundoff in the mass.
+        # Python floats, so an overflow gives inf and an underflow 0, without a warning
+        speed = math.sqrt(self.params.g * float(h0.mean()))
+        if (self.boundary != "outflow"
+                and self.t_end * speed > MAX_STEPS * (1.0 + 1e-6) * self.cfl * self.grid.dx):
+            raise ParameterError("t_end", f"t_end = {self.t_end} needs more than MAX_STEPS = "
+                                          f"{MAX_STEPS} steps: with {self.boundary} walls no step "
+                                          f"exceeds cfl dx / sqrt(g mean(h0)) = "
+                                          f"{self.cfl * self.grid.dx / speed:.4g}")
 
     @functools.cached_property
     def topography(self) -> np.ndarray:

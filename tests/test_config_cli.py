@@ -4,6 +4,7 @@ import gc
 import os
 import re
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -674,6 +675,23 @@ class TestRunCommand:
         assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 1
         assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 100
 
+    def test_provably_too_long_run_is_rejected_up_front(self, tmp_path, capsys):
+        # periodic walls keep the mass, so no dt exceeds cfl dx / sqrt(g mean(h0)) = 0.00898:
+        # t_end = 1e6 needs over 1e8 steps, more than MAX_STEPS = 10^7
+        text = SELF_REF_CFG.format(path=tmp_path / "o").replace("time.t_end = 0.1",
+                                                                 "time.t_end = 1e6")
+        path = self.write(tmp_path, text)
+        assert main(["run", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: key 'time.t_end': t_end = 1000000.0 needs more than "
+                                "MAX_STEPS = 10000000 steps: with periodic walls no step exceeds "
+                                "cfl dx / sqrt(g mean(h0)) = 0.008979\n")
+        assert not (tmp_path / "o").exists()
+        # the same t_end between outflow walls is left to the runtime step limit
+        outflow = text.replace("bc.kind = periodic", "bc.kind = outflow")
+        assert build_scenario(parse_config(outflow)).t_end == 1e6
+
     def test_step_limit_exit_code(self, tmp_path, capsys, monkeypatch):
         # a tiny CFL number passes validation; the step limit ends the run
         monkeypatch.setattr("swlme.solver.MAX_STEPS", 3)
@@ -929,6 +947,20 @@ class TestConvergeCommand:
         assert captured.err.startswith("error: run on 50 cells failed: step limit of 3 steps "
                                        "reached at t = ")
 
+    def test_every_mesh_gets_the_step_bound(self, tmp_path, capsys, monkeypatch):
+        # at t_end = 0.1 a periodic run needs at least 11.1 steps on 32 cells and 22.3 on 64
+        monkeypatch.setattr("swlme.solver.MAX_STEPS", 20)
+        cfg = tmp_path / "smooth.cfg"
+        cfg.write_text(SELF_REF_CFG.format(path=tmp_path / "o"))
+        ran = []
+        monkeypatch.setattr(swlme.diagnostics, "run", lambda *args: ran.append(args))
+        assert main(["converge", str(cfg), "--meshes", "32,64"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and ran == []
+        assert captured.err == ("error: key 'time.t_end': t_end = 0.1 needs more than "
+                                "MAX_STEPS = 20 steps: with periodic walls no step exceeds "
+                                "cfl dx / sqrt(g mean(h0)) = 0.004489\n")
+
     def test_non_dyadic_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "smooth.cfg"
         cfg.write_text(
@@ -970,6 +1002,106 @@ def fails_on(monkeypatch, cells):
         return real_run(scenario, sink)
 
     monkeypatch.setattr(swlme.diagnostics, "run", run_or_fail)
+
+
+class TestFailedStdout:
+    """A failed write or flush of stdout exits 2 with one stderr line, and no traceback."""
+
+    COMMANDS = ("coeffs", "check", "run", "converge")
+
+    @staticmethod
+    def argv(tmp_path, command, out="o"):
+        cfg = tmp_path / "dam.cfg"
+        cfg.write_text(DAM_CFG.format(path=tmp_path / out))
+        return {"coeffs": ["coeffs", "--N", "30"],
+                "check": ["check", "--N", "0", "--samples", "100"],
+                "run": ["run", str(cfg)],
+                "converge": ["converge", str(cfg), "--meshes", "50,100"]}[command]
+
+    @staticmethod
+    def message(tmp_path, reason, command):
+        files = f"; the output files are complete in {tmp_path / 'o'}" if command == "run" else ""
+        return f"error: writing standard output failed: {reason}{files}\n"
+
+    @staticmethod
+    def swlme(argv, **kwargs):
+        src = Path(swlme.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.Popen([sys.executable, "-m", "swlme", *argv], env=env,
+                                stderr=subprocess.PIPE, text=True, **kwargs)
+
+    def assert_run_outputs_complete(self, tmp_path):
+        # the files match those of a run whose stdout worked
+        assert main(self.argv(tmp_path, "run", out="whole")) == 0
+        for name in ("snapshots.csv", "summary.csv"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_closed_pipe(self, tmp_path, command):
+        r, w = os.pipe()
+        os.close(r)  # every write to w now fails with EPIPE
+        try:
+            proc = self.swlme(self.argv(tmp_path, command), stdout=w)
+        finally:
+            os.close(w)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (2, self.message(tmp_path, "[Errno 32] Broken pipe",
+                                                          command))
+        if command == "run":
+            self.assert_run_outputs_complete(tmp_path)
+
+    def test_pipe_closed_after_the_first_line(self, tmp_path):
+        # `swlme coeffs --N 30 | head -1`: 27000 rows, far more than a pipe holds
+        proc = self.swlme(self.argv(tmp_path, "coeffs"), stdout=subprocess.PIPE)
+        assert proc.stdout.readline() == "i,j,k,A,B\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
+        assert proc.stderr.read() == self.message(tmp_path, "[Errno 32] Broken pipe", "coeffs")
+        proc.stderr.close()
+
+    class FullDisk:
+        """A stdout on a full disk: writes fail at once, or are held until a flush fails."""
+
+        def __init__(self, fails_at):
+            self.fails_at = fails_at
+
+        def fail(self, *args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def write(self, text):
+            return self.fail() if self.fails_at == "write" else len(text)
+
+        def writelines(self, lines):
+            return self.fail() if self.fails_at == "write" else None
+
+        def flush(self):
+            self.fail()
+
+    @pytest.mark.parametrize("fails_at", ["write", "flush"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_full_disk(self, tmp_path, capsys, monkeypatch, command, fails_at):
+        captured_stdout = sys.stdout
+        monkeypatch.setattr(sys, "stdout", self.FullDisk(fails_at))
+        assert main(self.argv(tmp_path, command)) == 2
+        assert sys.stdout.fails_at == fails_at  # main put back the stdout it was given
+        captured = capsys.readouterr()
+        assert captured.err == self.message(tmp_path, "[Errno 28] No space left on device",
+                                            command)
+        if command == "run":
+            monkeypatch.setattr(sys, "stdout", captured_stdout)
+            self.assert_run_outputs_complete(tmp_path)
+
+    def test_failed_run_is_reported_before_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("swlme.solver.MAX_STEPS", 3)
+        monkeypatch.setattr(sys, "stdout", self.FullDisk("write"))
+        assert main(self.argv(tmp_path, "run")) == 2
+        err = capsys.readouterr().err.splitlines()
+        partial = f"partial output written to {tmp_path / 'o'}"
+        assert len(err) == 2, err
+        assert err[0].startswith("error: run failed (step limit of 3 steps") and err[0].endswith(
+            partial)
+        assert err[1] == ("error: writing standard output failed: [Errno 28] No space left on "
+                          f"device; {partial}")
 
 
 class TestFanOutCommands:

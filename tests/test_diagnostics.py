@@ -333,9 +333,13 @@ def assert_blocked_equals_reference(s):
 class TestBlockedChecks:
     """The one-pass blocked check returns the unblocked maxima bit for bit."""
 
-    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17])
-    @pytest.mark.parametrize("n", [0, 1, 3, 17])  # at 17 the energy identity sums 130 terms
-    def test_batch_sizes(self, size, n):
+    # every size at 0, 1, 3 and 17 (where the energy identity sums 130 terms), and the
+    # other orders `check` runs, 2 and 5, at one size
+    @pytest.mark.parametrize("n, size", [
+        (n, size) for n in (0, 1, 3, 17)
+        for size in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17)
+    ] + [(2, 2 * _BLOCK + 17), (5, 2 * _BLOCK + 17)])
+    def test_batch_sizes(self, n, size):
         s = whole_sample(40 + n, size, n)
         assert_blocked_equals_reference(s)
 
@@ -435,6 +439,51 @@ class TestBlockedChecks:
     def test_caller_expands_only_its_blocks(self, monkeypatch):
         # with two CPUs a forked worker expands the second half of the blocks
         assert self.expansions(monkeypatch, 2) == [_BLOCK]
+
+    GRAVITY_EQUATIONS = ("momentum", "momentum_split", "momentum_advective", "momentum_skew",
+                         "kinetic", "potential", "total_kinetic", "energy_time", "energy_flux")
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_gravity_free_terms_are_formed_once(self, monkeypatch, n):
+        # the second gravity of a block reuses the arrays of every term that does not read g
+        listed = {}  # (equation, g): the terms its method returned
+
+        def recording(name, method):
+            def recorded(ex, g):
+                listed[name, g] = method(ex, g)
+                return listed[name, g]
+            return recorded
+
+        for name in self.GRAVITY_EQUATIONS:
+            monkeypatch.setattr(_Expansions, name, recording(name, getattr(_Expansions, name)))
+        swlme.diagnostics._block_defects(whole_sample(60, 64, n), (1.0, 9.81))
+        assert set(listed) == {(name, g) for name in self.GRAVITY_EQUATIONS for g in (1.0, 9.81)}
+        for name in self.GRAVITY_EQUATIONS:
+            for i, (a, b) in enumerate(zip(listed[name, 1.0], listed[name, 9.81])):
+                # a term reads g exactly when its values differ between the gravities
+                assert (a is b) == np.array_equal(a, b), (name, i)
+        # the term with u_m^3, and others that several equations list, are one array
+        for shared in ([("kinetic", 2), ("total_kinetic", 4), ("energy_flux", 0)],
+                       [("momentum", 1), ("momentum_split", 1), ("momentum_advective", 0)],
+                       [("momentum_skew", 1), ("momentum_skew", 2)],
+                       [("kinetic", 0), ("total_kinetic", 0), ("energy_time", 0)],
+                       [("total_kinetic", 7), ("energy_flux", 2)]):
+            (first, i), *rest = shared
+            for g in (1.0, 9.81):
+                assert all(listed[name, g][j] is listed[first, 1.0][i] for name, j in rest), shared
+        # a term that reads g is shared between the equations of one gravity
+        for g in (1.0, 9.81):
+            assert listed["momentum_split", g][6] is listed["momentum_advective", g][2] \
+                is listed["momentum_skew", g][6]
+            assert listed["potential", g][:2] == listed["energy_time", g][4:]
+
+    def test_moment_terms_are_formed_once(self):
+        ex = _Expansions(whole_sample(61, 64, 3))
+        split, advective, skew = ex.moment_split(), ex.moment_advective(), ex.moment_skew()
+        assert split[1] is advective[0] is ex.moment()[1]
+        assert split[4] is advective[1]
+        assert split[5] is advective[2] is skew[7]
+        assert skew[1] is skew[2] and skew[5] is skew[6]
 
 
 class TestSampleStream:

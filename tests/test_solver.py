@@ -991,9 +991,10 @@ class TestRun:
         assert traj.times == [0.0] and traj.steps.shape == (1, 4)
 
     def test_step_limit_returns_partial_trajectory(self, monkeypatch):
-        # time.cfl = 1e-300 passes validation and would take about 1e16 steps
+        # time.cfl = 1e-300 passes validation under outflow (no up-front step bound there)
+        # and would take about 1e301 steps
         monkeypatch.setattr(swlme.solver, "MAX_STEPS", 4)
-        sc = scenario(cells=10, ic_params={"h": 1.0}, t_end=1.0, cfl=1e-300)
+        sc = scenario(cells=10, ic_params={"h": 1.0}, bc="outflow", t_end=1.0, cfl=1e-300)
         traj = run(sc)
         t = traj.steps[-1, 0]
         assert traj.failure == f"step limit of 4 steps reached at t = {t}"
@@ -1007,6 +1008,38 @@ class TestRun:
         assert run(sc).failure is None
         monkeypatch.setattr(swlme.solver, "MAX_STEPS", steps - 1)
         assert run(sc).failure.startswith(f"step limit of {steps - 1} steps reached at t = ")
+
+    @pytest.mark.parametrize("bc", ["periodic", "reflective"])
+    def test_step_bound_rejects_t_end_up_front(self, monkeypatch, bc):
+        # mass is conserved, so no dt exceeds cfl dx / sqrt(g mean(h0)): a t_end that needs
+        # more than MAX_STEPS such steps is rejected when the scenario is made
+        sc = scenario(n=1, cells=20, ic="dam_break", bc=bc, t_end=0.2)
+        needed = sc.t_end * np.sqrt(sc.params.g * sc.initial_states()[:, 0].mean()) / (
+            sc.cfl * sc.grid.dx)
+        assert 5.0 < needed <= len(run(sc).steps) - 1  # the bound holds on the run
+        monkeypatch.setattr(swlme.solver, "MAX_STEPS", int(needed))
+        with pytest.raises(ParameterError, match=f"^t_end = 0.2 needs more than MAX_STEPS = "
+                                                 f"{int(needed)} steps: with {bc} walls") as err:
+            dataclasses.replace(sc)
+        assert err.value.field == "t_end"
+        with pytest.raises(ParameterError, match="^t_end = 0.2 needs"):
+            sc.with_cells(40)
+        # outflow lets mass leave: no bound up front
+        assert dataclasses.replace(sc, boundary="outflow").t_end == 0.2
+        monkeypatch.setattr(swlme.solver, "MAX_STEPS", int(needed) + 1)
+        assert dataclasses.replace(sc).t_end == 0.2
+
+    def test_step_bound_at_extreme_values(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by zero or overflow on the way
+            # cfl dx underflows to 0, or g mean(h0) overflows: no step can reach t_end
+            with pytest.raises(ParameterError, match="^t_end = 1.0 needs more than MAX_STEPS"):
+                scenario(t_end=1.0, cfl=5e-324)
+            with pytest.raises(ParameterError, match=r"sqrt\(g mean\(h0\)\) = 0$"):
+                scenario(g=1e308, ic_params={"h": 10.0}, t_end=1.0)
+            assert scenario(t_end=0.0, cfl=5e-324).t_end == 0.0
+            # sqrt(g mean(h0)) underflows to 0: the bound says nothing
+            assert scenario(g=5e-324, ic_params={"h": 0.1}, t_end=1e300).t_end == 1e300
 
     @pytest.mark.parametrize("snapshots, every, t_end", SNAPSHOT_CASES)
     def test_snapshot_targets_match_reference(self, snapshots, every, t_end):
@@ -1034,7 +1067,9 @@ class TestRun:
                 return failure
 
         def traced_peak(snapshots):
-            sc = scenario(n=1, cells=16, ic="dam_break", t_end=0.6, output_snapshots=snapshots)
+            # outflow: between periodic walls the step bound would reject t_end up front
+            sc = scenario(n=1, cells=16, ic="dam_break", bc="outflow", t_end=0.6,
+                          output_snapshots=snapshots)
             gc.collect()
             tracemalloc.start()
             try:
