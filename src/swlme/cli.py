@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
 runtime failures (for example a dry state, a time-step underflow, a
 failed write mid-run, a lost worker process, or a failed write or flush of
-standard output: a closed pipe or a full disk, reported in one stderr
-line without a traceback).
+standard output: a closed pipe, a full disk or a standard output closed
+before the start, reported in one stderr line without a traceback).
 
 `run` opens its output files before the first step and streams into them:
 solver.run hands the StateRecord of every state to a _CsvSink, which writes
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import errno
 import os
 import pickle
 import sys
@@ -81,18 +82,21 @@ class _Stdout:
 
     def _guarded(self, method, *args):
         try:
-            return method(*args)
+            if self.stream is None:  # Python's sys.stdout when it started with fd 1 closed
+                raise OSError(errno.EBADF, "standard output is closed")
+            return getattr(self.stream, method)(*args)
         except OSError as err:
             raise _StdoutError(f"writing standard output failed: {err}") from err
 
     def write(self, text):
-        return self._guarded(self.stream.write, text)
+        return self._guarded("write", text)
 
     def writelines(self, lines):
-        return self._guarded(self.stream.writelines, lines)
+        return self._guarded("writelines", lines)
 
     def flush(self):
-        return self._guarded(self.stream.flush)
+        if self.stream is not None:  # closed from the start, only a write fails
+            self._guarded("flush")
 
 
 def _discard_stdout() -> None:

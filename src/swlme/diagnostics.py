@@ -14,18 +14,19 @@ every gravity.  Both kinds of sample hand out a block as a FreeSample by
 block(start, stop): a FreeSample slices the fields it holds, and a
 SampleStream, the seeded random sample of `check`, draws the block's slice
 and holds nothing, so a check of a SampleStream needs memory bounded by
-_BLOCK alone, whatever its size.  A block forms every
-distinct product-rule term once, or once per gravity if it reads g, and
-equations that list the same term share its array; nothing is kept from
-one block to the next.
+_BLOCK alone, whatever its size.
 
-Every equation is a plain list of equally shaped term arrays, combined by
-list concatenation and scaled term by term; a moment equation joins a
-scalar one as moment-major views of its terms, so no term is copied into a
-stack.  _term_sum adds whole arrays in order, one term at a time, without
-numpy's inner-loop call per batch entry; n terms sum to within
-(n - 1) u sum|t| of the exact sum (u the unit roundoff), far below the
-1e-12 the checks allow.
+_EQUATIONS states each displayed equation once, as its product-rule terms:
+monomials in named factors.  One _Expansions per block forms each term the
+first time an equation asks for it and keeps it for the block, or for the
+gravity last asked for if it reads g, so equations that list the same term
+share its array.  An equation is a plain list of equally shaped term
+arrays, combined by list concatenation and scaled term by term; a moment
+equation joins a scalar one as moment-major views of its terms, so no term
+is copied into a stack.  _term_sum adds whole arrays in order, one term at
+a time; n terms sum to within (n - 1) u sum|t| of the exact sum (u the unit
+roundoff).  The longest list has max(15, 7N + 11) terms, 459 at N = 64, so
+the bound is 458 u, about 5.1e-14, far below the 1e-12 the checks allow.
 
 Also here: the finite-difference check that the entropy variables are the
 energy gradient, the exact wet-bed dam-break reference solution, and the
@@ -40,8 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
-from types import SimpleNamespace
+from functools import reduce
+from operator import attrgetter, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,164 +183,107 @@ def _defect(lhs, rhs) -> float:
     return float(np.max(num / np.maximum(den, _TINY))) if num.size else 0.0
 
 
-class _Expansions:
-    """Product-rule terms of every displayed equation, on one sample.
+# factors a term may name besides the sample's fields and g, T, dxT, dtT and w, formed where
+# a term reads them and not kept; um3 is the power, as um * um * um would round differently
+_BASES = {
+    "um2": lambda ex: ex.s.um**2, "um3": lambda ex: ex.s.um**3, "u2": lambda ex: ex.s.u**2,
+    "hb": lambda ex: ex.s.h + ex.s.b, "dxhb": lambda ex: ex.s.dx_h + ex.s.dx_b,
+}
+_MOMENT_FACTORS = frozenset(("u", "dt_u", "dx_u", "u2", "w"))  # the factors with a moment axis
 
-    Each equation is a list of equally shaped term arrays, batch-shaped or,
-    for the per-moment equations, batch + (N,).  Every distinct term is
-    formed once per expansion, and a term that reads g once per gravity, so
-    the lists of several equations, and of one equation at two gravities,
-    hold the same array where they list the same term.  T, dxT, dtT and the
-    continuity terms are built here; the other gravity-free terms when an
-    equation first asks for them (_free, _moment_shared); the terms that
-    read g for the gravity last asked for (_gravity).  _block_defects drops
-    _moment_shared once the moment steps are taken.  Sharing only reuses
-    an array: each term keeps its own expression, so its bits.
+
+class _Term(NamedTuple):
+    """A term of _EQUATIONS, its factors resolved to functions of the expansion.
+
+    Beside a moment factor, a batch-shaped one is read as a column, (size, 1).
+    """
+
+    spec: str
+    factors: tuple
+    reads_g: bool
+
+
+def _factor(name: str, column: bool):
+    if name[0] in "-.0123456789":
+        return lambda ex, value=float(name): value
+    get = _BASES.get(name) or attrgetter(
+        name if name in ("g", "T", "dxT", "dtT", "w") else "s." + name)
+    return (lambda ex: get(ex)[..., None]) if column else get
+
+
+def _term(spec: str) -> _Term:
+    names = spec.split()
+    moment = not _MOMENT_FACTORS.isdisjoint(names)
+    return _Term(spec, tuple(_factor(name, moment and name not in _MOMENT_FACTORS)
+                             for name in names), "g" in names)
+
+
+# every displayed equation of the derivation as its terms, in the order they are summed; a term
+# names its factors in the order they are multiplied: "0.5 h dt_um" is (0.5 * h) * dt_um
+_EQUATIONS = {name: tuple(map(_term, terms.split(", "))) for name, terms in {
+    "continuity": "dt_h, dx_h um, h dx_um",
+    # the momentum balance, with the pressure gradient split, then grouped as g h dx(h + b)
+    "momentum": "dt_h um, h dt_um, dx_h um2, 2.0 h um dx_um, dx_h T, h dxT, g h dx_h, g h dx_b",
+    "momentum_split": "dt_h um, h dt_um, dx_h um2, 2.0 h um dx_um, dx_h T, h dxT, g h dxhb",
+    "momentum_advective": "h dt_um, h um dx_um, g h dxhb, dx_h T, h dxT",
+    "momentum_skew": "0.5 dt_h um, 0.5 h dt_um, 0.5 h dt_um, 0.5 dx_h um2, h um dx_um, "
+                     "0.5 h um dx_um, g h dxhb, dx_h T, h dxT",
+    # the kinetic and potential energies
+    "kinetic": "0.5 dt_h um2, h um dt_um, 0.5 dx_h um3, 1.5 h um2 dx_um, g h um dxhb, "
+               "um dx_h T, h um dxT",
+    "potential": "g h dt_h, g b dt_h, g hb dx_h um, g hb h dx_um",
+    "total_kinetic": "0.5 dt_h um2, h um dt_um, 0.5 dt_h T, 0.5 h dtT, 0.5 dx_h um3, "
+                     "1.5 h um2 dx_um, g h um dxhb, 1.5 dx_h um T, 1.5 h dx_um T, 1.5 h um dxT",
+    # the energy balance: dt(e) terms, then dx(f) terms
+    "energy_time": "0.5 dt_h um2, h um dt_um, 0.5 dt_h T, 0.5 h dtT, g h dt_h, g b dt_h",
+    "energy_flux": "0.5 dx_h um3, 1.5 h um2 dx_um, 1.5 dx_h um T, 1.5 h dx_um T, 1.5 h um dxT, "
+                   "g dx_h um hb, g h dx_um hb, g h um dx_h, g h um dx_b",
+    # the moment equations, batch + (N,)
+    "moment": "dt_h u, h dt_u, 2.0 dx_h um u, 2.0 h dx_um u, 2.0 h um dx_u, -1 um dx_h u, "
+              "-1 um h dx_u",
+    "moment_split": "dt_h u, h dt_u, dx_h um u, h dx_um u, h um dx_u, h u dx_um",
+    "moment_advective": "h dt_u, h um dx_u, h u dx_um",
+    "moment_skew": "0.5 dt_h u, 0.5 h dt_u, 0.5 h dt_u, 0.5 dx_h um u, 0.5 h dx_um u, "
+                   "0.5 h um dx_u, 0.5 h um dx_u, h u dx_um",
+    "moment_kinetic": "0.5 dt_h u2 w, h u dt_u w, 0.5 dx_h um u2 w, 0.5 h dx_um u2 w, "
+                      "h um u dx_u w, h u2 dx_um w",
+}.items()}
+
+
+class _Expansions:
+    """The terms of _EQUATIONS on one sample: one memo, each term formed once.
+
+    terms(name, g) lists an equation's term arrays, batch-shaped or, for a
+    moment equation, batch + (N,).  A term is formed the first time any
+    equation asks for it and kept, so every list that names it holds the
+    same array; a term that reads g is kept for the gravity last asked for.
+    T, dxT and dtT are formed with the expansion; drop_moment_terms forgets
+    the moment-shaped terms.  Sharing only reuses an array: each term keeps
+    its own expression, so its bits.
     """
 
     def __init__(self, s: FreeSample):
         self.s, self.w = s, moment_weights(s.n_moments)
         self.T = _moment_sum(s.u)
-        self.dxT = 2.0 * ((s.u * s.dx_u) @ self.w) if s.n_moments else np.zeros(np.shape(s.dx_h))
-        self.dtT = 2.0 * ((s.u * s.dt_u) @ self.w) if s.n_moments else np.zeros(np.shape(s.dt_h))
-        self.continuity = [s.dt_h, s.dx_h * s.um, s.h * s.dx_um]
-        # h, u_m, dt_h, dx_h and dx_um as columns that broadcast over the moments
-        self.cols = tuple(a[..., None] for a in (s.h, s.um, s.dt_h, s.dx_h, s.dx_um))
-        self._at = None  # the terms that read g, for the gravity last asked for
+        self.dxT = 2.0 * ((s.u * s.dx_u) @ self.w)
+        self.dtT = 2.0 * ((s.u * s.dt_u) @ self.w)
+        self.g, self._memo, self._memo_g = None, {}, {}
 
-    @cached_property
-    def _free(self) -> SimpleNamespace:
-        """Every gravity-free term of the scalar equations but continuity's.
+    def terms(self, name: str, g: float | None = None) -> list:
+        """The term arrays of _EQUATIONS[name], at gravity g if it reads g."""
+        out = []
+        for term in _EQUATIONS[name]:
+            if term.reads_g and g != self.g:
+                self.g, self._memo_g = g, {}  # the last gravity's terms go first
+            memo = self._memo_g if term.reads_g else self._memo
+            if term.spec not in memo:
+                memo[term.spec] = reduce(mul, (f(self) for f in term.factors))
+            out.append(memo[term.spec])
+        return out
 
-        A name lists a term's factors in the order they are multiplied:
-        half_dth_um2 is 0.5 * dt_h * um**2, and h15 stands for 1.5 * h.
-        """
-        s, h, um, T, dxT = self.s, self.s.h, self.s.um, self.T, self.dxT
-        um2 = um**2
-        um3 = um**3  # once: the power loop is slow, but um * um * um would round differently
-        hum, half_h, half_dth, half_dxh, h15 = h * um, 0.5 * h, 0.5 * s.dt_h, 0.5 * s.dx_h, 1.5 * h
-        return SimpleNamespace(
-            # the momentum balance and its advective and skew forms
-            dth_um=s.dt_h * um, h_dtum=h * s.dt_um, dxh_um2=s.dx_h * um2,
-            two_hum_dxum=2.0 * h * um * s.dx_um, dxh_T=s.dx_h * T, h_dxT=h * dxT,
-            hum_dxum=hum * s.dx_um, half_dth_um=half_dth * um, half_h_dtum=half_h * s.dt_um,
-            half_dxh_um2=half_dxh * um2, half_hum_dxum=half_h * um * s.dx_um,
-            # the kinetic and total energies
-            half_dth_um2=half_dth * um2, hum_dtum=hum * s.dt_um, half_dxh_um3=half_dxh * um3,
-            h15_um2_dxum=h15 * um2 * s.dx_um, um_dxh_T=um * s.dx_h * T, hum_dxT=hum * dxT,
-            half_dth_T=half_dth * T, half_h_dtT=half_h * self.dtT,
-            dxh15_um_T=1.5 * s.dx_h * um * T, h15_dxum_T=h15 * s.dx_um * T,
-            h15_um_dxT=h15 * um * dxT,
-        )
-
-    def _gravity(self, g) -> SimpleNamespace:
-        """Every term that reads g, formed at the first ask for g after another gravity."""
-        if self._at is None or self._at.g != g:
-            self._at = None  # the last gravity's terms go before this one's are formed
-            s, h, um, b = self.s, self.s.h, self.s.um, self.s.b
-            gh, hb, dxhb = g * h, h + b, s.dx_h + s.dx_b
-            ghb, ghum = g * hb, gh * um
-            self._at = SimpleNamespace(
-                g=g, gh_dxh=gh * s.dx_h, gh_dxb=gh * s.dx_b, gh_dxhb=gh * dxhb,
-                ghum_dxhb=ghum * dxhb, gh_dth=gh * s.dt_h, gb_dth=g * b * s.dt_h,
-                ghb_dxh_um=ghb * s.dx_h * um, ghb_h_dxum=ghb * h * s.dx_um,
-                gdxh_um_hb=g * s.dx_h * um * hb, gh_dxum_hb=gh * s.dx_um * hb,
-                ghum_dxh=ghum * s.dx_h, ghum_dxb=ghum * s.dx_b,
-            )
-        return self._at
-
-    def momentum(self, g: float) -> list:
-        f, a = self._free, self._gravity(g)
-        return [f.dth_um, f.h_dtum, f.dxh_um2, f.two_hum_dxum, f.dxh_T, f.h_dxT, a.gh_dxh, a.gh_dxb]
-
-    def momentum_split(self, g: float) -> list:
-        """The momentum balance with the pressure gradient grouped as g h dx(h + b)."""
-        return self.momentum(g)[:6] + [self._gravity(g).gh_dxhb]
-
-    def momentum_advective(self, g: float) -> list:
-        f, a = self._free, self._gravity(g)
-        return [f.h_dtum, f.hum_dxum, a.gh_dxhb, f.dxh_T, f.h_dxT]
-
-    def momentum_skew(self, g: float) -> list:
-        f, a = self._free, self._gravity(g)
-        return [
-            f.half_dth_um, f.half_h_dtum, f.half_h_dtum,
-            f.half_dxh_um2, f.hum_dxum, f.half_hum_dxum,
-            a.gh_dxhb, f.dxh_T, f.h_dxT,
-        ]
-
-    def kinetic(self, g: float) -> list:
-        f, a = self._free, self._gravity(g)
-        return [
-            f.half_dth_um2, f.hum_dtum, f.half_dxh_um3, f.h15_um2_dxum,
-            a.ghum_dxhb, f.um_dxh_T, f.hum_dxT,
-        ]
-
-    def potential(self, g: float) -> list:
-        a = self._gravity(g)
-        return [a.gh_dth, a.gb_dth, a.ghb_dxh_um, a.ghb_h_dxum]
-
-    def total_kinetic(self, g: float) -> list:
-        f, a = self._free, self._gravity(g)
-        return [
-            f.half_dth_um2, f.hum_dtum, f.half_dth_T, f.half_h_dtT,
-            f.half_dxh_um3, f.h15_um2_dxum, a.ghum_dxhb,
-            f.dxh15_um_T, f.h15_dxum_T, f.h15_um_dxT,
-        ]
-
-    # the energy balance: dt(e) terms, then dx(f) terms
-    def energy_time(self, g: float) -> list:
-        f, a = self._free, self._gravity(g)
-        return [f.half_dth_um2, f.hum_dtum, f.half_dth_T, f.half_h_dtT, a.gh_dth, a.gb_dth]
-
-    def energy_flux(self, g: float) -> list:
-        f, a = self._free, self._gravity(g)
-        return [
-            f.half_dxh_um3, f.h15_um2_dxum, f.dxh15_um_T, f.h15_dxum_T, f.h15_um_dxT,
-            a.gdxh_um_hb, a.gh_dxum_hb, a.ghum_dxh, a.ghum_dxb,
-        ]
-
-    @cached_property
-    def _moment_shared(self) -> SimpleNamespace:
-        """The terms more than one moment equation lists, or one lists twice."""
-        (uu, dt_u, dx_u), (h_, um_, dth_, _, dxum_) = (self.s.u, self.s.dt_u, self.s.dx_u), self.cols
-        return SimpleNamespace(
-            dth_uu=dth_ * uu, h_dtu=h_ * dt_u, hum_dxu=h_ * um_ * dx_u, huu_dxum=h_ * uu * dxum_,
-            half_h_dtu=0.5 * h_ * dt_u, half_hum_dxu=0.5 * h_ * um_ * dx_u,
-        )
-
-    def moment(self) -> list:
-        m, uu, (h_, um_, _, dxh_, dxum_) = self._moment_shared, self.s.u, self.cols
-        return [
-            m.dth_uu, m.h_dtu,
-            2.0 * dxh_ * um_ * uu, 2.0 * h_ * dxum_ * uu, 2.0 * h_ * um_ * self.s.dx_u,
-            -um_ * dxh_ * uu, -um_ * h_ * self.s.dx_u,
-        ]
-
-    def moment_split(self) -> list:
-        m, uu, (h_, um_, _, dxh_, dxum_) = self._moment_shared, self.s.u, self.cols
-        return [m.dth_uu, m.h_dtu, dxh_ * um_ * uu, h_ * dxum_ * uu, m.hum_dxu, m.huu_dxum]
-
-    def moment_advective(self) -> list:
-        m = self._moment_shared
-        return [m.h_dtu, m.hum_dxu, m.huu_dxum]
-
-    def moment_skew(self) -> list:
-        m, uu, (h_, um_, dth_, dxh_, dxum_) = self._moment_shared, self.s.u, self.cols
-        return [
-            0.5 * dth_ * uu, m.half_h_dtu, m.half_h_dtu,
-            0.5 * dxh_ * um_ * uu, 0.5 * h_ * dxum_ * uu,
-            m.half_hum_dxu, m.half_hum_dxu,
-            m.huu_dxum,
-        ]
-
-    def moment_kinetic(self) -> list:
-        uu, (h_, um_, dth_, dxh_, dxum_) = self.s.u, self.cols
-        return [self.w * t for t in (
-            0.5 * dth_ * uu**2, h_ * uu * self.s.dt_u,
-            0.5 * dxh_ * um_ * uu**2, 0.5 * h_ * dxum_ * uu**2, h_ * um_ * uu * self.s.dx_u,
-            h_ * uu**2 * dxum_,
-        )]
+    def drop_moment_terms(self) -> None:
+        """Forget the moment-shaped terms: the 2-D ones, as a batch-shaped term is 1-D."""
+        self._memo = {spec: t for spec, t in self._memo.items() if t.ndim == 1}
 
 
 def _block_ranges(size: int) -> list:
@@ -349,11 +294,11 @@ def _block_ranges(size: int) -> list:
 def _block_defects(s: FreeSample, gravities) -> dict:
     """{g: {identity: defect}} of one block, from one expansion of it."""
     ex, n = _Expansions(s), s.n_moments
-    cont = ex.continuity
+    cont = ex.terms("continuity")
     W = np.concatenate([s.h[..., None], s.um[..., None], s.u], axis=-1)
     q_u = entropy_vars(W, s.b, 0.0).q_u  # w u, which does not read g
-    moment, split, advective = ex.moment(), ex.moment_split(), ex.moment_advective()
-    skew, kinetic = ex.moment_skew(), ex.moment_kinetic()
+    moment, split, advective, skew, kinetic = map(ex.terms, (
+        "moment", "moment_split", "moment_advective", "moment_skew", "moment_kinetic"))
     moment_defects = {
         "moment_rewrite": _defect(split, moment),
         "moment_advective": _defect(advective, split + [-s.u * t[..., None] for t in cont]),
@@ -364,15 +309,16 @@ def _block_defects(s: FreeSample, gravities) -> dict:
     # the gravity loop reads the per-moment terms as moment-major views
     moment_energy = [t[..., m] for m in range(n) for t in q_moment]
     moment_kinetic = [t[..., m] for m in range(n) for t in kinetic]
-    del moment, split, advective, skew, ex._moment_shared
+    del moment, split, advective, skew
+    ex.drop_moment_terms()
     um_cont = [-s.um * t for t in cont]
     out = {}
     for g in gravities:
         q = entropy_vars(W, s.b, g)
-        momentum, m_split, m_adv = ex.momentum(g), ex.momentum_split(g), ex.momentum_advective(g)
-        m_skew, m_kinetic = ex.momentum_skew(g), ex.kinetic(g)
-        potential, total_kinetic = ex.potential(g), ex.total_kinetic(g)
-        energy = ex.energy_time(g) + ex.energy_flux(g)
+        momentum, m_split, m_adv, m_skew, m_kinetic, potential, total_kinetic = (
+            ex.terms(name, g) for name in ("momentum", "momentum_split", "momentum_advective",
+                                           "momentum_skew", "kinetic", "potential", "total_kinetic"))
+        energy = ex.terms("energy_time", g) + ex.terms("energy_flux", g)
         lhs = [q.q1 * t for t in cont] + [q.q2 * t for t in momentum] + moment_energy
         ghb = g * (s.h + s.b)
         out[g] = {

@@ -1050,6 +1050,34 @@ class TestFailedStdout:
         if command == "run":
             self.assert_run_outputs_complete(tmp_path)
 
+    CLOSED = "[Errno 9] standard output is closed"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stdout_closed_before_the_start(self, tmp_path, command):
+        # `swlme ... >&-`: Python starts with sys.stdout None
+        proc = self.swlme(self.argv(tmp_path, command), preexec_fn=lambda: os.close(1))
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (2, self.message(tmp_path, self.CLOSED, command))
+        if command == "run":
+            self.assert_run_outputs_complete(tmp_path)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_stdout_in_process(self, tmp_path, capsys, monkeypatch, command):
+        captured_stdout = sys.stdout
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(self.argv(tmp_path, command)) == 2
+        assert sys.stdout is None  # main put back the stdout it was given
+        assert capsys.readouterr().err == self.message(tmp_path, self.CLOSED, command)
+        if command == "run":
+            monkeypatch.setattr(sys, "stdout", captured_stdout)
+            self.assert_run_outputs_complete(tmp_path)
+
+    def test_no_stdout_and_nothing_to_write(self, capsys, monkeypatch):
+        # a command that writes nothing to stdout keeps its own exit code
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["coeffs", "--N", "0"]) == 1
+        assert capsys.readouterr().err == "error: --N must be in 1..64, got 0\n"
+
     def test_pipe_closed_after_the_first_line(self, tmp_path):
         # `swlme coeffs --N 30 | head -1`: 27000 rows, far more than a pipe holds
         proc = self.swlme(self.argv(tmp_path, "coeffs"), stdout=subprocess.PIPE)

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import inspect
 import math
 import os
 import pickle
@@ -20,10 +19,12 @@ from swlme._worker import _cpus, _fan_out
 from swlme.cli import main
 from swlme.diagnostics import (
     _BLOCK,
+    _EQUATIONS,
     FreeSample,
     SampleStream,
     _block_ranges,
     _Expansions,
+    _term,
     _term_sum,
     check_total_energy_identity,
     convergence_study,
@@ -79,10 +80,13 @@ def zero_sample(n, size=4, h=1.0):
 
 
 def scale_energy_flux(monkeypatch, factor):
-    """Corrupt the energy flux terms of every _Expansions by factor (a negative control)."""
-    original = _Expansions.energy_flux
-    monkeypatch.setattr(_Expansions, "energy_flux",
-                        lambda ex, g: [factor * t for t in original(ex, g)])
+    """Corrupt the energy flux terms of every _Expansions by factor (a negative control).
+
+    Each term of the table's flux entry gets factor as its last factor, so
+    it is factor times the term, bit for bit.
+    """
+    monkeypatch.setitem(_EQUATIONS, "energy_flux", tuple(
+        _term(f"{t.spec} {factor!r}") for t in _EQUATIONS["energy_flux"]))
 
 
 def total_identity(s, g):
@@ -100,9 +104,9 @@ def skew_forms(s, g):
 def balance_residuals(s, g):
     """Summed continuity, momentum and moment residuals of the slots, batch + (N+2,)."""
     ex = _Expansions(s)
-    return np.concatenate([_term_sum(ex.continuity)[..., None],
-                           _term_sum(ex.momentum(g))[..., None],
-                           _term_sum(ex.moment())], axis=-1)
+    return np.concatenate([_term_sum(ex.terms("continuity"))[..., None],
+                           _term_sum(ex.terms("momentum", g))[..., None],
+                           _term_sum(ex.terms("moment"))], axis=-1)
 
 
 def independent_residuals(s, g):
@@ -177,7 +181,8 @@ class TestTotalEnergyIdentity:
             + g * s.h * s.um * (s.dx_h + s.dx_b)
         )
         ex = _Expansions(s)
-        np.testing.assert_allclose(_term_sum(ex.energy_time(g)) + _term_sum(ex.energy_flux(g)),
+        np.testing.assert_allclose(_term_sum(ex.terms("energy_time", g))
+                                   + _term_sum(ex.terms("energy_flux", g)),
                                    dt_e + dx_f, atol=1e-12)
 
     def test_corruption_is_detected(self, monkeypatch):
@@ -229,10 +234,7 @@ class TrailingExpansions:
         self._ex, self._g = _Expansions(s), g
 
     def __getattr__(self, name):
-        terms = getattr(self._ex, name)
-        if callable(terms):  # a method of g, or without arguments for a moment equation
-            terms = terms(self._g) if "g" in inspect.signature(terms).parameters else terms()
-        return np.stack(np.broadcast_arrays(*terms), axis=-1)
+        return np.stack(np.broadcast_arrays(*self._ex.terms(name, self._g)), axis=-1)
 
 
 # the trailing-axis combination helpers, kept as the reference for the term-major ones
@@ -446,18 +448,17 @@ class TestBlockedChecks:
     @pytest.mark.parametrize("n", [0, 2])
     def test_gravity_free_terms_are_formed_once(self, monkeypatch, n):
         # the second gravity of a block reuses the arrays of every term that does not read g
-        listed = {}  # (equation, g): the terms its method returned
+        listed = {}  # (equation, g): the terms listed
+        terms = _Expansions.terms
 
-        def recording(name, method):
-            def recorded(ex, g):
-                listed[name, g] = method(ex, g)
-                return listed[name, g]
-            return recorded
+        def recorded(ex, name, g=None):
+            listed[name, g] = terms(ex, name, g)
+            return listed[name, g]
 
-        for name in self.GRAVITY_EQUATIONS:
-            monkeypatch.setattr(_Expansions, name, recording(name, getattr(_Expansions, name)))
+        monkeypatch.setattr(_Expansions, "terms", recorded)
         swlme.diagnostics._block_defects(whole_sample(60, 64, n), (1.0, 9.81))
-        assert set(listed) == {(name, g) for name in self.GRAVITY_EQUATIONS for g in (1.0, 9.81)}
+        assert {key for key in listed if key[1] is not None} == {
+            (name, g) for name in self.GRAVITY_EQUATIONS for g in (1.0, 9.81)}
         for name in self.GRAVITY_EQUATIONS:
             for i, (a, b) in enumerate(zip(listed[name, 1.0], listed[name, 9.81])):
                 # a term reads g exactly when its values differ between the gravities
@@ -479,11 +480,34 @@ class TestBlockedChecks:
 
     def test_moment_terms_are_formed_once(self):
         ex = _Expansions(whole_sample(61, 64, 3))
-        split, advective, skew = ex.moment_split(), ex.moment_advective(), ex.moment_skew()
-        assert split[1] is advective[0] is ex.moment()[1]
+        split, advective, skew = map(ex.terms, ("moment_split", "moment_advective", "moment_skew"))
+        assert split[1] is advective[0] is ex.terms("moment")[1]
         assert split[4] is advective[1]
         assert split[5] is advective[2] is skew[7]
         assert skew[1] is skew[2] and skew[5] is skew[6]
+        # dropped, the moment terms are formed anew, and the batch-shaped ones are kept
+        continuity = ex.terms("continuity")
+        ex.drop_moment_terms()
+        assert all(a is b for a, b in zip(ex.terms("continuity"), continuity))
+        again = ex.terms("moment_split")
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, split))
+
+    def test_a_term_is_one_array_per_block(self):
+        # an equation asked for twice, the equations that list a term, and a term that does
+        # not read g at both gravities share one array; a term that reads g does not
+        ex = _Expansions(whole_sample(62, 64, 3))
+        formed = {}  # (spec, g): the array first listed
+        for g in (1.0, 9.81):
+            for name, terms in _EQUATIONS.items():
+                listed = ex.terms(name, g)
+                assert all(a is b for a, b in zip(listed, ex.terms(name, g))), name
+                for term, array in zip(terms, listed):
+                    assert formed.setdefault((term.spec, g), array) is array, (name, term.spec)
+        assert len(formed) == 2 * len({t.spec for terms in _EQUATIONS.values() for t in terms})
+        for spec, g in formed:
+            a, b = formed[spec, 1.0], formed[spec, 9.81]
+            reads_g = "g" in spec.split()
+            assert (a is b) != reads_g and np.array_equal(a, b) != reads_g, spec
 
 
 class TestSampleStream:
