@@ -1,10 +1,31 @@
 """Command-line front end: closure tables, identity checks, runs, convergence.
 
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
-runtime failures (for example a dry state, a time-step underflow, a
-failed write mid-run, a lost worker process, or a failed write or flush of
-standard output: a closed pipe, a full disk or a standard output closed
-before the start, reported in one stderr line without a traceback).
+runtime failures.  Each failure ends the command with one stderr line:
+
+  failure                   commands         exit  stderr line
+  bad input (flag, key,     all              1     error: --N ... / --seed ... / --samples ... /
+    config file)                                   --meshes: ... / key 'ic.h_l': ... / <OS error>
+  malformed flag (argparse) all              2     usage, then swlme <command>: error: argument ...
+  check above tolerance     check            1     FAIL: <identity> (N=.., g=..): defect ...
+  dry or non-finite state,  run              2     error: run failed (<reason>); partial output
+    dt underflow, step                               written to <path>
+    limit, cell-step budget converge         2     error: run on <cells> cells failed: <reason>
+  lost worker process       check, converge  2     error: identity check at N=<orders> (run on
+                                                   <meshes> cells): worker process ended with ...
+                            run              2     error: snapshot writer: worker process ended
+                                                   with ...; partial output written to <path>
+  output file fails         run              1     error: output.path '<path>' cannot be written:
+    (before the first step)                        <reason>
+  output file fails         run              2     error: writing output.path '<path>' failed:
+    (mid-run)                                      <reason>; partial output written to <path>
+  stdout fails (closed      all              2     error: writing standard output failed:
+    pipe, full disk, closed                        <reason> (run adds where its files are)
+    from the start)
+  interrupt (SIGINT)        all              130   Python's traceback, last line KeyboardInterrupt;
+                                                   the process ends by SIGINT after a worker is
+                                                   killed (check, converge) or, for run's writer,
+                                                   has written what was sent, and is reaped
 
 `run` opens its output files before the first step and streams into them:
 solver.run hands the StateRecord of every state to a _CsvSink, which writes
@@ -130,14 +151,15 @@ def cmd_coeffs(args) -> int:
 
 
 def _check_identities(orders, samples, seed):
-    """Worst defects of every identity per moment order; list of result rows."""
-    rows = []
-    for n in orders:
-        # the seeded sample, each block drawn where it is checked
-        sample = SampleStream(seed, samples, n)
-        for g, defects in check_total_energy_identity(sample, GRAVITIES).items():
-            rows += [(n, g, name, defect, IDENTITY_TOL) for name, defect in defects.items()]
-    return rows
+    """Worst defects of every identity per moment order; list of result rows.
+
+    One check of every order's seeded sample, each block drawn where it is
+    checked, so `check` forks at most one worker.
+    """
+    streams = [SampleStream(seed, samples, n) for n in orders]
+    return [(n, g, name, defect, IDENTITY_TOL)
+            for n, result in zip(orders, check_total_energy_identity(streams, GRAVITIES))
+            for g, defects in result.items() for name, defect in defects.items()]
 
 
 def _check_gradients(orders, samples, seed):

@@ -8,13 +8,15 @@ derivatives.  FreeSample therefore carries independent "slots" for each
 time/space derivative; no compatibility between values and slots is
 assumed, and the identities must hold for arbitrary slot values.  Defects
 are normalized by the sum of the absolute values of the combined terms.
-check_total_energy_identity walks a sample once, in blocks of _BLOCK
-samples, and returns the largest per-block defect of every identity at
-every gravity.  Both kinds of sample hand out a block as a FreeSample by
-block(start, stop): a FreeSample slices the fields it holds, and a
-SampleStream, the seeded random sample of `check`, draws the block's slice
-and holds nothing, so a check of a SampleStream needs memory bounded by
-_BLOCK alone, whatever its size.
+check_total_energy_identity walks the samples of every order once, in
+blocks of whole multiples of _BLOCK samples (two for N <= 1, one
+otherwise: see _block_ranges), and returns per sample the largest
+per-block defect of every identity at every gravity.  Both kinds of sample
+hand out a block as a FreeSample by block(start, stop): a FreeSample slices
+the fields it holds, and a SampleStream, the seeded random sample of
+`check`, draws the block's slice and holds nothing, so a check of a
+SampleStream needs memory bounded by the block size alone, whatever its
+size.
 
 _EQUATIONS states each displayed equation once, as its product-rule terms:
 monomials in named factors.  One _Expansions per block forms each term the
@@ -24,9 +26,10 @@ share its array.  An equation is a plain list of equally shaped term
 arrays, combined by list concatenation and scaled term by term; a moment
 equation joins a scalar one as moment-major views of its terms, so no term
 is copied into a stack.  _term_sum adds whole arrays in order, one term at
-a time; n terms sum to within (n - 1) u sum|t| of the exact sum (u the unit
-roundoff).  The longest list has max(15, 7N + 11) terms, 459 at N = 64, so
-the bound is 458 u, about 5.1e-14, far below the 1e-12 the checks allow.
+a time, starting from the first; n terms sum to within (n - 1) u sum|t| of
+the exact sum (u the unit roundoff).  The longest list has max(15, 7N + 11)
+terms, 459 at N = 64, so the bound is 458 u, about 5.1e-14, far below the
+1e-12 the checks allow.
 
 Also here: the finite-difference check that the entropy variables are the
 energy gradient, the exact wet-bed dam-break reference solution, and the
@@ -34,7 +37,8 @@ convergence study of solver runs.  The identity blocks and the meshes of a
 study are independent items, mapped by swlme._worker._fan_out in serial
 order with the tail in a forked worker: results and the error raised are
 the serial loop's, and only counters in the caller's memory see the
-caller's items alone.
+caller's items alone.  The blocks of every order of one identity check go
+through one such call, so `check` forks once, whatever its orders.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import reduce
+from itertools import accumulate
 from operator import attrgetter, mul
 from typing import NamedTuple
 
@@ -61,7 +66,7 @@ from swlme.model import (
 from swlme.solver import Scenario, StateRecord, run
 
 _TINY = np.finfo(float).tiny
-_BLOCK = 4096  # samples per block of the identity checks
+_BLOCK = 4096  # every identity-check block holds a whole multiple of this many samples
 _GRADIENT_STEP = 1e-6  # gradient_check_entropy's difference step, relative to |U| (at least 1)
 _MOMENT_FIELDS = ("u", "dt_u", "dx_u")
 
@@ -164,15 +169,27 @@ class SampleStream:
         return FreeSample(**drawn)
 
 
-def _term_sum(terms, absolute: bool = False) -> np.ndarray:
-    """Sum a sequence of equally shaped term arrays in order, from +0.0.
+# the sample bytes an identity-check block may hold: those of a _BLOCK-sample block at N = 5
+_BLOCK_BYTES = SampleStream.nbytes(_BLOCK, 5)
 
-    absolute=True sums |terms|, taking each into one reused buffer.
+
+def _term_sum(terms, absolute: bool = False) -> np.ndarray:
+    """Sum a sequence of equally shaped term arrays in order, from the first, into a new array.
+
+    absolute=True sums |terms|, taking each after the first into one reused
+    buffer.  The first operation makes the new array, so no term is
+    written.  From +0.0 the sums would differ only in the sign of a zero
+    total, which _defect reads through abs alone.
     """
-    total = np.zeros(terms[0].shape)
-    buf = np.empty(terms[0].shape) if absolute else None
-    for t in terms:
-        total += np.abs(t, out=buf) if absolute else t
+    if absolute:
+        total = np.abs(terms[0])
+        buf = np.empty(total.shape)
+        for t in terms[1:]:
+            total += np.abs(t, out=buf)
+    else:
+        total = terms[0] + terms[1] if len(terms) > 1 else terms[0].copy()
+        for t in terms[2:]:
+            total += t
     return total
 
 
@@ -286,9 +303,16 @@ class _Expansions:
         self._memo = {spec: t for spec, t in self._memo.items() if t.ndim == 1}
 
 
-def _block_ranges(size: int) -> list:
-    """(start, stop) of consecutive blocks of at most _BLOCK samples; 0 samples make one empty block."""
-    return [(start, min(start + _BLOCK, size)) for start in range(0, max(size, 1), _BLOCK)]
+def _block_ranges(size: int, n_moments: int) -> list:
+    """(start, stop) of consecutive blocks of a sample at order n_moments; 0 samples make one empty block.
+
+    A block holds as many whole multiples of _BLOCK samples as fit in
+    _BLOCK_BYTES, at least one: 2 _BLOCK for N <= 1, _BLOCK otherwise.  So
+    every block starts at a multiple of _BLOCK, as the rows of the
+    moment-weight products in _Expansions round by their offset at N >= 8.
+    """
+    step = _BLOCK * max(1, _BLOCK_BYTES // SampleStream.nbytes(_BLOCK, n_moments))
+    return [(start, min(start + step, size)) for start in range(0, max(size, 1), step)]
 
 
 def _block_defects(s: FreeSample, gravities) -> dict:
@@ -335,11 +359,13 @@ def _block_defects(s: FreeSample, gravities) -> dict:
     return out
 
 
-def check_total_energy_identity(s, gravities) -> dict:
-    """Max relative defect of the energy derivation, per gravity: {g: {identity: defect}}.
+def check_total_energy_identity(samples, gravities) -> list:
+    """Max relative defect of the energy derivation per sample and gravity: [{g: {identity: defect}}].
 
-    s is a FreeSample, or a SampleStream that draws each block as it is
-    checked: anything with size, n_moments and block(start, stop).  "total
+    samples lists one sample per moment order, the orders in the caller's
+    order.  A sample is a FreeSample, or a SampleStream that draws each block
+    as it is checked: anything with size, n_moments and block(start, stop).
+    The result holds one {g: {identity: defect}} per sample, in order.  "total
     energy identity" comes first: contracting the balance residuals with the
     entropy variables must reproduce the energy residual,
     q1 R_C + q2 R_M + sum_i q_ui R_ui = R_E, for arbitrary slot values.
@@ -351,16 +377,28 @@ def check_total_energy_identity(s, gravities) -> dict:
     energies multiply the skew forms by the velocity; and the total energy
     is the total kinetic plus potential energy.  The moment-equation steps
     exist for N >= 1 only.  Every identity at every gravity is evaluated in
-    one walk over s.block of each _block_ranges(s.size); with two blocks or
-    more, _fan_out gives the second half of the ranges to a forked worker,
-    so a SampleStream's worker draws its blocks itself.  RuntimeError names
-    the order if the worker is lost.
+    one walk over the blocks of every sample, s.block of each
+    _block_ranges(s.size, s.n_moments), the samples in order.  One _fan_out
+    maps them all: with two blocks or more, the caller checks the blocks
+    before the block boundary nearest half the summed sample bytes
+    (SampleStream.nbytes, which the time per sample follows across orders)
+    and a forked worker the rest, so a SampleStream's worker draws its blocks
+    itself.  RuntimeError names the orders the worker ran if it is lost.
     """
-    ranges = _block_ranges(s.size)
-    per_block = _fan_out(lambda r: _block_defects(s.block(*r), gravities), ranges,
-                         len(ranges) // 2, f"identity check at N={s.n_moments}")
-    return {g: {name: float(np.max([d[g][name] for d in per_block])) for name in per_block[0][g]}
-            for g in gravities}
+    items = [(i, r) for i, s in enumerate(samples) for r in _block_ranges(s.size, s.n_moments)]
+    ends = list(accumulate(SampleStream.nbytes(stop - start, samples[i].n_moments)
+                           for i, (start, stop) in items))
+    cut = len(items)
+    if cut > 1 and ends[-1]:
+        cut = min(range(1, cut), key=lambda k: abs(2 * ends[k - 1] - ends[-1]))
+    ran = dict.fromkeys(samples[i].n_moments for i, _ in items[cut:])
+    per_block = _fan_out(lambda item: _block_defects(samples[item[0]].block(*item[1]), gravities),
+                         items, cut, f"identity check at N={', '.join(map(str, ran))}")
+    out = [[] for _ in samples]
+    for (i, _), defects in zip(items, per_block):
+        out[i].append(defects)
+    return [{g: {name: float(np.max([d[g][name] for d in mine])) for name in mine[0][g]}
+             for g in gravities} for mine in out]
 
 
 def gradient_check_entropy(W: np.ndarray, b, g: float) -> float:

@@ -144,12 +144,17 @@ def check_wet(h: np.ndarray) -> None:
 def _moment_sum(u: np.ndarray) -> np.ndarray:
     """T = sum_i u_i^2 / (2i+1) over the last axis (0.0 when there are no moments).
 
-    The terms are added in order from +0.0, one whole moment at a time, so
-    a state's T does not depend on its layout or on the batch it is in.
+    The terms are added in order from the first, one whole moment at a time,
+    so a state's T does not depend on its layout or on the batch it is in.
+    No term is -0.0, so T has the bits of the same sum from +0.0.  An object
+    array (of exact fractions, say) sums as one, into an object T.
     """
-    T = np.zeros(u.shape[:-1])
-    for i, w in enumerate(moment_weights(u.shape[-1]).tolist()):
-        T += u[..., i] * u[..., i] * w
+    w = moment_weights(u.shape[-1]).tolist()
+    if not w:
+        return np.zeros(u.shape[:-1])
+    T = u[..., 0] * u[..., 0] * w[0]
+    for i in range(1, len(w)):
+        T += u[..., i] * u[..., i] * w[i]
     return T
 
 
@@ -411,28 +416,30 @@ def _spectral_bound(Q: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _norm_factors(n: int, variant: Variant) -> tuple[np.ndarray, np.ndarray]:
-    """(F, E) with ((W @ F)**2 @ E)[:, g] = y_g^2 for the moment norms y_g of each state W.
+def _norm_factors(n: int, variant: Variant) -> tuple:
+    """(w, columns): the moment weights as a column, and the nonzero entries of [R_A; R] by column.
 
-    The norms, of the moments u = W[2:], are ||u||, ||u w|| (w the moment
-    weights), ||R_A u|| and ||R u||.  R^T R is the Gram matrix
-    G_kl = <C_k, C_l>_F of C_k = (A + A^T + B)[:, :, k] (A^T swaps the last
-    two axes), so ||R u|| = ||sum_k u_k C_k||_F; R_A is the same for A.
-    Each R is the triangular factor of the (N^2, N) matrix whose column k is
-    C_k (or A[:, :, k]) flattened, so a norm is a sum of squares, never the
-    root of a negative rounding.  The rows of h and u_m in F are zero, and
-    E sums the squares of each norm's N columns.
+    The moment norms of _norm_bound, of the moments u, are ||u||, ||u w||,
+    ||R_A u|| and ||R u||.  R^T R is the Gram matrix G_kl = <C_k, C_l>_F of
+    C_k = (A + A^T + B)[:, :, k] (A^T swaps the last two axes), so
+    ||R u|| = ||sum_k u_k C_k||_F; R_A is the same for A.  Each R is the
+    upper triangular factor of the (N^2, N) matrix whose column k is C_k (or
+    A[:, :, k]) flattened, so a norm is a sum of squares, never the root of
+    a negative rounding.  columns[j] lists the runs of consecutive nonzero
+    entries of column j of the (2N, N) stack [R_A; R], rows ascending, as
+    (start, stop, coefficients), the coefficients as a column.
     """
     t = compute_tensors(n, variant)
-    F = np.zeros((n + 2, 4, n))
-    F[2:, 0] = np.eye(n)
-    F[2:, 1] = np.diag(moment_weights(n))
-    F[2:, 2], F[2:, 3] = (np.linalg.qr(X.reshape(n * n, n), mode="r").T
-                          for X in (t.A, t.A + t.A.transpose(0, 2, 1) + t.B))
-    factors = F.reshape(n + 2, 4 * n), np.repeat(np.eye(4), n, axis=0)
-    for a in factors:
+    R = np.concatenate([np.linalg.qr(X.reshape(n * n, n), mode="r")
+                        for X in (t.A, t.A + t.A.transpose(0, 2, 1) + t.B)])
+    columns = []
+    for column in R.T:
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], column != 0.0, [0]])))
+        columns.append(tuple((a, b, column[a:b, None].copy()) for a, b in edges.reshape(-1, 2)))
+    w = moment_weights(n)[:, None]
+    for a in (w, *(coef for runs in columns for _, _, coef in runs)):
         a.setflags(write=False)
-    return factors
+    return w, tuple(columns)
 
 
 def _norm_bound(states: np.ndarray, T: np.ndarray, c: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -448,14 +455,29 @@ def _norm_bound(states: np.ndarray, T: np.ndarray, c: np.ndarray, p: ModelParams
     norm with ||a|| <= ||R_A u|| ||u||, and the moment block's Frobenius norm
     ||R u|| (see _norm_factors).  O(N^2) per state.  An overflow gives inf
     or NaN, as does a NaN state.
+
+    Every entry of R_A u and R u, and every sum of squares, is an in-order
+    sum of whole rows, one state per element: R_A u and R u add their
+    nonzero terms column by column of [R_A; R], and each norm adds its N
+    squares in moment order.  So a state's bound does not depend on its
+    batch or layout, as a matrix product's would.
     """
-    F, E = _norm_factors(p.N, p.variant)
+    w, columns = _norm_factors(p.N, p.variant)
     h, um = states[:, 0], states[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        # one C-contiguous operand: the product rounds the same for every layout
-        Y = np.ascontiguousarray(states) @ F
+        # the entries u_k, u_k w_k, (R_A u)_k and (R u)_k, one row of states each
+        Y = np.zeros((4, p.N, len(states)))
+        Y[0] = states[:, 2:].T
+        np.multiply(Y[0], w, out=Y[1])
+        RY = Y[2:].reshape(2 * p.N, len(states))  # a view: R_A u, then R u
+        for runs, u_j in zip(columns, Y[0]):
+            for start, stop, coef in runs:
+                RY[start:stop] += coef * u_j
         np.multiply(Y, Y, out=Y)
-        u_norm, uw_norm, a_norm, block = np.sqrt(E.T @ Y.T)
+        squares = np.zeros((4, len(states)))
+        for k in range(p.N):
+            squares += Y[:, k]
+        u_norm, uw_norm, a_norm, block = np.sqrt(squares)
         um_abs = np.abs(um)
         low = (p.g * h - um * um - T) / c
         # the 2-norm of [[a, b], [e, d]] is (|(a + d, e - b)| + |(a - d, e + b)|) / 2

@@ -31,7 +31,8 @@ cached Scenario.interface_bottom, and so is the flat-bottom test.
 Validation: semi_discrete_rhs checks the depths on both sides of every
 interface and in every cell, once per call; step checks each stage's result
 for non-finite components, then dry depths; run checks each new state once,
-for its record and the next time step, and stops after MAX_STEPS steps.
+for its record and the next time step, and stops after MAX_STEPS steps or
+before a step that would take it past MAX_CELL_STEPS cell-steps.
 
 Output: run hands each state it produces to a sink as one StateRecord, its
 summary (t, mass, momentum, total_energy) plus, for a snapshot only, the state
@@ -71,6 +72,9 @@ from swlme.model import (
 BOUNDARY_KINDS = ("periodic", "outflow", "reflective")
 # steps one run may take; the largest benchmark mesh takes about 900
 MAX_STEPS = 10**7
+# cells x steps one run may take, whatever its cell count; the largest benchmark run
+# takes about 1.15 million, and 2^20 cells at N = 0 take about 30 minutes for 10^10
+MAX_CELL_STEPS = 10**10
 # bytes of one state array, cells x (N+2) floats.  A run's peak is about 14
 # times that under SWLME and 3 (N+2) times under SWME, whose validated wave
 # speed forms an (N+2) x (N+2) matrix per cell: at most about 3.2 GiB, at N = 64
@@ -590,8 +594,9 @@ def run(scenario: Scenario, sink=None):
     returns what sink.finish returns (a Trajectory, by default).  The step is
     capped so snapshot times, formed one at a time, and t_end are hit
     exactly.  On a dry state, a time step that underflows (dt <= 0 or
-    t + dt == t), or MAX_STEPS steps taken before t_end, the run stops and
-    the failure is passed to sink.finish; what was recorded so far stands.
+    t + dt == t), MAX_STEPS steps taken before t_end, or a step that would
+    take the run past MAX_CELL_STEPS cells x steps, the run stops and the
+    failure is passed to sink.finish; what was recorded so far stands.
     """
     sink = Trajectory() if sink is None else sink
     p = scenario.params
@@ -617,6 +622,10 @@ def run(scenario: Scenario, sink=None):
             break
         if n_steps >= MAX_STEPS:
             failure = f"step limit of {MAX_STEPS} steps reached at t = {t}"
+            break
+        if (n_steps + 1) * grid.cells > MAX_CELL_STEPS:
+            failure = (f"cell-step budget of {MAX_CELL_STEPS} reached at t = {t} "
+                       f"({n_steps} steps on {grid.cells} cells)")
             break
         while k < snapshots and k * spacing <= t:
             k += 1

@@ -38,7 +38,7 @@ def _samples(n):
 @functools.cache
 def _derivation_defects(n):
     """Every identity's defect at both gravities, one pass, shared by criteria 1, 2 and 6."""
-    return check_total_energy_identity(_samples(n), GRAVITIES)
+    return check_total_energy_identity([_samples(n)], GRAVITIES)[0]
 
 
 def test_criterion_01_total_energy_identity():

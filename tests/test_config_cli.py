@@ -704,6 +704,16 @@ class TestRunCommand:
         assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 4
         assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 100
 
+    def test_cell_step_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 100 cells: a budget of 350 cell-steps allows three steps
+        monkeypatch.setattr("swlme.solver.MAX_CELL_STEPS", 350)
+        path = self.write(tmp_path, DAM_CFG.format(path=tmp_path / "o"))
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"run failed \(cell-step budget of 350 reached at t = \S+ \(3 steps on "
+                         r"100 cells\)\); partial output", err), err
+        assert len((tmp_path / "o" / "summary.csv").read_text().splitlines()) == 1 + 4
+
 
 # the dam break of DAM_CFG at N = 3 on 2000 cells, a snapshot every step: each
 # snapshot's (cells, N+3) block takes 96,000 bytes, more than a 64 KiB pipe holds
@@ -867,6 +877,41 @@ class TestWriterProcess:
         # the writer wrote every snapshot sent to it: the initial state and five steps
         assert len((out / "snapshots.csv").read_text().splitlines()) == 1 + 6 * 100
 
+    def test_interrupt_ends_the_command_by_sigint_with_no_process_left(self, tmp_path):
+        # the interrupt row of the failure table in the cli docstring: a
+        # KeyboardInterrupt in solver.step, with a writer process running, ends
+        # `swlme run` by SIGINT (status 130 in a shell) with a traceback whose last
+        # line is `KeyboardInterrupt`, after the writer is reaped
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(DAM_CFG.format(path=tmp_path / "o") + "output.every_steps = 1\n")
+        script = f"""
+import os, sys
+import swlme.solver
+from swlme.cli import main
+step, steps = swlme.solver.step, []
+def interrupted(*args):
+    steps.append(None)
+    if len(steps) > 5:
+        raise KeyboardInterrupt
+    return step(*args)
+swlme.solver.step = interrupted
+try:
+    main(["run", {str(cfg)!r}])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child process is left", file=sys.stderr)
+    except ChildProcessError:
+        pass
+"""
+        src = Path(swlme.cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == -signal.SIGINT, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "KeyboardInterrupt", proc.stderr
+        assert "a child process is left" not in proc.stderr
+        assert len((tmp_path / "o" / "snapshots.csv").read_text().splitlines()) == 1 + 6 * 100
+
 
 class TestConvergeCommand:
     def test_stoker_rows(self, tmp_path, capsys):
@@ -946,6 +991,29 @@ class TestConvergeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: run on 50 cells failed: step limit of 3 steps "
                                        "reached at t = ")
+
+    def test_every_mesh_gets_its_own_cell_step_budget(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "dam.cfg"
+        cfg.write_text(DAM_CFG.format(path=tmp_path / "o"))
+        steps = {}
+        # the 100-cell run takes more cell-steps than the 50-cell one; a budget
+        # between them stops only the finer mesh, and one that covers each run
+        # alone, though not both together, stops neither
+        for cells in (50, 100):
+            sc = build_scenario(parse_config(DAM_CFG.format(path=tmp_path / "o"))).with_cells(cells)
+            steps[cells] = len(run(sc).steps) - 1
+        small, large = 50 * steps[50], 100 * steps[100]
+        assert small < large < small + large
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
+        monkeypatch.setattr("swlme.solver.MAX_CELL_STEPS", large)
+        assert main(["converge", str(cfg), "--meshes", "50,100"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("swlme.solver.MAX_CELL_STEPS", large - 1)
+        assert main(["converge", str(cfg), "--meshes", "50,100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: run on 100 cells failed: cell-step budget of "
+                                       f"{large - 1} reached at t = ")
 
     def test_every_mesh_gets_the_step_bound(self, tmp_path, capsys, monkeypatch):
         # at t_end = 0.1 a periodic run needs at least 11.1 steps on 32 cells and 22.3 on 64
@@ -1155,14 +1223,27 @@ class TestFanOutCommands:
         cfg.write_text((DAM_CFG if mode == "exact" else SELF_REF_CFG).format(path=tmp_path / "o"))
         return ["converge", str(cfg), "--meshes", meshes]
 
-    @pytest.mark.parametrize("argv, orders", [
-        (["--seed", "1"], 5), (["--seed", "2"], 5),
-        (["--N", "8,17", "--samples", "20000", "--seed", "1"], 2),
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "1"], ["--seed", "2"], ["--N", "8,17", "--samples", "20000", "--seed", "1"],
     ], ids=["seed-1", "seed-2", "N-8-17"])
-    def test_check_stdout(self, capsys, monkeypatch, forks, argv, orders):
+    def test_check_stdout(self, capsys, monkeypatch, forks, argv):
         code, out, err = self.both_paths(capsys, monkeypatch, ["check", *argv])
         assert code == 0 and err == "" and "all checks passed" in out
-        assert len(forks) == orders  # one worker per order, none without a second CPU
+        assert len(forks) == 1  # one worker for every order, none without a second CPU
+
+    @pytest.mark.parametrize("cpus, started", [(2, 1), (1, 0)])
+    def test_check_starts_one_worker_for_every_order(self, capsys, monkeypatch, cpus, started):
+        calls, start = [], swlme._worker.start
+
+        def counted(fn, what):
+            calls.append(what)
+            return start(fn, what)
+
+        monkeypatch.setattr(swlme._worker, "start", counted)
+        code, out, _ = self.outcome(capsys, monkeypatch, cpus,
+                                    ["check", "--N", "0,1,2,3,5", "--samples", "3000"])
+        assert code == 0 and "all checks passed" in out
+        assert len(calls) == started, calls
 
     @pytest.mark.parametrize("mode, meshes", [("exact", "50,100,200"),
                                               ("self-reference", "16,32,64")])
@@ -1380,7 +1461,7 @@ def test_benchmark_hooks_are_called(tmp_path, capsys, monkeypatch):
         assert main(["converge", str(dam), "--meshes", "20,40"]) == 0
         assert calls["solver.run"] == runs and calls["solver.step"] > 2, calls
         assert calls["solver._summary_row"] > calls["solver.step"], calls
-        # one call per order here, whether or not a worker takes half of its three blocks
+        # one call for every order, whether or not a worker takes part of their blocks
         calls.update(dict.fromkeys(calls, 0))
         assert main(["check", "--N", "0,1", "--samples", str(2 * _BLOCK + 17)]) == 0
-        assert calls["diagnostics.check_total_energy_identity"] == 2, calls
+        assert calls["diagnostics.check_total_energy_identity"] == 1, calls

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swlme._worker
 import swlme.cli
@@ -19,10 +21,12 @@ from swlme._worker import _cpus, _fan_out
 from swlme.cli import main
 from swlme.diagnostics import (
     _BLOCK,
+    _BLOCK_BYTES,
     _EQUATIONS,
     FreeSample,
     SampleStream,
     _block_ranges,
+    _defect,
     _Expansions,
     _term,
     _term_sum,
@@ -91,12 +95,12 @@ def scale_energy_flux(monkeypatch, factor):
 
 def total_identity(s, g):
     """The total energy identity defect of one gravity."""
-    return check_total_energy_identity(s, (g,))[g]["total energy identity"]
+    return check_total_energy_identity([s], (g,))[0][g]["total energy identity"]
 
 
 def skew_forms(s, g):
     """The intermediate-step defects of one gravity: every identity but the total one."""
-    defects = check_total_energy_identity(s, (g,))[g]
+    defects = check_total_energy_identity([s], (g,))[0][g]
     del defects["total energy identity"]
     return defects
 
@@ -162,7 +166,7 @@ class TestTotalEnergyIdentity:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_random_samples(self, n):
         s = whole_sample(22, 20000, n)
-        defects = check_total_energy_identity(s, (1.0, 9.81))
+        defects = check_total_energy_identity([s], (1.0, 9.81))[0]
         assert list(defects) == [1.0, 9.81]
         for g in (1.0, 9.81):
             assert defects[g]["total energy identity"] <= 1e-12
@@ -201,7 +205,7 @@ class TestSkewForms:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_random_samples(self, n):
         s = whole_sample(25, 20000, n)
-        for g, defects in check_total_energy_identity(s, (1.0, 9.81)).items():
+        for g, defects in check_total_energy_identity([s], (1.0, 9.81))[0].items():
             forms = {name: d for name, d in defects.items() if name != "total energy identity"}
             worst = max(forms.values())
             assert worst <= 1e-12, max(forms, key=forms.get)
@@ -215,7 +219,7 @@ class TestSkewForms:
     def test_moment_steps_do_not_read_gravity(self, n):
         # taken once per block for every gravity; they must equal a one-gravity run
         s = whole_sample(29, _BLOCK + 9, n)
-        both = check_total_energy_identity(s, (1.0, 9.81))
+        both = check_total_energy_identity([s], (1.0, 9.81))[0]
         for name in ("moment_rewrite", "moment_advective", "moment_skew_average",
                      "moment_kinetic_energy"):
             assert both[1.0][name] == both[9.81][name] == skew_forms(s, 9.81)[name] \
@@ -317,7 +321,7 @@ def reference_skew_forms(s, g):
 
 
 def reference_defects(s, g):
-    """check_total_energy_identity(s, (g,))[g], one identity at a time (same order)."""
+    """check_total_energy_identity([s], (g,))[0][g], one identity at a time (same order)."""
     return {"total energy identity": reference_total_energy_identity(s, g),
             **reference_skew_forms(s, g)}
 
@@ -325,11 +329,11 @@ def reference_defects(s, g):
 def assert_blocked_equals_reference(s):
     # both gravities in one pass, and each alone; names, order and bits must match
     want = {g: list(reference_defects(s, g).items()) for g in (1.0, 9.81)}
-    got = check_total_energy_identity(s, (1.0, 9.81))
+    got = check_total_energy_identity([s], (1.0, 9.81))[0]
     assert list(got) == [1.0, 9.81]
     for g in (1.0, 9.81):
         assert list(got[g].items()) == want[g]
-        assert list(check_total_energy_identity(s, (g,))[g].items()) == want[g]
+        assert list(check_total_energy_identity([s], (g,))[0][g].items()) == want[g]
 
 
 class TestBlockedChecks:
@@ -348,7 +352,7 @@ class TestBlockedChecks:
     def test_empty_batch(self):
         s = whole_sample(41, 0, 2)
         assert_blocked_equals_reference(s)
-        assert set(check_total_energy_identity(s, (9.81,))[9.81].values()) == {0.0}
+        assert set(check_total_energy_identity([s], (9.81,))[0][9.81].values()) == {0.0}
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_scalar_slots_mixed_with_arrays(self, n):
@@ -373,7 +377,7 @@ class TestBlockedChecks:
 
     def test_block_layout(self):
         s = whole_sample(44, 2 * _BLOCK + 17, 2)
-        blocks = [s.block(start, stop) for start, stop in _block_ranges(s.size)]
+        blocks = [s.block(start, stop) for start, stop in _block_ranges(s.size, s.n_moments)]
         assert [blk.size for blk in blocks] == [_BLOCK, _BLOCK, 17]
         for name, whole in sample_fields(s).items():
             parts = [getattr(blk, name) for blk in blocks]
@@ -383,7 +387,7 @@ class TestBlockedChecks:
             assert all(np.shares_memory(a, whole) for a in parts), name
             np.testing.assert_array_equal(np.concatenate(parts), whole)
         empty = zero_sample(1, size=0)
-        assert [empty.block(start, stop).h.shape for start, stop in _block_ranges(0)] == [(0,)]
+        assert [empty.block(start, stop).h.shape for start, stop in _block_ranges(0, 1)] == [(0,)]
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_scalar_slots_and_2d_batch_flatten_in_c_order(self, n):
@@ -408,8 +412,8 @@ class TestBlockedChecks:
                 put_in = {name: getattr(s, name)[start:stop] for name in scalars}
                 return dataclasses.replace(super().block(start, stop), **put_in)
 
-        assert check_total_energy_identity(s, (1.0, 9.81)) == check_total_energy_identity(
-            WithScalars(59, size, n), (1.0, 9.81))
+        assert check_total_energy_identity([s], (1.0, 9.81))[0] == check_total_energy_identity(
+            [WithScalars(59, size, n)], (1.0, 9.81))[0]
 
     def test_corruption_detected_across_blocks(self, monkeypatch):
         s = whole_sample(45, 3 * _BLOCK + 1, 2)
@@ -431,7 +435,7 @@ class TestBlockedChecks:
         monkeypatch.setattr(swlme.diagnostics, "_Expansions", counted)
         monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
         s = whole_sample(49, 2 * _BLOCK + 17, 2)
-        check_total_energy_identity(s, (1.0, 9.81))
+        check_total_energy_identity([s], (1.0, 9.81))[0]
         return built
 
     def test_one_expansion_per_block(self, monkeypatch):
@@ -526,7 +530,7 @@ class TestSampleStream:
         want, stream = reference_random(53, size, n), SampleStream(53, size, n)
         assert (stream.size, stream.n_moments) == (size, n)
         # last block first: a worker's first block does not need the earlier ones drawn
-        for start, stop in reversed(_block_ranges(size)):
+        for start, stop in reversed(_block_ranges(size, n)):
             self.assert_bitwise(stream.block(start, stop), want.block(start, stop))
 
     def test_unaligned_ranges(self):
@@ -542,8 +546,8 @@ class TestSampleStream:
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_check_matches_the_whole_sample(self, size, n):
         whole = reference_random(56, size, n)
-        assert (check_total_energy_identity(SampleStream(56, size, n), (1.0, 9.81))
-                == check_total_energy_identity(whole, (1.0, 9.81)))
+        assert (check_total_energy_identity([SampleStream(56, size, n)], (1.0, 9.81))[0]
+                == check_total_energy_identity([whole], (1.0, 9.81))[0])
 
     @staticmethod
     def drawn(monkeypatch, cpus, size):
@@ -570,7 +574,7 @@ class TestSampleStream:
 
 
 class TestTermSum:
-    """_term_sum adds the terms in order from +0.0, bit for bit, within roundoff of the exact sum."""
+    """_term_sum adds the terms in order from the first, bit for bit, within roundoff of the exact sum."""
 
     @pytest.mark.parametrize("tail", [(6,), (6, 3)])
     def test_bitwise_against_in_order_sum(self, tail):
@@ -581,20 +585,55 @@ class TestTermSum:
             stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
             stack[rng.integers(n), 0] = np.nan
             stack[rng.integers(n), 1] = -np.inf
-            stack[:, 2] = -0.0  # the sum starts from +0.0, so this sums to +0.0
+            stack[:, 2] = -0.0  # the sum starts from its first term, so this sums to -0.0
             gamma = (n - 1) * unit / (1.0 - (n - 1) * unit)
             for absolute in (False, True):
                 got = _term_sum(stack, absolute)
                 assert got.shape == stack.shape[1:], (n, absolute)
                 for idx in np.ndindex(got.shape):
                     terms = [abs(t) if absolute else t for t in stack[(slice(None),) + idx].tolist()]
-                    total = 0.0
-                    for t in terms:
+                    total = terms[0]
+                    for t in terms[1:]:
                         total += t
                     assert np.float64(total).tobytes() == got[idx].tobytes(), (n, absolute, idx)
                     if idx[0] > 2:  # finite terms: within gamma_(n-1) sum|t| of the exact sum
                         error = math.fsum([total] + [-t for t in terms])
                         assert abs(error) <= gamma * math.fsum(map(abs, terms)), (n, idx)
+
+
+def zero_start_sum(terms, absolute=False):
+    """The in-order sum of the terms (their absolute values), started from +0.0."""
+    total = np.zeros(terms[0].shape)
+    for t in terms:
+        total += np.abs(t) if absolute else t
+    return total
+
+
+def term_lists(size):
+    """Lists of 1 to 6 terms of `size` values each, ±0.0, infinities and NaN among them."""
+    value = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5e-300]),
+                      st.floats(allow_nan=True, allow_infinity=True))
+    return st.lists(st.lists(value, min_size=size, max_size=size).map(np.array),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda size: st.tuples(term_lists(size), term_lists(size))))
+def test_defect_from_first_terms_keeps_the_zero_start_bits(sides):
+    # the sums differ from +0.0-start ones only in the sign of a zero total, which
+    # the defect reads through abs alone
+    lhs, rhs = sides
+    with np.errstate(all="ignore"):
+        num = np.abs(zero_start_sum(lhs) - zero_start_sum(rhs))
+        den = zero_start_sum(lhs, True) + zero_start_sum(rhs, True)
+        want = np.max(num / np.maximum(den, np.finfo(float).tiny))
+        got = _defect(lhs, rhs)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+    # the first term is summed into a new array, never written
+    before = [t.copy() for t in lhs + rhs]
+    with np.errstate(all="ignore"):
+        _term_sum(lhs), _term_sum(rhs, absolute=True)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, lhs + rhs))
 
 
 # the identities that read the dx_b slot; the others never see it
@@ -638,7 +677,7 @@ def test_check_memory_stays_bounded(monkeypatch):
     s = whole_sample(46, 100_000, 5)
     tracemalloc.start()
     try:
-        check_total_energy_identity(s, (1.0, 9.81))
+        check_total_energy_identity([s], (1.0, 9.81))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -995,6 +1034,75 @@ class TestFanOut:
                                                    "item 2 in the worker: True",
                                                    "item 3 in the worker: True"]
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_call_for_every_order_equals_one_call_per_order(self, monkeypatch, cpus):
+        samples = [SampleStream(60 + n, 2 * _BLOCK + 17, n) for n in (0, 1, 2, 5)]
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 1)
+        want = [check_total_energy_identity([s], (1.0, 9.81))[0] for s in samples]
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
+        assert check_total_energy_identity(samples, (1.0, 9.81)) == want
+        assert check_total_energy_identity([], (1.0, 9.81)) == []
+
+    @staticmethod
+    def caller_blocks(monkeypatch, orders, size):
+        """(N, start, stop) of the blocks one check of `orders` draws in this process, two CPUs.
+
+        The block defects are stubbed out: only which process draws what is looked at.
+        """
+        drawn = []
+
+        def block(self, start, stop):
+            drawn.append((self.n_moments, start, stop))
+            return None
+
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
+        monkeypatch.setattr(SampleStream, "block", block)
+        monkeypatch.setattr(swlme.diagnostics, "_block_defects",
+                            lambda s, gravities: {g: {"stub": 0.0} for g in gravities})
+        check_total_energy_identity([SampleStream(1, size, n) for n in orders], (9.81,))
+        return drawn
+
+    def test_default_check_cuts_inside_order_3(self, monkeypatch):
+        # 100000 samples take 64, 88, 112, 136 and 184 bytes each at N = 0, 1, 2, 3 and 5:
+        # half their sum is all of N = 0, 1 and 2 and 20588 samples of N = 3, and the
+        # nearest block boundary is 20480 samples in
+        drawn = self.caller_blocks(monkeypatch, (0, 1, 2, 3, 5), 100_000)
+        for n, step in ((0, 2 * _BLOCK), (1, 2 * _BLOCK), (2, _BLOCK)):
+            assert [(start, stop) for m, start, stop in drawn if m == n] == [
+                (start, min(start + step, 100_000)) for start in range(0, 100_000, step)]
+        assert [(start, stop) for m, start, stop in drawn if m == 3] == [
+            (start, start + _BLOCK) for start in range(0, 5 * _BLOCK, _BLOCK)]
+        assert not [b for b in drawn if b[0] == 5]
+
+    @pytest.mark.parametrize("orders, size", [
+        ((0, 1, 2, 3, 5), 100_000), ((5, 0), 3 * _BLOCK), ((2,), 2 * _BLOCK + 17),
+        ((1, 8), 5 * _BLOCK + 1), ((17, 0, 3), 2 * _BLOCK),
+    ])
+    def test_cut_falls_where_the_bytes_halve(self, monkeypatch, orders, size):
+        blocks = [(n, start, stop) for n in orders for start, stop in _block_ranges(size, n)]
+        nbytes = [SampleStream.nbytes(stop - start, n) for n, start, stop in blocks]
+        drawn = self.caller_blocks(monkeypatch, orders, size)
+        cut = len(drawn)
+        assert 0 < cut < len(blocks) and drawn == blocks[:cut]
+        total, mine = sum(nbytes), sum(nbytes[:cut])
+        # no other block boundary lies nearer half the sample bytes
+        assert all(abs(2 * mine - total) <= abs(2 * sum(nbytes[:k]) - total)
+                   for k in range(1, len(blocks)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 17, 64])
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK, 2 * _BLOCK + 17, 100_000])
+    def test_blocks_start_at_multiples_of_block(self, n, size):
+        ranges = _block_ranges(size, n)
+        assert ranges[0][0] == 0 and ranges[-1][1] == size
+        assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+        assert all(start % _BLOCK == 0 for start, _ in ranges)
+        step = 2 * _BLOCK if n <= 1 else _BLOCK
+        assert all(stop - start == step for start, stop in ranges[:-1])
+        # no block outgrows a _BLOCK-sample block of the largest default order, N = 5
+        assert _BLOCK_BYTES == SampleStream.nbytes(_BLOCK, 5)
+        assert n > 5 or all(SampleStream.nbytes(stop - start, n) <= _BLOCK_BYTES
+                            for start, stop in ranges)
+
     @pytest.mark.parametrize("size, cpus, forked", [
         (_BLOCK, 2, 0), (_BLOCK + 1, 2, 1), (_BLOCK + 1, 1, 0), (0, 2, 0),
     ], ids=["one-block", "two-blocks", "one-cpu", "empty"])
@@ -1002,14 +1110,14 @@ class TestFanOut:
                                                       forked):
         monkeypatch.setattr(swlme._worker, "_cpus", lambda: cpus)
         s = whole_sample(50, size, 2)
-        check_total_energy_identity(s, (9.81,))
+        check_total_energy_identity([s], (9.81,))[0]
         assert len(forks) == forked
 
     def test_check_without_fork(self, monkeypatch):
         s = whole_sample(51, 2 * _BLOCK + 3, 1)
-        want = check_total_energy_identity(s, (1.0, 9.81))
+        want = check_total_energy_identity([s], (1.0, 9.81))[0]
         monkeypatch.delattr(os, "fork")
-        assert check_total_energy_identity(s, (1.0, 9.81)) == want
+        assert check_total_energy_identity([s], (1.0, 9.81))[0] == want
 
     def test_lost_check_worker_names_the_order(self, monkeypatch):
         parent, block_defects = os.getpid(), swlme.diagnostics._block_defects
@@ -1024,7 +1132,24 @@ class TestFanOut:
         s = whole_sample(52, _BLOCK + 1, 3)
         with pytest.raises(RuntimeError, match="^identity check at N=3: worker process ended "
                                                "with signal"):
-            check_total_energy_identity(s, (9.81,))
+            check_total_energy_identity([s], (9.81,))[0]
+        assert_no_process_left()
+
+    def test_lost_check_worker_names_its_orders(self, monkeypatch):
+        parent, block_defects = os.getpid(), swlme.diagnostics._block_defects
+
+        def dying(s, gravities):
+            if in_worker(parent):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return block_defects(s, gravities)
+
+        monkeypatch.setattr(swlme._worker, "_cpus", lambda: 2)
+        monkeypatch.setattr(swlme.diagnostics, "_block_defects", dying)
+        # the caller checks N = 1 and the first block of N = 3, the worker the rest
+        samples = [whole_sample(52, _BLOCK + 1, n) for n in (1, 3, 5)]
+        with pytest.raises(RuntimeError, match="^identity check at N=3, 5: worker process "
+                                               "ended with signal"):
+            check_total_energy_identity(samples, (9.81,))
         assert_no_process_left()
 
     # a lost worker is named by the meshes it ran; `test_lost_worker_exits_2`

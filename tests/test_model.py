@@ -421,6 +421,32 @@ class TestMomentSum:
         for u in (np.empty((7, 0)), np.empty((5, 0)).T[:0].T, np.empty(0)):
             assert _moment_sum(u).tobytes() == np.zeros(u.shape[:-1]).tobytes()
 
+    @pytest.mark.parametrize("n", MOMENT_ORDERS)
+    def test_bits_of_the_sum_from_zero(self, n):
+        # the sum from the first term against the same in-order sum from +0.0: no
+        # term is -0.0, so even zero, infinite and NaN totals keep their bits
+        rng = np.random.default_rng(90 + n)
+        for name, rows in solver_moment_rows(rng, n).items():
+            u = np.moveaxis(rows, 0, -1).copy()
+            u[rng.random(u.shape) < 0.03] = np.nan
+            u[..., :1][rng.random(u[..., :1].shape) < 0.3] = -0.0
+            want = np.zeros(u.shape[:-1])
+            with np.errstate(invalid="ignore", over="ignore"):
+                for i, w in enumerate(moment_weights(n).tolist()):
+                    want += u[..., i] * u[..., i] * w
+                got = _moment_sum(u)
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_object_array(self):
+        # exact fractions sum as objects; from a float buffer the add would raise
+        u = np.array([[Fraction(1, 2), Fraction(-1, 3), Fraction(0)],
+                      [Fraction(0), Fraction(0), Fraction(3)]], dtype=object)
+        T = _moment_sum(u)
+        assert T.dtype == object and T.shape == (2,)
+        w = moment_weights(3).tolist()
+        assert T.tolist() == [Fraction(1, 4) * w[0] + Fraction(1, 9) * w[1] + 0 * w[2],
+                              0 * w[0] + 0 * w[1] + 9 * w[2]]
+
 
 class TestClosureContraction:
     @pytest.mark.parametrize("n", range(1, 9))
@@ -894,6 +920,20 @@ class TestNormBound:
         assert np.all(cheap >= radius * (1.0 - 1e-12)), np.min(cheap / radius)
         if variant is Variant.SWME and n >= 3:
             assert np.count_nonzero(complex_[:600]) > 60  # hyperbolicity lost in a good share
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+    def test_lone_state_keeps_its_batch_bits(self, n):
+        # every state of a random SWME batch, in rows and in a variables-first
+        # layout, gets the bits alone that it gets in its batch
+        p = params(n, g=9.81, variant=Variant.SWME)
+        rng = np.random.default_rng(100 + n)
+        for size in (2, 7, 33, 200):
+            W = random_primitive(rng, size, n, h_range=(0.1, 3.0), vel_range=(-2.0, 2.0))
+            W[:, 2:] *= 10.0 ** rng.uniform(-3.0, 0.0, (size, 1))
+            batch = norm_bound(W, p)
+            assert norm_bound(np.asfortranarray(W), p).tobytes() == batch.tobytes(), size
+            for i in range(size):
+                assert norm_bound(W[i:i + 1], p).tobytes() == batch[i:i + 1].tobytes(), (size, i)
 
     def test_rest_state_is_sharp(self):
         # no velocity: Q - u_m I is [[0, 1], [g h, 0]], whose balanced 2-norm is sqrt(g h)

@@ -1009,6 +1009,24 @@ class TestRun:
         monkeypatch.setattr(swlme.solver, "MAX_STEPS", steps - 1)
         assert run(sc).failure.startswith(f"step limit of {steps - 1} steps reached at t = ")
 
+    def test_cell_step_budget_stops_before_the_step_that_passes_it(self, monkeypatch):
+        sc = scenario(n=1, cells=20, ic="dam_break", t_end=0.2)
+        steps = len(run(sc).steps) - 1
+        assert steps > 3
+        monkeypatch.setattr(swlme.solver, "MAX_CELL_STEPS", 20 * steps)
+        assert run(sc).failure is None
+        monkeypatch.setattr(swlme.solver, "MAX_CELL_STEPS", 20 * steps - 1)
+        traj = run(sc)
+        t = traj.steps[-1, 0]
+        assert traj.failure == (f"cell-step budget of {20 * steps - 1} reached at t = {t} "
+                                f"({steps - 1} steps on 20 cells)")
+        assert traj.steps.shape == (steps, 4) and 0.0 < t < sc.t_end
+        # a budget below one step's cells stops the run before its first step
+        monkeypatch.setattr(swlme.solver, "MAX_CELL_STEPS", 19)
+        traj = run(sc)
+        assert traj.failure == "cell-step budget of 19 reached at t = 0.0 (0 steps on 20 cells)"
+        assert traj.steps.shape == (1, 4)
+
     @pytest.mark.parametrize("bc", ["periodic", "reflective"])
     def test_step_bound_rejects_t_end_up_front(self, monkeypatch, bc):
         # mass is conserved, so no dt exceeds cfl dx / sqrt(g mean(h0)): a t_end that needs
