@@ -86,15 +86,17 @@ class ClosureTensors:
 
     A and B have shape (N, N, N); logical indices i,j,k in 1..N map to
     storage indices i-1, j-1, k-1.  A is symmetric in its last two indices.
-    For the full variant A_terms lists sum_jk A_ijk x_j y_k and B_terms
-    sum_jk B_ijk x_k y_j (the roles of the flux and path contractions); both
-    are None for the linearized variant.
+    C = A + A^T + B (A^T swaps the last two axes) couples the moments in
+    the quasilinear matrix.  For the full variant A_terms lists
+    sum_jk A_ijk x_j y_k and B_terms sum_jk B_ijk x_k y_j (the roles of the
+    flux and path contractions); both are None for the linearized variant.
     """
 
     order: int
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     variant: Variant = Variant.SWLME
+    C: np.ndarray = field(init=False, repr=False, compare=False)
     A_terms: TermTable | None = field(init=False, repr=False, compare=False)
     B_terms: TermTable | None = field(init=False, repr=False, compare=False)
 
@@ -104,8 +106,10 @@ class ClosureTensors:
             raise ValueError(f"moment order must be >= 0, got {n}")
         if self.A.shape != (n, n, n) or self.B.shape != (n, n, n):
             raise ValueError("tensor shapes must be (order, order, order)")
-        self.A.setflags(write=False)
-        self.B.setflags(write=False)
+        C = self.A + self.A.transpose(0, 2, 1) + self.B
+        for X in (self.A, self.B, C):
+            X.setflags(write=False)
+        object.__setattr__(self, "C", C)
         full = self.variant is Variant.SWME
         object.__setattr__(self, "A_terms", term_table(self.A, 1) if full else None)
         object.__setattr__(self, "B_terms", term_table(self.B, 2) if full else None)

@@ -1,12 +1,14 @@
 """Command-line front end: closure tables, identity checks, runs, convergence.
 
 Exit codes: 0 on success, 1 for validation or check failures, 2 for
-runtime failures.  Each failure ends the command with one stderr line:
+runtime failures.  Commands raise, and main alone maps ValueError and
+OSError to 1 and RuntimeError and a failed stdout to 2, each as one stderr
+line; check's FAIL: rows and a failed run are results, not exceptions:
 
   failure                   commands         exit  stderr line
   bad input (flag, key,     all              1     error: --N ... / --seed ... / --samples ... /
     config file)                                   --meshes: ... / key 'ic.h_l': ... / <OS error>
-  malformed flag (argparse) all              2     usage, then swlme <command>: error: argument ...
+  malformed flag (argparse) all              1     usage, then swlme <command>: error: argument ...
   check above tolerance     check            1     FAIL: <identity> (N=.., g=..): defect ...
   dry or non-finite state,  run              2     error: run failed (<reason>); partial output
     dt underflow, step                               written to <path>
@@ -50,7 +52,7 @@ import numpy as np
 
 from swlme._worker import start
 from swlme.basis import Variant, compute_tensors
-from swlme.config import ConfigError, build_scenario, config_key, format_config, load_config
+from swlme.config import build_scenario, config_key, format_config, load_config
 from swlme.diagnostics import (
     SampleStream,
     check_total_energy_identity,
@@ -138,8 +140,7 @@ def _fmt(value: float) -> str:
 
 def cmd_coeffs(args) -> int:
     if not 1 <= args.N <= N_MAX:
-        print(f"error: --N must be in 1..{N_MAX}, got {args.N}", file=sys.stderr)
-        return EXIT_FAIL
+        raise ValueError(f"--N must be in 1..{N_MAX}, got {args.N}")
     tensors = compute_tensors(args.N, Variant(args.variant))
     A, B = tensors.A.tolist(), tensors.B.tolist()  # Python floats: repr is the _fmt form
     print("i,j,k,A,B")
@@ -175,12 +176,17 @@ def _check_gradients(orders, samples, seed):
     return rows
 
 
+def _parse_ints(flag: str, text: str) -> list:
+    """The integers of a comma-separated flag value; ValueError names the flag."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _parse_orders(text: str) -> list:
     """Moment orders of a comma-separated --N list; ValueError names the flag."""
-    try:
-        orders = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"--N must be comma-separated integers, got {text!r}") from None
+    orders = _parse_ints("--N", text)
     if not orders:
         raise ValueError(f"--N names no moment order, got {text!r}")
     if not 0 <= min(orders) <= max(orders) <= N_MAX:
@@ -205,32 +211,22 @@ def _parse_seed(seed) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        orders = _parse_orders(args.N)
-        seed = _parse_seed(args.seed)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAIL
+    orders = _parse_orders(args.N)
+    seed = _parse_seed(args.seed)
     if args.samples < 0:
-        print("error: --samples must be >= 0", file=sys.stderr)
-        return EXIT_FAIL
+        raise ValueError("--samples must be >= 0")
     n = max(orders)
     per_sample = SampleStream.nbytes(1, n)
     if args.samples * per_sample > CHECK_SAMPLE_BYTES:
-        print(f"error: --samples {args.samples} exceeds {CHECK_SAMPLE_BYTES // per_sample} at "
-              f"N={n}: a sample takes {per_sample} bytes, and one order's samples at most "
-              f"{CHECK_SAMPLE_BYTES} bytes", file=sys.stderr)
-        return EXIT_FAIL
+        raise ValueError(f"--samples {args.samples} exceeds {CHECK_SAMPLE_BYTES // per_sample} "
+                         f"at N={n}: a sample takes {per_sample} bytes, and one order's samples "
+                         f"at most {CHECK_SAMPLE_BYTES} bytes")
     if args.samples == 0:
         print("warning: --samples 0, nothing checked (vacuous pass)")
         return EXIT_OK
 
-    try:
-        rows = _check_identities(orders, args.samples, seed)
-    except RuntimeError as err:  # a lost worker process
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    rows += _check_gradients(orders, min(args.samples, 1000), seed)
+    rows = (_check_identities(orders, args.samples, seed)
+            + _check_gradients(orders, min(args.samples, 1000), seed))
 
     failures = []
     print(f"{'N':>3}  {'g':>5}  {'check':<24} {'max defect':>12}  {'tolerance':>10}  status")
@@ -370,12 +366,8 @@ def _write_outputs(out: _CsvSink, state: StateRecord) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        scenario = build_scenario(cfg)
-    except (OSError, ConfigError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAIL
+    cfg = load_config(args.config)
+    scenario = build_scenario(cfg)
     if args.print_config:
         sys.stdout.write(format_config(cfg))
         return EXIT_OK
@@ -383,21 +375,16 @@ def cmd_run(args) -> int:
     try:
         sink = _CsvSink(scenario, path)
     except OSError as err:
-        print(f"error: output.path {path!r} cannot be written: {err}", file=sys.stderr)
-        return EXIT_FAIL
+        raise OSError(f"output.path {path!r} cannot be written: {err}") from err
 
     # an overflowing run ends in a recorded failure, reported below; numpy's
     # floating-point warnings on the way there would only repeat it
     try:
         with sink, np.errstate(all="ignore"):
             final, failure = run(scenario, sink)
-    except OSError as err:
-        print(f"error: writing output.path {path!r} failed: {err}; partial output written "
-              f"to {path}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except RuntimeError as err:  # a lost writer process
-        print(f"error: {err}; partial output written to {path}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except (OSError, RuntimeError) as err:  # a failed write, or a lost writer process
+        what = f"writing output.path {path!r} failed: {err}" if isinstance(err, OSError) else err
+        raise RuntimeError(f"{what}; partial output written to {path}") from err
     if failure:  # reported first: a failed stdout below must not hide it
         print(f"error: run failed ({failure}); partial output written to {path}",
               file=sys.stderr)
@@ -414,31 +401,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    scenario = build_scenario(load_config(args.config))
     try:
-        cfg = load_config(args.config)
-        scenario = build_scenario(cfg)
-    except (OSError, ConfigError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    try:
-        meshes = [int(tok) for tok in args.meshes.split(",") if tok.strip() != ""]
-    except ValueError:
-        print(f"error: --meshes must be comma-separated integers, got {args.meshes!r}",
-              file=sys.stderr)
-        return EXIT_FAIL
-    try:
-        rows = convergence_study(scenario, meshes)
+        rows = convergence_study(scenario, _parse_ints("--meshes", args.meshes))
     except ParameterError as err:  # grid.cells was valid, so a cell count came from --meshes
         source = ("--meshes" if err.field in ("cells", "meshes")
                   else f"key '{config_key(err.field)}'")
-        print(f"error: {source}: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    except RuntimeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ValueError(f"{source}: {err}") from err
     print("cells,l1_error,observed_order")
     for cells, err, order in rows:
         print(f"{cells},{_fmt(err)},{'' if order is None else _fmt(order)}")
@@ -477,7 +446,10 @@ def main(argv=None) -> int:
     p_conv.add_argument("--meshes", required=True, help="comma-separated cell counts")
     p_conv.set_defaults(fn=cmd_converge)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:  # argparse has printed the usage and error, or the help
+        return EXIT_FAIL if err.code else EXIT_OK
     _keep_heap_slack()
     stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
@@ -489,6 +461,9 @@ def main(argv=None) -> int:
         _discard_stdout()
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    except (ValueError, OSError, RuntimeError) as err:  # others keep their traceback
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME if isinstance(err, RuntimeError) else EXIT_FAIL
     finally:
         sys.stdout = stdout
 

@@ -37,11 +37,10 @@ import numpy as np
 from swlme.basis import ClosureTensors, TermTable, Variant, compute_tensors
 
 H_MIN = 1e-10  # dry threshold: a depth at or below it is rejected
-N_MAX = 64  # largest moment order; the tensors take 2 N^3 floats
-# quasilinear matrices max_wave_speed(validate=True) forms at once, in bytes
-SPEED_BLOCK_BYTES = 1 << 21
-# closure terms _contract forms at once, in bytes per buffer
-CONTRACT_BLOCK_BYTES = 1 << 21
+N_MAX = 64  # largest moment order; the tensors A, B and C take 3 N^3 floats
+# the bytes of a temporary block: of the quasilinear matrices max_wave_speed(validate=True)
+# forms at once, and of each buffer of the closure terms _contract forms at once
+BLOCK_BYTES = 1 << 21
 
 
 class DryStateError(RuntimeError):
@@ -175,12 +174,12 @@ def _contract(terms: TermTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the slots one after the other, in table order: the term axis is an
     outer axis of a C-contiguous buffer whose slots hold N >= 2 elements
     when the table has a term (N = 1 has none), and numpy sums pairwise only
-    along the inner axis.  A chunk takes at most CONTRACT_BLOCK_BYTES per
+    along the inner axis.  A chunk takes at most BLOCK_BYTES per
     buffer (one table row if a row is larger), so the memory does not grow
     with the table.
     """
     rows = len(terms.coef)
-    chunk = max(1, min(rows, CONTRACT_BLOCK_BYTES // max(1, x.nbytes)))
+    chunk = max(1, min(rows, BLOCK_BYTES // max(1, x.nbytes)))
     coef = terms.coef.reshape(terms.coef.shape + (1,) * (x.ndim - 1))
     out = np.zeros(x.shape)
     acc = np.empty((chunk + 1,) + x.shape)
@@ -361,7 +360,7 @@ def quasilinear_matrix(W: np.ndarray, p: ModelParams) -> np.ndarray:
     Q is the Jacobian of flux() with respect to the conserved variables
     minus the matrix G with nonconservative_rhs(W, dUdx) = G @ dUdx, built
     in one buffer.  Its moment block is u_m I + sum_k u_k C_k, with
-    C_k = (A + A^T + B)[:, :, k] (A^T swaps the last two axes), added one k
+    C_k = ClosureTensors.C[:, :, k] = (A + A^T + B)[:, :, k], added one k
     at a time.  Every entry is formed elementwise, so a state's Q does not
     depend on its layout or on the batch it is in.
     """
@@ -384,10 +383,9 @@ def _quasilinear(W: np.ndarray, p: ModelParams) -> np.ndarray:
     idx = np.arange(2, n)
     Q[..., idx, idx] = um[..., None]
     if p.variant is Variant.SWME and p.N > 0:
-        A, B = p.tensors.A, p.tensors.B
         rows = np.moveaxis(u, -1, 0)
         Q[..., 2:, 0] -= np.moveaxis(_contract(p.tensors.A_terms, rows, rows), 0, -1)
-        C = A + A.transpose(0, 2, 1) + B
+        C = p.tensors.C
         for k in range(p.N):
             Q[..., 2:, 2:] += u[..., k, None, None] * C[:, :, k]
     return Q
@@ -415,13 +413,14 @@ def _spectral_bound(Q: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         return s * np.einsum("...ii->...", G) ** (1.0 / 32.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _norm_factors(n: int, variant: Variant) -> tuple:
+@functools.lru_cache(maxsize=8)  # a key holds its model's tensors: keep a few models only
+def _norm_factors(p: ModelParams) -> tuple:
     """(w, columns): the moment weights as a column, and the nonzero entries of [R_A; R] by column.
 
-    The moment norms of _norm_bound, of the moments u, are ||u||, ||u w||,
-    ||R_A u|| and ||R u||.  R^T R is the Gram matrix G_kl = <C_k, C_l>_F of
-    C_k = (A + A^T + B)[:, :, k] (A^T swaps the last two axes), so
+    Formed from p's own tensors, once per model (g, N, variant) while it is
+    cached.  The moment norms of _norm_bound, of the moments u, are ||u||,
+    ||u w||, ||R_A u|| and ||R u||.  R^T R is the Gram matrix
+    G_kl = <C_k, C_l>_F of C_k = ClosureTensors.C[:, :, k], so
     ||R u|| = ||sum_k u_k C_k||_F; R_A is the same for A.  Each R is the
     upper triangular factor of the (N^2, N) matrix whose column k is C_k (or
     A[:, :, k]) flattened, so a norm is a sum of squares, never the root of
@@ -429,9 +428,8 @@ def _norm_factors(n: int, variant: Variant) -> tuple:
     entries of column j of the (2N, N) stack [R_A; R], rows ascending, as
     (start, stop, coefficients), the coefficients as a column.
     """
-    t = compute_tensors(n, variant)
-    R = np.concatenate([np.linalg.qr(X.reshape(n * n, n), mode="r")
-                        for X in (t.A, t.A + t.A.transpose(0, 2, 1) + t.B)])
+    n, t = p.N, p.tensors
+    R = np.concatenate([np.linalg.qr(X.reshape(n * n, n), mode="r") for X in (t.A, t.C)])
     columns = []
     for column in R.T:
         edges = np.flatnonzero(np.diff(np.concatenate([[0], column != 0.0, [0]])))
@@ -462,7 +460,7 @@ def _norm_bound(states: np.ndarray, T: np.ndarray, c: np.ndarray, p: ModelParams
     squares in moment order.  So a state's bound does not depend on its
     batch or layout, as a matrix product's would.
     """
-    w, columns = _norm_factors(p.N, p.variant)
+    w, columns = _norm_factors(p)
     h, um = states[:, 0], states[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         # the entries u_k, u_k w_k, (R_A u)_k and (R u)_k, one row of states each
@@ -527,7 +525,7 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False, *,
 
     max(s) and the cheap bound are taken over all states first; Q, its
     finiteness check, the certificate and the eigen-solve then go one block
-    of the states tier 1 leaves at a time, SPEED_BLOCK_BYTES of Q per block,
+    of the states tier 1 leaves at a time, BLOCK_BYTES of Q per block,
     so the memory they take does not grow with the states.  T and Q are
     formed state by state, so a state's speed does not depend on its block
     or the layout; it depends on the other states through max(s) and
@@ -549,7 +547,7 @@ def max_wave_speed(W: np.ndarray, p: ModelParams, validate: bool = False, *,
         speeds = np.maximum(s, cheap)
         # the negated test keeps a NaN bound or speed; an infinite bound may have a non-finite Q
         left = np.flatnonzero(~((cheap * (1.0 + 1e-10) <= cap) & (cheap < np.inf)))
-        size = max(1, SPEED_BLOCK_BYTES // (8 * n * n))
+        size = max(1, BLOCK_BYTES // (8 * n * n))
         cand, radius = [left[:0]], [np.empty(0)]
         for start in range(0, len(left), size):
             block = left[start:start + size]

@@ -136,8 +136,16 @@ def test_tensor_symmetry_is_exact():
 
 def test_tensors_immutable():
     t = compute_tensors(2, Variant.SWME)
-    with pytest.raises(ValueError):
-        t.A[0, 0, 0] = 1.0
+    for X in (t.A, t.B, t.C):
+        with pytest.raises(ValueError):
+            X[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+def test_coupling_tensor_is_a_plus_its_transpose_plus_b(variant):
+    for n in (0, 1, 2, 5):
+        t = compute_tensors(n, variant)
+        assert t.C.tobytes() == (t.A + t.A.transpose(0, 2, 1) + t.B).tobytes()
 
 
 def test_known_tensor_entries():

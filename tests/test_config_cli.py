@@ -586,11 +586,25 @@ class TestRunCommand:
             raise AssertionError("run started with an unwritable output.path")
         monkeypatch.setattr("swlme.cli.run", no_run)
         (tmp_path / "file").write_text("")
-        path = self.write(tmp_path, DAM_CFG.format(path=tmp_path / "file" / "out"))
+        out = str(tmp_path / "file" / "out")
+        path = self.write(tmp_path, DAM_CFG.format(path=out))
         assert main(["run", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: output.path ")
+        assert captured.err == (f"error: output.path {out!r} cannot be written: [Errno "
+                                f"{errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {out!r}\n")
+
+    def test_unmapped_exception_keeps_its_traceback(self, tmp_path, capsys, monkeypatch):
+        # only the failure table's classes become an exit code; a bug propagates out of main
+        def broken(*args):
+            raise TypeError("injected")
+        monkeypatch.setattr("swlme.cli.run", broken)
+        stdout = sys.stdout
+        path = self.write(tmp_path, DAM_CFG.format(path=tmp_path / "o"))
+        with pytest.raises(TypeError, match="injected"):
+            main(["run", path])
+        assert sys.stdout is stdout
+        assert capsys.readouterr().err == ""
 
     def test_memory_does_not_grow_with_snapshots(self, tmp_path, capsys):
         """Snapshots and summary rows stream to disk: 4x the snapshots, the same traced peak."""
@@ -1070,6 +1084,27 @@ def fails_on(monkeypatch, cells):
         return real_run(scenario, sink)
 
     monkeypatch.setattr(swlme.diagnostics, "run", run_or_fail)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["coeffs"], 1), (["coeffs", "--N", "2.5"], 1),
+    (["check", "--samples", "abc"], 1), (["check", "--N"], 1),
+    (["run"], 1), (["run", "a.cfg", "--print-config", "x"], 1),
+    (["converge", "a.cfg"], 1), (["converge", "a.cfg", "--meshes"], 1),
+    ([], 1), (["plot"], 1),
+    (["--help"], 0), (["coeffs", "--help"], 0), (["check", "--help"], 0),
+    (["run", "--help"], 0), (["converge", "--help"], 0),
+])
+def test_malformed_flag_exits_1(capsys, monkeypatch, argv, code):
+    """argparse prints the usage and its error, which exits 1 like any bad input; --help exits 0."""
+    monkeypatch.setattr("swlme.cli._keep_heap_slack", lambda: pytest.fail("a command ran"))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("usage: swlme")
+        assert re.search(r"^swlme( \w+)?: error: ", captured.err, re.M), captured.err
+    else:
+        assert captured.out.startswith("usage: swlme") and captured.err == ""
 
 
 class TestFailedStdout:

@@ -10,10 +10,9 @@ from numpy.polynomial.legendre import legvander
 import swlme.model
 from swlme.basis import Variant
 from swlme.model import (
-    CONTRACT_BLOCK_BYTES,
+    BLOCK_BYTES,
     H_MIN,
     N_MAX,
-    SPEED_BLOCK_BYTES,
     DryStateError,
     ModelParams,
     ParameterError,
@@ -500,10 +499,10 @@ class TestClosureContraction:
         for table, y in ((t.A_terms, u), (t.B_terms, du)):
             assert _contract(table, u, y).tobytes() == reference_contract(table, u, y).tobytes()
 
-    @pytest.mark.parametrize("budget", [1, 3 * 8 * 16 * 5, CONTRACT_BLOCK_BYTES])
+    @pytest.mark.parametrize("budget", [1, 3 * 8 * 16 * 5, BLOCK_BYTES])
     def test_chunks_give_the_bits_of_one_pass(self, monkeypatch, budget):
         # one table row per chunk, a few rows per chunk, and every row in one chunk
-        monkeypatch.setattr(swlme.model, "CONTRACT_BLOCK_BYTES", budget)
+        monkeypatch.setattr(swlme.model, "BLOCK_BYTES", budget)
         rng = np.random.default_rng(90)
         t = params(16, variant=Variant.SWME).tensors
         u, du = signed_rows(rng, (16, 5)), signed_rows(rng, (16, 5))
@@ -516,14 +515,14 @@ class TestClosureContraction:
         # over 4000 cells; chunked, the terms take one budget (one row if larger)
         t = params(64, variant=Variant.SWME).tensors
         u = smooth_states(cells, 64)[:, 2:].T
-        assert len(t.A_terms.coef) * u.nbytes > 16 * CONTRACT_BLOCK_BYTES
+        assert len(t.A_terms.coef) * u.nbytes > 16 * BLOCK_BYTES
         tracemalloc.start()
         try:
             _contract(t.A_terms, u, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * CONTRACT_BLOCK_BYTES + 3 * u.nbytes, f"{peak / 2**20:.1f} MiB"
+        assert peak <= 2 * BLOCK_BYTES + 3 * u.nbytes, f"{peak / 2**20:.1f} MiB"
 
     def test_infinite_velocity_skips_zero_coefficients(self):
         # the library-level difference from the dense einsum: 0 * inf is not taken
@@ -772,7 +771,7 @@ def certified_wave_speed_reference(W, p):
     s = _wave_speed(h, um, T, p.g).reshape(-1)
     n = W.shape[-1]
     cap = np.max(s, initial=0.0)
-    size = max(1, swlme.model.SPEED_BLOCK_BYTES // (8 * n * n))
+    size = max(1, swlme.model.BLOCK_BYTES // (8 * n * n))
     states, T = W.reshape(-1, n), T.reshape(-1)
     speeds, cand, radius = np.empty_like(s), [], []
     for start in range(0, max(len(s), 1), size):
@@ -935,6 +934,16 @@ class TestNormBound:
             for i in range(size):
                 assert norm_bound(W[i:i + 1], p).tobytes() == batch[i:i + 1].tobytes(), (size, i)
 
+    @pytest.mark.parametrize("variant", [Variant.SWLME, Variant.SWME])
+    def test_reads_the_model_tensors(self, monkeypatch, variant):
+        # the norm bound of the validated speed forms no closure tensors beyond its model's
+        p = params(3, g=9.81, variant=variant)
+        swlme.model._norm_factors.cache_clear()
+        monkeypatch.setattr(swlme.model, "compute_tensors",
+                            lambda *args: pytest.fail("closure tensors formed again"))
+        W = random_primitive(np.random.default_rng(72), 50, 3)
+        assert np.all(np.isfinite(norm_bound(W, p)))
+
     def test_rest_state_is_sharp(self):
         # no velocity: Q - u_m I is [[0, 1], [g h, 0]], whose balanced 2-norm is sqrt(g h)
         p = params(3, g=9.81, variant=Variant.SWME)
@@ -985,11 +994,11 @@ def smooth_states(cells, n):
 
 
 class TestBlockedWaveSpeed:
-    """The validated speed goes SPEED_BLOCK_BYTES of quasilinear matrices at a time, bit for bit."""
+    """The validated speed goes BLOCK_BYTES of quasilinear matrices at a time, bit for bit."""
 
     @staticmethod
     def states_per_block(monkeypatch, n, states):
-        monkeypatch.setattr(swlme.model, "SPEED_BLOCK_BYTES", 8 * (n + 2) ** 2 * states)
+        monkeypatch.setattr(swlme.model, "BLOCK_BYTES", 8 * (n + 2) ** 2 * states)
 
     @pytest.mark.parametrize("n", [2, 5, 8, 16])
     @pytest.mark.parametrize("states", [1, 3, 4, 7])
@@ -1021,7 +1030,7 @@ class TestBlockedWaveSpeed:
 
     def test_benchmark_state_is_one_block(self):
         # run_swme_smooth: 800 cells at N = 3 take one block, so nothing changes there
-        assert 800 * 8 * (3 + 2) ** 2 <= SPEED_BLOCK_BYTES
+        assert 800 * 8 * (3 + 2) ** 2 <= BLOCK_BYTES
 
     @pytest.mark.parametrize("n, cells", [(16, 4000), (64, 600)])
     def test_memory_does_not_grow_with_the_states(self, n, cells):
@@ -1029,7 +1038,7 @@ class TestBlockedWaveSpeed:
         # at N = 16 and 100 MiB at N = 64 (1000 cells)
         p = params(n, g=9.81, variant=Variant.SWME)
         W = smooth_states(cells, n)
-        assert cells * 8 * (n + 2) ** 2 > 4 * SPEED_BLOCK_BYTES
+        assert cells * 8 * (n + 2) ** 2 > 4 * BLOCK_BYTES
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WaveSpeedBoundWarning)
             max_wave_speed(W, p, validate=True)  # the closure tables are built outside the trace
@@ -1039,7 +1048,7 @@ class TestBlockedWaveSpeed:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 5 * SPEED_BLOCK_BYTES + 4 * W.nbytes, f"{peak / 2**20:.1f} MiB"
+        assert peak <= 5 * BLOCK_BYTES + 4 * W.nbytes, f"{peak / 2**20:.1f} MiB"
 
 
 class TestMomentNullity:
